@@ -52,9 +52,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--normalize", action="store_true",
                         help="apply the normalization series")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--tol-rel", type=float, default=1e-13,
-                        help="spectral tail tolerance")
         sp.add_argument("--grid", type=int, default=None,
                         help="sample count (export) or FD interior points (oracle)")
         sp.add_argument("--amplitude", type=float, default=float(np.sqrt(2.0)),
@@ -228,7 +225,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError, KeyError,
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
             ProblemConfigError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

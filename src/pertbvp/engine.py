@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import expr as ex
-from .funcspace import TRUNCATION_TOL, SpectralFun, _truncate
+from .funcspace import (TRUNCATION_TOL, SpectralFun, UnresolvedError,
+                        _truncate, solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
 __all__ = [
@@ -80,8 +79,14 @@ def _wronskian_defect(gh: GhostFunction, state: UnperturbedState,
 def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunction:
     """Construct u with u(a) = -1/y0'(a), u'(a) = 0, so that W(u, y0) = 1.
 
-    Closed form when v0 is identically zero; otherwise a tight-tolerance
-    initial-value integration of u'' = (v0 - E0) u refit to a series.
+    u solves the unperturbed equation u'' = (v0 - E0) u.  When v0 is
+    identically zero that is the closed form u = -cos(w (x - a)) / (c w)
+    with w = sqrt(E0), fitted adaptively.  Otherwise u comes from a
+    Chebyshev initial-value solve of the equation in integral form
+    (:func:`~pertbvp.funcspace.solve_linear_ivp`), with an adaptive degree
+    and the same tail rule; an unresolved solve raises
+    :class:`EngineError`.  Either way the Wronskian is checked on a grid
+    and a defect above 1e-10 raises :class:`EngineError`.
     """
     a, b = problem.domain
     d0 = state.dy0(a)
@@ -94,17 +99,11 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
         u = SpectralFun.from_function(
             lambda x: -np.cos(w * (x - a)) / (c * w), problem.domain)
     else:
-        v0e = problem.v0
-        e0 = state.E0
-
-        def rhs(x, z):
-            return [z[1], (ex.evaluate(v0e, x) - e0) * z[0]]
-
-        sol = solve_ivp(rhs, (a, b), [-1.0 / d0, 0.0], method="DOP853",
-                        rtol=1e-13, atol=1e-13, dense_output=True)
-        if not sol.success:
-            raise EngineError(f"ghost integration failed: {sol.message}")
-        u = SpectralFun.from_function(lambda x: sol.sol(x)[0], problem.domain)
+        q = problem.v0_fun - SpectralFun.constant(state.E0, problem.domain)
+        try:
+            u = solve_linear_ivp(q, -1.0 / d0)
+        except UnresolvedError as exc:
+            raise EngineError(f"ghost solve failed: {exc}") from exc
 
     gh = GhostFunction(u=u, du=u.derivative())
     defect = _wronskian_defect(gh, state, problem.domain)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from . import expr as ex
 from .problem import PerturbationProblem, load_problem
@@ -166,6 +165,14 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     return -main, -upper, -lower, h
 
 
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on first use: scipy.linalg
+    takes longer to import than the rest of pertbvp, and only this oracle
+    needs it."""
+    from scipy.linalg import solve_banded as _solve_banded
+    return _solve_banded(l_and_u, ab, b)
+
+
 def _inverse_iteration(main, upper, lower, shift, tol=1e-12, maxit=200):
     M = len(main)
     ab = np.zeros((3, M))
@@ -197,7 +204,7 @@ def fd_eigenvalue_raw(problem: PerturbationProblem, lam: float,
     main, upper, lower, _ = _fd_bands(problem, lam, M)
     try:
         return _inverse_iteration(main, upper, lower, e_guess)
-    except LinAlgError:
+    except np.linalg.LinAlgError:  # the class scipy.linalg raises too
         # shift hit an eigenvalue exactly: nudge once and retry
         return _inverse_iteration(main, upper, lower, e_guess + 1e-8)
 

@@ -94,6 +94,14 @@ def test_solve_output_is_deterministic(capsys, tmp_path, model3_file):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_solve_non_utf8_problem_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.prob"
+    bad.write_bytes(model3_config().encode() + b"# \xff\xfe\n")
+    code, _, err = run(capsys, "solve", "--problem", str(bad))
+    assert code == 1
+    assert err.startswith("error:") and "utf-8" in err
+
+
 # ----------------------------------------------------------------------
 # eval
 # ----------------------------------------------------------------------
@@ -137,6 +145,14 @@ def test_eval_corrupt_series(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(bad))
     assert code == 1
     assert err
+
+
+def test_eval_non_utf8_series_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 1, "\xff": 0}')
+    code, _, err = run(capsys, "eval", str(bad))
+    assert code == 1
+    assert err.startswith("error:") and "utf-8" in err
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from pertbvp import engine
+from pertbvp import engine, funcspace
 from pertbvp.engine import (EngineError, compute_series, ghost, order_rhs,
                             residual, series_from_dict, series_to_dict,
                             solvability_energy, solve_order, sum_series)
 from pertbvp.funcspace import SpectralFun
 from pertbvp.oracles import (model1_problem, model3_E_coeffs, model3_problem,
                              model1_exact)
-from pertbvp.problem import UnperturbedState, analytic_sine_state, load_problem
+from pertbvp.problem import (UnperturbedState, analytic_sine_state,
+                             load_problem, state_from_expr)
 
 PI2 = math.pi ** 2
 XS = np.linspace(0, 1, 64)
@@ -68,6 +69,51 @@ def test_ghost_numeric_path_nonzero_v0():
     gh = ghost(st, prob)
     w = gh.du(XS) * st.y0(XS) - st.dy0(XS) * gh.u(XS)
     assert np.max(np.abs(w - 1.0)) <= 1e-10
+
+
+def _closed_problem(n):
+    """v0 = 5 with the closed-form state sin(n pi x), E0 = (n pi)^2 + 5."""
+    text = (f"domain = 0 1\nv0 = 5\ny0 = sin({n}*pi*x)\n"
+            f"E0 = {n * n * PI2 + 5.0!r}\nperturbation.1.p2 = 0\n"
+            "perturbation.1.p1 = 1\nperturbation.1.p0 = 0\n")
+    prob = load_problem(text)
+    return prob, state_from_expr(prob, n=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ghost_spectral_solve_matches_cosine_constant_v0(n):
+    prob, st = _closed_problem(n)
+    gh = ghost(st, prob)
+    w = n * math.pi  # u'' = (5 - E0) u = -w^2 u
+    c = st.dy0(0.0) / w
+    expected = -np.cos(w * XS) / (c * w)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(gh.u(XS) - expected)) <= 1e-13 * scale
+    assert engine._wronskian_defect(gh, st, prob.domain) <= 1e-11
+
+
+def test_ghost_spectral_solve_unresolved_is_engine_error(monkeypatch):
+    prob, st = _closed_problem(20)
+    monkeypatch.setattr(funcspace, "IVP_MAX_DEGREE", 32)
+    with pytest.raises(EngineError, match="ghost solve failed"):
+        ghost(st, prob)
+
+
+def test_linear_ivp_matches_scipy_solve_ivp():
+    from scipy.integrate import solve_ivp  # reference only
+    prob = load_problem("domain = 0 1\nv0 = 20*x^2\nperturbation.1.p2 = 0\n"
+                        "perturbation.1.p1 = 1\nperturbation.1.p0 = 0\n")
+    e0, u_a = 30.0, -0.3
+    q = prob.v0_fun - SpectralFun.constant(e0, prob.domain)
+    u = funcspace.solve_linear_ivp(q, u_a)
+    sol = solve_ivp(lambda x, z: [z[1], (20.0 * x * x - e0) * z[0]],
+                    (0.0, 1.0), [u_a, 0.0], method="DOP853", rtol=1e-13,
+                    atol=1e-13, dense_output=True)
+    ref = sol.sol(XS)[0]
+    assert u.degree <= 32
+    assert np.max(np.abs(u(XS) - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert u(0.0) == pytest.approx(u_a, abs=1e-14)
+    assert abs(u.derivative()(0.0)) <= 1e-11
 
 
 def test_ghost_rejects_degenerate_left_slope(m1):

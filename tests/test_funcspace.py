@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pertbvp.funcspace import (DomainMismatchError, SpectralFun,
-                               SpectralError, UnresolvedError)
+                               SpectralError, UnresolvedError,
+                               _coeffs_from_samples)
 
 
 @pytest.fixture
@@ -179,3 +180,15 @@ def test_serialization_roundtrip(sine):
     assert data["domain"] == [0.0, 1.0]
     back = SpectralFun.from_dict(data)
     assert np.array_equal(back.coeffs, sine.coeffs)
+
+
+@pytest.mark.parametrize("size", [17, 18, 33, 100, 257, 1025, 4097, 16385])
+def test_coeffs_from_samples_bit_identical_to_scipy_dct(size):
+    from scipy.fft import dct  # reference only
+    rng = np.random.default_rng(size)
+    for scale in (1e-6, 1.0, 1e6):
+        values = scale * rng.standard_normal(size)
+        expected = dct(values, type=1) / (size - 1)
+        expected[0] *= 0.5
+        expected[-1] *= 0.5
+        assert np.array_equal(_coeffs_from_samples(values), expected)

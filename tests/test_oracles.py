@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +138,26 @@ def test_fd_second_order_convergence():
 def test_fd_rejects_small_grid():
     with pytest.raises(OracleError):
         fd_eigenvalue_raw(model1_problem(), 0.0, PI2, 8)
+
+
+def test_import_loads_no_scipy_until_fd_oracle():
+    # fresh interpreter: importing the CLI must not pull in scipy; the FD
+    # oracle loads scipy.linalg on its first banded solve
+    probe = (
+        "import json, sys\n"
+        "import pertbvp.cli\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from pertbvp.oracles import fd_eigenvalue, model3_problem\n"
+        "e = fd_eigenvalue(model3_problem(), 1.0, 9.0, 512)\n"
+        "print(json.dumps({'before': before, 'E': e,\n"
+        "                  'linalg': 'scipy.linalg' in sys.modules}))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["before"] == []
+    assert got["linalg"]
+    assert got["E"] == pytest.approx(6.0, abs=1e-4)
