@@ -4,13 +4,17 @@ The grammar covers exactly what coefficient functions in problem files need:
 decimal literals, ``x``, ``pi``, the operators ``+ - * / ^`` and the calls
 ``sin cos tan exp log sqrt``.  ``^`` binds tighter than unary minus and is
 right associative; everything else is left associative.
+
+:func:`evaluate` takes a float or a numpy array of points: an array is
+evaluated in one walk over the tree with numpy ufuncs.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -87,12 +91,12 @@ class Fun(Expr):
 
 
 _FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
 }
 
 _TOKEN_RE = re.compile(
@@ -225,33 +229,46 @@ def parse(text: str) -> Expr:
     return node
 
 
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate ``e`` at ``x`` in IEEE double precision.
+def evaluate(e: Expr, x):
+    """Evaluate ``e`` at ``x``, a float or a numpy array, in IEEE double
+    precision.
 
-    Raises :class:`DomainError` instead of returning NaN/inf for points
-    outside the mathematical domain.
+    A float gives a Python float.  An array gives a new array of its shape
+    (constants included) from one walk over the tree with numpy ufuncs.
+
+    Raises :class:`DomainError` instead of returning NaN/inf if any point is
+    outside the mathematical domain (division by zero, log of a
+    non-positive value, sqrt of a negative value, zero to a negative power,
+    negative base with a non-integer exponent) or if a function call or a
+    power overflows.  Plain ``+ - * /`` overflow gives inf.
     """
+    xv = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _walk(e, xv if xv.ndim else xv[()])
+    if xv.ndim == 0:
+        return float(out)
+    return np.array(np.broadcast_to(out, xv.shape))
+
+
+def _walk(e: Expr, x):
     if isinstance(e, Num):
-        return e.value
+        return np.float64(e.value)
     if isinstance(e, Pi):
-        return math.pi
+        return np.float64(np.pi)
     if isinstance(e, Var):
-        return float(x)
+        return x
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
+        return -_walk(e.arg, x)
     if isinstance(e, Fun):
-        v = evaluate(e.arg, x)
-        if e.name == "log" and v <= 0.0:
-            raise DomainError(f"log of non-positive value {v}")
-        if e.name == "sqrt" and v < 0.0:
-            raise DomainError(f"sqrt of negative value {v}")
-        try:
-            return _FUNCTIONS[e.name](v)
-        except (ValueError, OverflowError) as exc:  # pragma: no cover
-            raise DomainError(str(exc)) from exc
+        v = _walk(e.arg, x)
+        if e.name == "log":
+            _check_domain(v <= 0.0, "log of non-positive value", v)
+        if e.name == "sqrt":
+            _check_domain(v < 0.0, "sqrt of negative value", v)
+        return _check_range(_FUNCTIONS[e.name](v), e.name, v)
     if isinstance(e, BinOp):
-        lv = evaluate(e.left, x)
-        rv = evaluate(e.right, x)
+        lv = _walk(e.left, x)
+        rv = _walk(e.right, x)
         if e.op == "+":
             return lv + rv
         if e.op == "-":
@@ -259,19 +276,47 @@ def evaluate(e: Expr, x: float) -> float:
         if e.op == "*":
             return lv * rv
         if e.op == "/":
-            if rv == 0.0:
-                raise DomainError("division by zero")
+            _check_domain(rv == 0.0, "division by zero")
             return lv / rv
         if e.op == "^":
-            if lv == 0.0 and rv < 0.0:
-                raise DomainError("zero raised to a negative power")
-            if lv < 0.0 and rv != int(rv):
-                raise DomainError("negative base with non-integer exponent")
-            try:
-                return lv ** rv
-            except OverflowError as exc:
-                raise DomainError(str(exc)) from exc
+            _check_domain((lv == 0.0) & (rv < 0.0),
+                          "zero raised to a negative power")
+            _check_domain((lv < 0.0) & (rv != np.trunc(rv)),
+                          "negative base with non-integer exponent")
+            # libm pow on every point, as Python's ``**`` on floats; np.power
+            # takes SIMD and x*x shortcuts that move the last bit
+            return _check_range(np.float_power(lv, rv), "power", lv, rv)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _any(mask) -> bool:
+    # numpy scalars answer .any() through a 0-d array copy; bool() is faster
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _check_domain(bad, message: str, v=None) -> None:
+    """Raise :class:`DomainError` if any point is ``bad``, naming the first
+    offending value ``v`` when given."""
+    if _any(bad):
+        if v is not None:
+            message = f"{message} {float(np.asarray(v)[bad][0])}"
+        raise DomainError(message)
+
+
+def _check_range(out, name: str, *args):
+    """``out``, unless some point of it is less finite than its arguments:
+    inf from finite arguments (overflow) or NaN from non-NaN ones (``sin``
+    of inf).  Those are the points where the math module raises."""
+    if not _any(~np.isfinite(out)):
+        return out
+    overflow = np.isinf(out)
+    undefined = np.isnan(out)
+    for arg in args:
+        overflow = overflow & np.isfinite(arg)
+        undefined = undefined & ~np.isnan(arg)
+    if _any(overflow | undefined):
+        raise DomainError(f"{name} result out of range")
+    return out
 
 
 def _is_literal(e: Expr) -> bool:

@@ -91,28 +91,32 @@ class SpectralFun:
     def from_function(cls, f, domain, tol_rel: float = DEFAULT_TOL) -> "SpectralFun":
         """Adaptively fit ``f`` on ``domain`` to relative tail tolerance.
 
-        Raises :class:`UnresolvedError` if the coefficient tail has not
-        decayed below ``tol_rel`` by degree ``MAX_DEGREE``.
+        ``f`` is called on one float at a time and must return a float.
+        Raises :class:`UnresolvedError` if a sample is not finite or if the
+        coefficient tail has not decayed below ``tol_rel`` by degree
+        ``MAX_DEGREE``.
         """
         a, b = float(domain[0]), float(domain[1])
-        n = MIN_DEGREE
-        while n <= MAX_DEGREE:
-            t = np.cos(np.pi * np.arange(n + 1) / n)
-            x = 0.5 * (b - a) * t + 0.5 * (a + b)
-            values = np.array([float(f(xi)) for xi in x])
+
+        def coeffs(m):
+            """Coefficients of ``f`` sampled at the m+1 Chebyshev extrema."""
+            t = np.cos(np.pi * np.arange(m + 1) / m)
+            nodes = 0.5 * (b - a) * t + 0.5 * (a + b)
+            values = np.array([float(f(node)) for node in nodes])
             if not np.all(np.isfinite(values)):
                 raise UnresolvedError("function not finite at sample nodes")
-            c = _coeffs_from_samples(values)
+            return _coeffs_from_samples(values)
+
+        n = MIN_DEGREE
+        while n <= MAX_DEGREE:
+            c = coeffs(n)
             scale = np.max(np.abs(c))
             if scale == 0.0:
                 return cls((a, b), [0.0])
             if max(abs(c[-2]), abs(c[-1])) <= tol_rel * scale:
                 # refit once at 2n: the stopping grid's trailing coefficients
                 # are aliased, which costs digits under repeated differentiation
-                n2 = 2 * n
-                t = np.cos(np.pi * np.arange(n2 + 1) / n2)
-                x = 0.5 * (b - a) * t + 0.5 * (a + b)
-                c = _coeffs_from_samples(np.array([float(f(xi)) for xi in x]))
+                c = coeffs(2 * n)
                 return cls((a, b), _truncate(c, min(tol_rel, TRUNCATION_TOL)))
             n *= 2
         raise UnresolvedError(

@@ -145,7 +145,7 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     a, b = problem.domain
     h = (b - a) / (M + 1)
     x = a + h * np.arange(1, M + 1)
-    v0 = np.array([ex.evaluate(problem.v0, xi) for xi in x])
+    v0 = ex.evaluate(problem.v0, x)
 
     main = -2.0 / h ** 2 - v0
     upper = np.full(M - 1, 1.0 / h ** 2)
@@ -155,14 +155,14 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
         c = lam ** k
         if c == 0.0:
             continue
-        p2 = np.array([ex.evaluate(op.p2, xi) for xi in x])
-        p1 = np.array([ex.evaluate(op.p1, xi) for xi in x])
-        p0 = np.array([ex.evaluate(op.p0, xi) for xi in x])
+        p2 = ex.evaluate(op.p2, x)
+        p1 = ex.evaluate(op.p1, x)
+        p0 = ex.evaluate(op.p0, x)
         main -= c * (-2.0 * p2 / h ** 2 + p0)
         upper -= c * (p2[:-1] / h ** 2 + p1[:-1] / (2.0 * h))
         lower -= c * (p2[1:] / h ** 2 - p1[1:] / (2.0 * h))
 
-    return -main, -upper, -lower, h
+    return -main, -upper, -lower
 
 
 def solve_banded(l_and_u, ab, b):
@@ -201,7 +201,7 @@ def fd_eigenvalue_raw(problem: PerturbationProblem, lam: float,
     """Single-grid eigenvalue nearest ``e_guess`` (no extrapolation)."""
     if M < 16:
         raise OracleError(f"need M >= 16 interior points, got {M}")
-    main, upper, lower, _ = _fd_bands(problem, lam, M)
+    main, upper, lower = _fd_bands(problem, lam, M)
     try:
         return _inverse_iteration(main, upper, lower, e_guess)
     except np.linalg.LinAlgError:  # the class scipy.linalg raises too

@@ -27,6 +27,7 @@ __all__ = [
     "analytic_sine_state",
     "state_from_expr",
     "validate_state",
+    "state_verdict",
 ]
 
 
@@ -76,7 +77,7 @@ class PerturbationProblem:
 
     def v0_is_zero(self) -> bool:
         xs = np.linspace(self.a, self.b, 64)
-        return all(abs(ex.evaluate(self.v0, x)) < 1e-12 for x in xs)
+        return bool(np.all(np.abs(ex.evaluate(self.v0, xs)) < 1e-12))
 
     def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:
         """Apply the order-k operator to a spectral function."""
@@ -240,10 +241,8 @@ def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedStat
         lambda x: ex.evaluate(problem.y0_expr, x), problem.domain)
     user_scale = y0_raw.sup_norm()
     state = _normalized_state(n, problem.e0_value, y0_raw, user_scale)
-    res, left, right = validate_state(problem, state)
-    ypp = state.y0.derivative().derivative()
-    bound = 1e-9 * max(1.0, ypp.sup_norm())
-    if res > bound or left > 1e-9 or right > 1e-9:
+    ok, res, left, right = state_verdict(problem, state)
+    if not ok:
         raise StateError(
             f"closed-form state fails validation: residual {res:.3e}, "
             f"|y0(a)|={left:.3e}, |y0(b)|={right:.3e}")
@@ -258,3 +257,16 @@ def validate_state(problem: PerturbationProblem,
     xs = np.linspace(problem.a, problem.b, 256)
     res = float(np.max(np.abs(resid(xs))))
     return res, abs(state.y0(problem.a)), abs(state.y0(problem.b))
+
+
+def state_verdict(problem: PerturbationProblem,
+                  state: UnperturbedState) -> tuple:
+    """Return (ok, residual, |y0(a)|, |y0(b)|) from :func:`validate_state`.
+
+    ``ok`` holds when the residual is at most ``1e-9 max(1, sup |y0''|)``
+    and both boundary values of the unit-L2 ``y0`` are at most ``1e-10``.
+    """
+    res, left, right = validate_state(problem, state)
+    bound = 1e-9 * max(1.0, state.dy0.derivative().sup_norm())
+    ok = res <= bound and left <= 1e-10 and right <= 1e-10
+    return ok, res, left, right

@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pertbvp.cli import main
+from pertbvp.cli import _build_parser, main
 from pertbvp.oracles import model1_config, model3_config, model3_E_coeffs
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 PI2 = math.pi ** 2
 
 
@@ -261,3 +262,71 @@ def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
     assert err
+
+
+# ----------------------------------------------------------------------
+# flags: each subcommand takes only the flags it reads
+# ----------------------------------------------------------------------
+
+def test_eval_and_export_default_to_whole_series(capsys, tmp_path,
+                                                 model3_file):
+    series = tmp_path / "s8.json"
+    run(capsys, "solve", "--problem", model3_file, "--order", "8",
+        "--out", str(series))
+    code, out, _ = run(capsys, "eval", str(series), "--lambda", "0.5")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 9  # header + orders 0..8
+    csv_file = tmp_path / "y.csv"
+    code, _, _ = run(capsys, "export", str(series), "--out", str(csv_file))
+    assert code == 0
+    header = csv_file.read_text().splitlines()[0]
+    assert header == "x," + ",".join(f"y{j}" for j in range(9))
+
+
+def test_solve_order_defaults_to_three(capsys, model3_file):
+    code, out, _ = run(capsys, "solve", "--problem", model3_file)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--problem", "P", "--lambda", "1"),
+    ("validate", "--problem", "P", "--grid", "64"),
+    ("solve", "--problem", "P", "--normalize"),
+    ("solve", "--problem", "P", "--lambda", "1"),
+    ("oracle", "--problem", "P", "--order", "3"),
+    ("eval", "S", "--n", "2"),
+    ("export", "S", "--amplitude", "1"),
+])
+def test_unread_flag_is_usage_error(capsys, model3_file, model3_series,
+                                    argv):
+    # real files, so that an accepted flag would run and exit 0
+    argv = [{"P": model3_file, "S": model3_series}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_readme_examples_parse():
+    lines = [line.split()[1:]
+             for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("pertbvp ")]
+    assert {argv[0] for argv in lines} == {"solve", "eval", "oracle",
+                                           "export", "validate"}
+    parser = _build_parser()
+    for argv in lines:
+        parser.parse_args(argv)
+
+
+def test_closed_form_state_off_the_boundary_fails_at_load(capsys, tmp_path):
+    # |y0(a)| = 7.1e-10 after normalization: above the 1e-10 boundary bound
+    prob = tmp_path / "off.prob"
+    prob.write_text("domain = 0 1\nv0 = 5\ny0 = sin(pi*x) + 5e-10*(1-x)\n"
+                    f"E0 = {PI2 + 5.0!r}\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 1\nperturbation.1.p0 = 0\n")
+    for command in ("validate", "solve"):
+        code, out, err = run(capsys, command, "--problem", str(prob))
+        assert code == 2
+        assert "closed-form state fails validation" in err
+        assert out == ""

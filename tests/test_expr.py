@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pertbvp.expr import (DomainError, ExprSyntaxError, differentiate,
@@ -180,3 +181,78 @@ def test_roundtrip_print_parse():
             except DomainError:
                 continue
             assert evaluate(e2, x) == pytest.approx(v1, rel=1e-14, abs=1e-14)
+
+
+# ----------------------------------------------------------------------
+# array evaluation
+# ----------------------------------------------------------------------
+
+#: the expressions of the tests above, plus 50 drawn from the generator
+_CORPUS = ["3*x^2/5", "sin(pi*x)", "2+3*4", "2-3-4", "2^3^2", "8/4/2",
+           "-2^2", "(-2)^2", " 1 +  2 * x ", "x^2", "6*x/5", "1/x",
+           "log(x)", "sqrt(x)", "x^(-1)", "x^3", "exp(2*x)", "log(x)/x",
+           "x^x"]
+_rng = random.Random(99)
+_CORPUS += [_random_expr(_rng, _rng.randint(1, 3)) for _ in range(50)]
+_POINTS = np.linspace(0.1, 2.0, 39)
+
+
+@pytest.mark.parametrize("text", _CORPUS)
+def test_array_evaluation_matches_scalar(text):
+    e = parse(text)
+    scalar = []
+    for x in _POINTS:
+        try:
+            scalar.append(evaluate(e, float(x)))
+        except DomainError:
+            with pytest.raises(DomainError):
+                evaluate(e, _POINTS)
+            return
+    assert all(type(v) is float for v in scalar)
+    values = evaluate(e, _POINTS)
+    assert isinstance(values, np.ndarray) and values.shape == _POINTS.shape
+    np.testing.assert_allclose(values, scalar, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("1/x", 0.0),          # division by zero
+    ("log(x)", 0.0),       # log of a non-positive value
+    ("log(x)", -1.0),
+    ("sqrt(x)", -4.0),     # sqrt of a negative value
+    ("x^(-1)", 0.0),       # zero to a negative power
+    ("x^0.5", -2.0),       # negative base, non-integer exponent
+])
+def test_array_with_one_bad_point_raises(text, bad):
+    xs = np.linspace(1.0, 2.0, 9)
+    assert np.all(np.isfinite(evaluate(parse(text), xs)))
+    xs[5] = bad
+    with pytest.raises(DomainError):
+        evaluate(parse(text), xs)
+
+
+@pytest.mark.parametrize("text, x", [("exp(x)", 800.0), ("x^400", 10.0),
+                                     ("tan(x*1e308*10)", 1.0)])
+def test_function_or_power_overflow_raises(text, x):
+    e = parse(text)
+    with pytest.raises(DomainError):
+        evaluate(e, x)
+    with pytest.raises(DomainError):
+        evaluate(e, np.array([1.0, x]))
+
+
+def test_plain_arithmetic_overflow_is_inf():
+    e = parse("x*1e308*10 - x")
+    assert evaluate(e, 1.0) == math.inf
+    assert list(evaluate(e, np.array([1.0, -1.0]))) == [math.inf, -math.inf]
+    # a function of an already infinite value passes it on, as math does
+    assert evaluate(parse("exp(x*1e308*10)"), 1.0) == math.inf
+
+
+def test_constant_expression_returns_array_of_input_shape():
+    xs = np.zeros((3, 4))
+    for text in ("2*pi", "x"):
+        values = evaluate(parse(text), xs)
+        assert values.shape == (3, 4)
+        assert values is not xs
+    assert np.all(evaluate(parse("2*pi"), xs) == 2 * math.pi)
+    assert type(evaluate(parse("2*pi"), 0.5)) is float

@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pertbvp import expr as ex
+from pertbvp import oracles
 from pertbvp.funcspace import SpectralFun
 from pertbvp.oracles import (OracleError, fd_eigenvalue, fd_eigenvalue_raw,
                              model1_exact, model1_problem, model1_series_exact,
                              model3_E_coeffs, model3_ground_exact,
                              model3_problem, model3_y1_exact)
+from pertbvp.problem import load_problem
 
 PI2 = math.pi ** 2
 
@@ -161,3 +164,55 @@ def test_import_loads_no_scipy_until_fd_oracle():
     assert got["before"] == []
     assert got["linalg"]
     assert got["E"] == pytest.approx(6.0, abs=1e-4)
+
+
+def _closed_problem():
+    """Model 3's coupling on v0 = 5 with the closed-form state sin(pi x)."""
+    return load_problem(
+        f"domain = 0 1\nv0 = 5\ny0 = sin(pi*x)\nE0 = {PI2 + 5.0!r}\n"
+        "perturbation.1.p2 = 3*x^2/5\nperturbation.1.p1 = 6*x/5\n"
+        "perturbation.1.p0 = -6/5\n")
+
+
+def _count_evaluate(monkeypatch):
+    calls = []
+    real = ex.evaluate
+
+    def counting(e, x):
+        calls.append(e)
+        return real(e, x)
+
+    monkeypatch.setattr(ex, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [model1_problem, model3_problem,
+                                     _closed_problem])
+def test_fd_bands_evaluate_each_coefficient_once(monkeypatch, problem):
+    # one whole-grid call for v0 and each of p2, p1, p0, whatever M is
+    calls = _count_evaluate(monkeypatch)
+    prob = problem()
+    counts = []
+    for M in (16, 1024):
+        calls.clear()
+        oracles._fd_bands(prob, 0.5, M)
+        counts.append(len(calls))
+    assert counts == [4, 4]
+
+
+@pytest.mark.parametrize("problem, guess", [(model3_problem, 9.0),
+                                            (_closed_problem, 14.0)])
+def test_fd_eigenvalue_matches_pointwise_reference(monkeypatch, problem,
+                                                    guess):
+    prob = problem()
+    got = fd_eigenvalue(prob, 1.0, guess, 8192)
+    real = ex.evaluate
+
+    def pointwise(e, x):
+        if np.ndim(x) == 0:
+            return real(e, x)
+        return np.array([real(e, float(v)) for v in x])
+
+    monkeypatch.setattr(ex, "evaluate", pointwise)
+    reference = fd_eigenvalue(prob, 1.0, guess, 8192)
+    assert got == pytest.approx(reference, rel=1e-12)
