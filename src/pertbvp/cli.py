@@ -164,6 +164,8 @@ def cmd_oracle(args) -> int:
         guess = args.guess
     elif series is not None:
         guess, _ = engine.sum_series(series, lam, series.order)
+    elif problem.e0_value is not None:
+        guess = problem.e0_value
     else:
         length = problem.b - problem.a
         guess = (args.n * np.pi / length) ** 2

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspace import (TRUNCATION_TOL, SpectralFun, UnresolvedError,
-                        _truncate, solve_linear_ivp)
+                        _clenshaw_curtis_weights, _truncate,
+                        _values_at_extrema, solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
 __all__ = [
@@ -117,13 +118,16 @@ def order_rhs(problem: PerturbationProblem, energies, wavefuns,
     """Known part g_j of the order-j right-hand side (E_j still open)."""
     if j < 1 or len(wavefuns) < j:
         raise EngineError(f"orders 0..{j - 1} required before order {j}")
-    g = SpectralFun.constant(0.0, problem.domain)
     m = len(problem.perturbations)
-    for k in range(1, min(m, j) + 1):
-        g = g + problem.apply_perturbation(k, wavefuns[j - k])
-    for k in range(1, j):
-        g = g - wavefuns[j - k] * energies[k]
-    return g
+    terms = [problem.apply_perturbation(k, wavefuns[j - k]).coeffs
+             for k in range(1, min(m, j) + 1)]
+    lower = [wavefuns[j - k].coeffs for k in range(1, j)]
+    acc = np.zeros(max([1] + [len(c) for c in terms + lower]))
+    for c in terms:
+        acc[:len(c)] += c
+    for k, c in enumerate(lower, start=1):
+        acc[:len(c)] -= c * float(energies[k])
+    return SpectralFun._adopt(problem.a, problem.b, acc)
 
 
 def _vp(state: UnperturbedState, gh: GhostFunction,
@@ -133,21 +137,43 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
     return gh.u * inner_y0 - state.y0 * inner_u
 
 
-def solve_order(problem: PerturbationProblem, state: UnperturbedState,
-                gh: GhostFunction, energies, wavefuns, j: int):
-    """Return (E_j, y_j) given all lower orders."""
-    g = order_rhs(problem, energies, wavefuns, j)
-    phi_a = _vp(state, gh, g)
+def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
+                       gh: GhostFunction):
+    """(phi_b, phi_b(b)) with phi_b = V(-y0): the E_j-part of every order.
+
+    Raises :class:`EngineError` when phi_b(b) vanishes, because then the
+    boundary condition y_j(b) = 0 cannot fix E_j.
+    """
     phi_b = _vp(state, gh, -state.y0)
-    b = problem.b
-    denom = phi_b(b)
+    denom = phi_b(problem.b)
     if abs(denom) < 1e-12:
         raise EngineError(
             "boundary equation degenerate (u(b) ~ 0): invalid state")
-    e_j = -phi_a(b) / denom
+    return phi_b, denom
+
+
+def _order_step(problem: PerturbationProblem, state: UnperturbedState,
+                gh: GhostFunction, energies, wavefuns, j: int, phi_b, denom):
+    """(E_j, y_j) from the lower orders and the boundary solution."""
+    g = order_rhs(problem, energies, wavefuns, j)
+    phi_a = _vp(state, gh, g)
+    e_j = -phi_a(problem.b) / denom
     y_j = phi_a + phi_b * e_j
-    y_j = SpectralFun(y_j.domain, _truncate(y_j.coeffs, TRUNCATION_TOL))
-    return e_j, y_j
+    return e_j, SpectralFun._adopt(problem.a, problem.b,
+                                   _truncate(y_j.coeffs, TRUNCATION_TOL))
+
+
+def solve_order(problem: PerturbationProblem, state: UnperturbedState,
+                gh: GhostFunction, energies, wavefuns, j: int):
+    """Return (E_j, y_j) given all lower orders.
+
+    y_j = V(g_j) + E_j V(-y0), with E_j fixed by y_j(b) = 0.  This computes
+    the boundary solution V(-y0) for the one order;
+    :func:`compute_series` computes it once for all orders.
+    """
+    phi_b, denom = _boundary_solution(problem, state, gh)
+    return _order_step(problem, state, gh, energies, wavefuns, j, phi_b,
+                       denom)
 
 
 def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
@@ -159,14 +185,22 @@ def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
 
 def compute_series(problem: PerturbationProblem, state: UnperturbedState,
                    J: int) -> PerturbationSeries:
-    """Run the recurrence through order J and attach normalization."""
+    """Run the recurrence through order J and attach normalization.
+
+    The boundary solution V(-y0) does not depend on the order: it is
+    computed once (when J >= 1) and shared by every order, so the series
+    costs J + 1 variation-of-parameters solves.
+    """
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
     gh = ghost(state, problem)
     energies = [state.E0]
     wavefuns = [state.y0]
+    if J >= 1:
+        phi_b, denom = _boundary_solution(problem, state, gh)
     for j in range(1, J + 1):
-        e_j, y_j = solve_order(problem, state, gh, energies, wavefuns, j)
+        e_j, y_j = _order_step(problem, state, gh, energies, wavefuns, j,
+                               phi_b, denom)
         energies.append(e_j)
         wavefuns.append(y_j)
     norm = normalization_coeffs(state, wavefuns, J)
@@ -198,18 +232,24 @@ def normalization_coeffs(state: UnperturbedState, wavefuns, J: int) -> list:
     """Normalization coefficients N_0..N_J in the user amplitude convention.
 
     Internally these are the power-series inverse square root of
-    S(t) = sum_m t^m sum_{i+j=m} int y_i y_j, rescaled by the state's
-    report factor so the caller's amplitude convention is honored.
+    S(t) = sum_m t^m S_m, S_m = sum_{i+j=m} G_ij, rescaled by the state's
+    report factor so the caller's amplitude convention is honored.  The
+    Gram matrix G_ij = int y_i y_j comes from one Clenshaw-Curtis rule:
+    every y_j is sampled at the same N+1 Chebyshev extrema (one batched
+    inverse DCT-I, N >= twice the largest degree, so each product y_i y_j
+    is integrated exactly up to rounding), and G = V diag(w) V^T.
     """
-    overlaps = {}
-
-    def overlap(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in overlaps:
-            overlaps[key] = (wavefuns[key[0]] * wavefuns[key[1]]).definite_integral()
-        return overlaps[key]
-
-    s = [sum(overlap(i, m - i) for i in range(m + 1)) for m in range(J + 1)]
+    ys = wavefuns[:J + 1]
+    a, b = ys[0].domain
+    width = max(len(y.coeffs) for y in ys)
+    coeffs = np.zeros((len(ys), width))
+    for row, y in zip(coeffs, ys):
+        row[:len(y.coeffs)] = y.coeffs
+    n = max(2 * (width - 1), 2)
+    values = _values_at_extrema(coeffs, n)
+    gram = (values * (0.5 * (b - a) * _clenshaw_curtis_weights(n))) @ values.T
+    order = np.add.outer(np.arange(len(ys)), np.arange(len(ys)))
+    s = np.bincount(order.ravel(), weights=gram.ravel())[:J + 1].tolist()
     t = _inv_sqrt_series(s)
     return [state.report_scale * v for v in t]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial.polyutils import trimseq
 
 __all__ = ["SpectralFun", "SpectralError", "UnresolvedError",
            "DomainMismatchError", "solve_linear_ivp"]
@@ -41,27 +42,106 @@ class DomainMismatchError(SpectralError):
     """Binary operation between functions on different intervals."""
 
 
-def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from samples at the N+1 extrema cos(pi*j/N).
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """DCT-I along the last axis, as the real FFT of the even extension
+    (the way pocketfft computes it: bit-identical to
+    ``scipy.fft.dct(x, type=1)``)."""
+    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
 
-    DCT-I as the real FFT of the even extension, the way pocketfft computes
-    it (bit-identical to ``scipy.fft.dct(values, type=1)``).
-    """
+
+def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from samples at the N+1 extrema cos(pi*j/N)."""
     n = len(values) - 1
-    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+    c = _dct1(values) / n
     c[0] *= 0.5
     c[-1] *= 0.5
     return c
 
 
+def _values_at_extrema(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series in
+    each row of ``coeffs``, which has at most n columns: the inverse of
+    :func:`_coeffs_from_samples`, a DCT-I with the interior halved."""
+    x = np.zeros(coeffs.shape[:-1] + (n + 1,))
+    x[..., :coeffs.shape[-1]] = 0.5 * coeffs
+    x[..., 0] = coeffs[..., 0]
+    return _dct1(x)
+
+
+def _clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """Weights of the (n+1)-point Clenshaw-Curtis rule on [-1, 1], n even.
+
+    The rule integrates the interpolant, so w = D^T m with D the map of
+    :func:`_coeffs_from_samples` and m_k = int T_k (2/(1-k^2), k even).  D
+    is the symmetric DCT-I scaled by 1/2 at both ends on both sides, so
+    D^T = D: the weights are the transform of the moments.
+    """
+    moments = np.zeros(n + 1)
+    k = np.arange(0, n + 1, 2)
+    moments[::2] = 2.0 / (1.0 - k.astype(float) ** 2)
+    return _coeffs_from_samples(moments)
+
+
+def _chebmul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """``numpy.polynomial.chebyshev.chebmul`` on float arrays, bit for bit.
+
+    The same steps without numpy's argument handling: trim trailing zeros,
+    map both series to symmetric z-series (Laurent form, halved off the
+    centre), convolve, fold back and trim again.
+    """
+    prd = np.convolve(_zseries(trimseq(c1)), _zseries(trimseq(c2)))
+    n = (prd.size + 1) // 2
+    c = prd[n - 1:]
+    c[1:n] *= 2
+    return trimseq(c)
+
+
+def _zseries(c: np.ndarray) -> np.ndarray:
+    n = c.size
+    zs = np.zeros(2 * n - 1)
+    zs[n - 1:] = c / 2
+    return zs + zs[::-1]
+
+
+def _chebint(c: np.ndarray, scl: float) -> np.ndarray:
+    """``chebint(c, lbnd=-1, scl=scl)`` on a float array, bit for bit.
+
+    The same per-element operations, vectorised: the recurrence's only
+    sequential part is the Clenshaw sum for the value at -1, run on Python
+    floats (the same IEEE operations as numpy's scalar loop).
+    """
+    c = c * scl
+    n = len(c)
+    if n == 1 and c[0] == 0:
+        c[0] += 0  # as numpy: -0.0 becomes 0.0
+        return c
+    out = np.empty(n + 1)
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    if n > 1:
+        out[2:] = c[1:] / (2.0 * np.arange(2, n + 1))
+        out[1:n - 1] -= c[2:] / (2.0 * np.arange(1, n - 1))
+    out[0] += 0 - _clenshaw_at_minus_one(out.tolist())
+    return out
+
+
+def _clenshaw_at_minus_one(c: list) -> float:
+    """``chebval(-1, c)`` for len(c) >= 2, in numpy's operation order."""
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * -2
+    return c0 + c1 * -1
+
+
 def _truncate(coeffs: np.ndarray, tol_rel: float) -> np.ndarray:
-    scale = np.max(np.abs(coeffs))
+    mag = np.abs(coeffs)
+    scale = mag.max()
     if scale == 0.0:
         return np.zeros(1)
-    keep = np.nonzero(np.abs(coeffs) > tol_rel * scale)[0]
+    keep = np.flatnonzero(mag > tol_rel * scale)
     if len(keep) == 0:
         return np.zeros(1)
-    return np.array(coeffs[: keep[-1] + 1], dtype=float)
+    return coeffs[: keep[-1] + 1].copy()
 
 
 class SpectralFun:
@@ -81,6 +161,17 @@ class SpectralFun:
         object.__setattr__(self, "coeffs", coeffs)
         coeffs.setflags(write=False)
 
+    @classmethod
+    def _adopt(cls, a: float, b: float, coeffs: np.ndarray) -> "SpectralFun":
+        """Wrap a fresh 1-d float array the class itself just computed, on
+        the already-checked interval [a, b], without copying it."""
+        fun = object.__new__(cls)
+        object.__setattr__(fun, "a", a)
+        object.__setattr__(fun, "b", b)
+        object.__setattr__(fun, "coeffs", coeffs)
+        coeffs.setflags(write=False)
+        return fun
+
     def __setattr__(self, name, value):
         raise AttributeError("SpectralFun is immutable")
 
@@ -96,13 +187,22 @@ class SpectralFun:
         coefficient tail has not decayed below ``tol_rel`` by degree
         ``MAX_DEGREE``.
         """
+        return cls._from_sampler(
+            lambda nodes: np.array([float(f(node)) for node in nodes]),
+            domain, tol_rel)
+
+    @classmethod
+    def _from_sampler(cls, sample, domain,
+                      tol_rel: float = DEFAULT_TOL) -> "SpectralFun":
+        """The adaptive loop of :meth:`from_function`, for a ``sample`` that
+        maps a whole array of nodes to the array of values there."""
         a, b = float(domain[0]), float(domain[1])
 
         def coeffs(m):
-            """Coefficients of ``f`` sampled at the m+1 Chebyshev extrema."""
+            """Coefficients from samples at the m+1 Chebyshev extrema."""
             t = np.cos(np.pi * np.arange(m + 1) / m)
             nodes = 0.5 * (b - a) * t + 0.5 * (a + b)
-            values = np.array([float(f(node)) for node in nodes])
+            values = np.asarray(sample(nodes), dtype=float)
             if not np.all(np.isfinite(values)):
                 raise UnresolvedError("function not finite at sample nodes")
             return _coeffs_from_samples(values)
@@ -159,14 +259,14 @@ class SpectralFun:
     def derivative(self) -> "SpectralFun":
         """Coefficient-space differentiation, rescaled to the interval."""
         if len(self.coeffs) == 1:
-            return SpectralFun(self.domain, [0.0])
+            return SpectralFun._adopt(self.a, self.b, np.zeros(1))
         dc = _cheb.chebder(self.coeffs) * (2.0 / (self.b - self.a))
-        return SpectralFun(self.domain, dc)
+        return SpectralFun._adopt(self.a, self.b, dc)
 
     def cumulative_integral(self) -> "SpectralFun":
         """Antiderivative F with F(a) = 0, computed in coefficient space."""
-        ci = _cheb.chebint(self.coeffs, lbnd=-1, scl=0.5 * (self.b - self.a))
-        return SpectralFun(self.domain, ci)
+        ci = _chebint(self.coeffs, 0.5 * (self.b - self.a))
+        return SpectralFun._adopt(self.a, self.b, ci)
 
     def definite_integral(self) -> float:
         """Integral over [a, b] from the even-index coefficients."""
@@ -186,9 +286,10 @@ class SpectralFun:
     def __mul__(self, other):
         if isinstance(other, SpectralFun):
             self._check_domain(other)
-            prod = _cheb.chebmul(self.coeffs, other.coeffs)
-            return SpectralFun(self.domain, _truncate(prod, TRUNCATION_TOL))
-        return SpectralFun(self.domain, self.coeffs * float(other))
+            prod = _chebmul(self.coeffs, other.coeffs)
+            return SpectralFun._adopt(self.a, self.b,
+                                      _truncate(prod, TRUNCATION_TOL))
+        return SpectralFun._adopt(self.a, self.b, self.coeffs * float(other))
 
     __rmul__ = __mul__
 
@@ -200,7 +301,7 @@ class SpectralFun:
         c = np.zeros(n)
         c[: len(self.coeffs)] += self.coeffs
         c[: len(other.coeffs)] += other.coeffs
-        return SpectralFun(self.domain, c)
+        return SpectralFun._adopt(self.a, self.b, c)
 
     def __sub__(self, other):
         if not isinstance(other, SpectralFun):
@@ -208,7 +309,7 @@ class SpectralFun:
         return self + (-other)
 
     def __neg__(self):
-        return SpectralFun(self.domain, -self.coeffs)
+        return SpectralFun._adopt(self.a, self.b, -self.coeffs)
 
     # ------------------------------------------------------------------
     # serialization

@@ -67,8 +67,8 @@ class PerturbationProblem:
 
     def _fit(self, key, e: ex.Expr) -> SpectralFun:
         if key not in self._cache:
-            self._cache[key] = SpectralFun.from_function(
-                lambda x: ex.evaluate(e, x), self.domain)
+            self._cache[key] = SpectralFun._from_sampler(
+                lambda nodes: ex.evaluate(e, nodes), self.domain)
         return self._cache[key]
 
     @property
@@ -237,8 +237,8 @@ def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedStat
     """Closed-form unperturbed state from the config's ``y0``/``E0`` keys."""
     if problem.y0_expr is None or problem.e0_value is None:
         raise StateError("problem config carries no y0/E0 closed form")
-    y0_raw = SpectralFun.from_function(
-        lambda x: ex.evaluate(problem.y0_expr, x), problem.domain)
+    y0_raw = SpectralFun._from_sampler(
+        lambda nodes: ex.evaluate(problem.y0_expr, nodes), problem.domain)
     user_scale = y0_raw.sup_norm()
     state = _normalized_state(n, problem.e0_value, y0_raw, user_scale)
     ok, res, left, right = state_verdict(problem, state)

@@ -178,6 +178,19 @@ def test_oracle_model1(capsys, model1_file):
     assert value == pytest.approx(PI2 + 1.0 / 16.0, abs=1e-6)
 
 
+def test_oracle_default_guess_is_closed_form_e0(capsys, tmp_path):
+    # (pi / L)^2 would land on the n = 1 level pi^2 + 60 of this v0 = 60 box
+    prob = tmp_path / "shifted.prob"
+    prob.write_text(f"domain = 0 1\nv0 = 60\ny0 = sin(2*pi*x)\n"
+                    f"E0 = {4 * PI2 + 60!r}\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 0\nperturbation.1.p0 = x\n")
+    code, out, _ = run(capsys, "oracle", "--problem", str(prob), "--n", "2",
+                       "--lambda", "0")
+    assert code == 0
+    value = float(out.strip().splitlines()[0].split("=")[1])
+    assert value == pytest.approx(4 * PI2 + 60, abs=1e-3)
+
+
 def test_oracle_bad_guess_far_from_spectrum(capsys, model1_file):
     code, _, err = run(capsys, "oracle", "--problem", model1_file,
                        "--lambda", "0", "--guess", "1e7", "--grid", "32")

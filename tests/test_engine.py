@@ -208,6 +208,62 @@ def test_compute_series_order_zero(m1):
     assert ser.norm_coeffs[0] == pytest.approx(st.report_scale)
 
 
+@pytest.mark.parametrize("J", [0, 1, 5, 12])
+def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
+    calls = []
+    vp = engine._vp
+
+    def counted(*args):
+        calls.append(args[2])
+        return vp(*args)
+
+    monkeypatch.setattr(engine, "_vp", counted)
+    compute_series(m3, analytic_sine_state(m3, 2), J)
+    assert len(calls) == (J + 1 if J >= 1 else 0)
+
+
+@pytest.mark.parametrize("model,n,J", [("m1", 3, 12), ("m3", 2, 10)])
+def test_compute_series_equals_order_by_order_solves(model, n, J, m1, m3):
+    prob = m1 if model == "m1" else m3
+    st = analytic_sine_state(prob, n)
+    gh = ghost(st, prob)
+    energies, wavefuns = [st.E0], [st.y0]
+    for j in range(1, J + 1):
+        e_j, y_j = solve_order(prob, st, gh, energies, wavefuns, j)
+        energies.append(e_j)
+        wavefuns.append(y_j)
+    ser = compute_series(prob, st, J)
+    assert ser.energies == energies
+    for got, ref in zip(ser.wavefuns, wavefuns):
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_order_rhs_equals_chain_of_function_sums(m3):
+    # reference: the sum built one SpectralFun operation at a time
+    st = analytic_sine_state(m3, 3)
+    ser = compute_series(m3, st, 8)
+    for j in range(1, 9):
+        ref = SpectralFun.constant(0.0, m3.domain)
+        for k in range(1, min(len(m3.perturbations), j) + 1):
+            ref = ref + m3.apply_perturbation(k, ser.wavefuns[j - k])
+        for k in range(1, j):
+            ref = ref + (-(ser.wavefuns[j - k] * ser.energies[k]))
+        got = order_rhs(m3, ser.energies, ser.wavefuns, j)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_degenerate_boundary_equation_only_when_orders_requested(
+        m1, monkeypatch):
+    st = analytic_sine_state(m1, 1)
+    monkeypatch.setattr(engine, "_vp", lambda state, gh, r:
+                        SpectralFun.constant(0.0, m1.domain))
+    assert compute_series(m1, st, 0).order == 0
+    with pytest.raises(EngineError, match="boundary equation degenerate"):
+        compute_series(m1, st, 1)
+    with pytest.raises(EngineError, match="boundary equation degenerate"):
+        solve_order(m1, st, ghost(st, m1), [st.E0], [st.y0], 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("model", ["m1", "m3"])
 def test_series_invariants(n, model, m1, m3):

@@ -4,9 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from numpy.polynomial import chebyshev as cheb
+
 from pertbvp.funcspace import (DomainMismatchError, SpectralFun,
                                SpectralError, UnresolvedError,
-                               _coeffs_from_samples)
+                               _chebmul, _clenshaw_curtis_weights,
+                               _coeffs_from_samples, _values_at_extrema)
 
 
 @pytest.fixture
@@ -192,3 +195,81 @@ def test_coeffs_from_samples_bit_identical_to_scipy_dct(size):
         expected[0] *= 0.5
         expected[-1] *= 0.5
         assert np.array_equal(_coeffs_from_samples(values), expected)
+
+
+def _coefficient_arrays(seed, count=80):
+    """Random float coefficient arrays of length 1-600: mixed scales,
+    interior and trailing zeros, plus all-zero and single coefficients."""
+    rng = np.random.default_rng(seed)
+    out = [np.zeros(1), np.zeros(7), np.array([2.5]), np.array([-0.0]),
+           np.array([0.0, 0.0, 1e-300]), np.array([3.0, 0.0, 0.0])]
+    for _ in range(count):
+        c = rng.standard_normal(rng.integers(1, 601))
+        c *= 10.0 ** rng.uniform(-8, 8, len(c))
+        c[rng.random(len(c)) < 0.1] = 0.0
+        if rng.random() < 0.3:
+            c[len(c) - rng.integers(1, 6):] = 0.0
+        out.append(c)
+    return out
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b) and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def test_product_bit_identical_to_chebmul():
+    arrays = _coefficient_arrays(11)
+    rng = np.random.default_rng(12)
+    pairs = [(c, arrays[i]) for c, i in
+             zip(arrays, rng.integers(0, len(arrays), len(arrays)))]
+    pairs += [(c, c) for c in arrays[:10]]
+    for c1, c2 in pairs:
+        assert _same_bits(_chebmul(c1, c2), cheb.chebmul(c1, c2))
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (-3.0, 7.5), (1e6, 1e6 + 1)])
+def test_cumulative_integral_bit_identical_to_chebint(domain):
+    a, b = domain
+    for c in _coefficient_arrays(13):
+        expected = cheb.chebint(c, lbnd=-1, scl=0.5 * (b - a))
+        got = SpectralFun(domain, c).cumulative_integral().coeffs
+        assert _same_bits(got, expected)
+
+
+def test_values_at_extrema_inverts_coeffs_from_samples():
+    rng = np.random.default_rng(3)
+    for n in (2, 16, 95, 256):
+        coeffs = rng.standard_normal((4, n))
+        values = _values_at_extrema(coeffs, n)
+        t = np.cos(np.pi * np.arange(n + 1) / n)
+        for row, c in zip(values, coeffs):
+            assert np.max(np.abs(row - cheb.chebval(t, c))) <= 1e-13 * n
+            back = _coeffs_from_samples(row)
+            assert np.max(np.abs(back[:n] - c)) <= 1e-14 * n
+            assert abs(back[n]) <= 1e-14 * n
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 94, 500])
+def test_clenshaw_curtis_weights_integrate_chebyshev_polynomials(n):
+    w = _clenshaw_curtis_weights(n)
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    assert np.all(w > 0.0)
+    for k in range(n + 2):  # exact through degree n + 1 for even n
+        exact = 2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0
+        assert abs(w @ np.cos(k * np.arccos(t)) - exact) <= 1e-16 * n + 1e-15
+
+
+def test_from_function_is_the_array_sampler_loop():
+    f = SpectralFun.from_function(lambda x: x * (1 - x * x) + 0.3 * x * x * x,
+                                  (0, 2))
+    g = SpectralFun._from_sampler(lambda x: x * (1 - x * x) + 0.3 * x * x * x,
+                                  (0, 2))
+    assert _same_bits(f.coeffs, g.coeffs)
+    with pytest.raises(UnresolvedError):
+        SpectralFun._from_sampler(lambda x: np.where(x < 0.5, 0.0, 1.0),
+                                  (0, 1))
+    with pytest.raises(UnresolvedError):
+        SpectralFun._from_sampler(lambda x: np.where(x > 0.5, np.inf, x),
+                                  (0, 1))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +166,34 @@ def test_closed_form_state_rejects_wrong_energy():
               "perturbation.1.p0 = 0\n")
     with pytest.raises(StateError):
         state_from_expr(load_problem(text), n=1)
+
+
+CLOSED_V0_5 = ("domain = 0 1\nv0 = 5\ny0 = sin(3*pi*x)\nE0 = "
+               + repr(9 * math.pi**2 + 5.0)
+               + "\nperturbation.1.p2 = 0\nperturbation.1.p1 = 1\n"
+                 "perturbation.1.p0 = x^2 - 1/3\n")
+
+
+@pytest.mark.parametrize("path", ["model1.prob", "model3.prob", None])
+def test_coefficient_fits_match_per_point_sampling(path):
+    # the grid sampler must reproduce the scalar route bit for bit
+    text = (CLOSED_V0_5 if path is None
+            else (Path(__file__).parent.parent / "demos" / path).read_text())
+    prob = load_problem(text)
+
+    def per_point(e):
+        return SpectralFun.from_function(lambda x: ex.evaluate(e, x),
+                                         prob.domain).coeffs.tobytes()
+
+    assert prob.v0_fun.coeffs.tobytes() == per_point(prob.v0)
+    for k, op in enumerate(prob.perturbations, start=1):
+        for part in ("p2", "p1", "p0"):
+            fit = prob._fit((k, part), getattr(op, part))
+            assert fit.coeffs.tobytes() == per_point(getattr(op, part))
+    if prob.y0_expr is not None:
+        y0 = SpectralFun.from_function(
+            lambda x: ex.evaluate(prob.y0_expr, x), prob.domain)
+        state = state_from_expr(prob, n=3)
+        expected = y0 * (1.0 / np.sqrt((y0 * y0).definite_integral()))
+        assert state.y0.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert state.user_scale == y0.sup_norm()
