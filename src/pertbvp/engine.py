@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (TRUNCATION_TOL, SpectralFun, UnresolvedError,
-                        _clenshaw_curtis_weights, _truncate,
-                        _values_at_extrema, solve_linear_ivp)
+from .funcspace import (SpectralFun, UnresolvedError, _clenshaw_curtis_weights,
+                        _truncate, _values_at_extrema, solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
 __all__ = [
@@ -97,7 +96,7 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     if problem.v0_is_zero():
         w = np.sqrt(state.E0)
         c = d0 / w  # y0 = c sin(w (x-a))
-        u = SpectralFun.from_function(
+        u = SpectralFun._from_sampler(
             lambda x: -np.cos(w * (x - a)) / (c * w), problem.domain)
     else:
         q = problem.v0_fun - SpectralFun.constant(state.E0, problem.domain)
@@ -160,7 +159,7 @@ def _order_step(problem: PerturbationProblem, state: UnperturbedState,
     e_j = -phi_a(problem.b) / denom
     y_j = phi_a + phi_b * e_j
     return e_j, SpectralFun._adopt(problem.a, problem.b,
-                                   _truncate(y_j.coeffs, TRUNCATION_TOL))
+                                   _truncate(y_j.coeffs))
 
 
 def solve_order(problem: PerturbationProblem, state: UnperturbedState,

@@ -6,7 +6,9 @@ decimal literals, ``x``, ``pi``, the operators ``+ - * / ^`` and the calls
 right associative; everything else is left associative.
 
 :func:`evaluate` takes a float or a numpy array of points: an array is
-evaluated in one walk over the tree with numpy ufuncs.
+evaluated in one walk over the tree with numpy ufuncs.  :func:`differentiate`
+and :func:`to_string` build and print plain trees, with no simplification
+and a pair of parentheses around every operation.
 """
 
 from __future__ import annotations
@@ -319,78 +321,6 @@ def _check_range(out, name: str, *args):
     return out
 
 
-def _is_literal(e: Expr) -> bool:
-    return isinstance(e, Num)
-
-
-# Smart constructors: fold literal subtrees, drop obvious identities.  This
-# keeps derivatives readable without pretending to be a CAS.
-
-def _neg(a: Expr) -> Expr:
-    if _is_literal(a):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_literal(a) and _is_literal(b):
-        return Num(a.value + b.value)
-    if _is_literal(a) and a.value == 0.0:
-        return b
-    if _is_literal(b) and b.value == 0.0:
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_literal(a) and _is_literal(b):
-        return Num(a.value - b.value)
-    if _is_literal(b) and b.value == 0.0:
-        return a
-    if _is_literal(a) and a.value == 0.0:
-        return _neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_literal(a) and _is_literal(b):
-        return Num(a.value * b.value)
-    if _is_literal(a):
-        if a.value == 0.0:
-            return Num(0.0)
-        if a.value == 1.0:
-            return b
-    if _is_literal(b):
-        if b.value == 0.0:
-            return Num(0.0)
-        if b.value == 1.0:
-            return a
-    return BinOp("*", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_literal(b) and b.value == 1.0:
-        return a
-    if _is_literal(a) and a.value == 0.0:
-        return Num(0.0)
-    if _is_literal(a) and _is_literal(b) and b.value != 0.0:
-        return Num(a.value / b.value)
-    return BinOp("/", a, b)
-
-
-def _pow(a: Expr, b: Expr) -> Expr:
-    if _is_literal(b):
-        if b.value == 0.0:
-            return Num(1.0)
-        if b.value == 1.0:
-            return a
-    if _is_literal(a) and _is_literal(b):
-        return Num(a.value ** b.value)
-    return BinOp("^", a, b)
-
-
 def _contains_var(e: Expr) -> bool:
     if isinstance(e, Var):
         return True
@@ -405,85 +335,70 @@ def _contains_var(e: Expr) -> bool:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+#: d/da of each function, as a tree in its argument ``a``
+_OUTER_DERIVATIVES = {
+    "sin": lambda a: Fun("cos", a),
+    "cos": lambda a: Neg(Fun("sin", a)),
+    "tan": lambda a: BinOp("/", Num(1.0), BinOp("^", Fun("cos", a), Num(2.0))),
+    "exp": lambda a: Fun("exp", a),
+    "log": lambda a: BinOp("/", Num(1.0), a),
+    "sqrt": lambda a: BinOp("/", Num(1.0),
+                            BinOp("*", Num(2.0), Fun("sqrt", a))),
+}
+
+
 def differentiate(e: Expr) -> Expr:
-    """Exact symbolic derivative of ``e`` with respect to ``x``."""
+    """Exact symbolic derivative of ``e`` with respect to ``x``: the plain
+    tree of the textbook rules, with no folding of literals.  It is defined
+    where every term of those rules is, so it is undefined wherever ``e``
+    is, and also where a term multiplied by zero is (``x^0`` at 0)."""
     if isinstance(e, (Num, Pi)):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0)
     if isinstance(e, Neg):
-        return _neg(differentiate(e.arg))
+        return Neg(differentiate(e.arg))
     if isinstance(e, Fun):
-        da = differentiate(e.arg)
-        a = e.arg
-        if e.name == "sin":
-            outer = Fun("cos", a)
-        elif e.name == "cos":
-            outer = _neg(Fun("sin", a))
-        elif e.name == "tan":
-            outer = _div(Num(1.0), _pow(Fun("cos", a), Num(2.0)))
-        elif e.name == "exp":
-            outer = Fun("exp", a)
-        elif e.name == "log":
-            outer = _div(Num(1.0), a)
-        else:  # sqrt
-            outer = _div(Num(1.0), _mul(Num(2.0), Fun("sqrt", a)))
-        return _mul(outer, da)
+        return BinOp("*", _OUTER_DERIVATIVES[e.name](e.arg),
+                     differentiate(e.arg))
     if isinstance(e, BinOp):
-        dl = differentiate(e.left)
-        dr = differentiate(e.right)
-        if e.op == "+":
-            return _add(dl, dr)
-        if e.op == "-":
-            return _sub(dl, dr)
+        f, g = e.left, e.right
+        df, dg = differentiate(f), differentiate(g)
+        if e.op in "+-":
+            return BinOp(e.op, df, dg)
         if e.op == "*":
-            return _add(_mul(dl, e.right), _mul(e.left, dr))
+            return BinOp("+", BinOp("*", df, g), BinOp("*", f, dg))
         if e.op == "/":
-            num = _sub(_mul(dl, e.right), _mul(e.left, dr))
-            return _div(num, _pow(e.right, Num(2.0)))
+            num = BinOp("-", BinOp("*", df, g), BinOp("*", f, dg))
+            return BinOp("/", num, BinOp("^", g, Num(2.0)))
         if e.op == "^":
-            if not _contains_var(e.right):
-                # power rule: d(f^c) = c f^(c-1) f'
-                return _mul(
-                    _mul(e.right, _pow(e.left, _sub(e.right, Num(1.0)))), dl)
+            if not _contains_var(g):
+                # power rule, valid for a negative base: d(f^c) = c f^(c-1) f'
+                power = BinOp("^", f, BinOp("-", g, Num(1.0)))
+                return BinOp("*", BinOp("*", g, power), df)
             # general case: f^g = exp(g log f)
-            term1 = _mul(dr, Fun("log", e.left))
-            term2 = _div(_mul(e.right, dl), e.left)
-            return _mul(_pow(e.left, e.right), _add(term1, term2))
+            inner = BinOp("+", BinOp("*", dg, Fun("log", f)),
+                          BinOp("/", BinOp("*", g, df), f))
+            return BinOp("*", e, inner)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
 def to_string(e: Expr) -> str:
-    """Render ``e`` as text that reparses to an equivalent expression."""
-    return _fmt(e, 0)
-
-
-def _fmt(e: Expr, parent: int) -> str:
+    """Render ``e`` as text with every operation and every negative literal
+    in parentheses, so it needs no precedence rules: :func:`parse` maps it
+    back to ``e`` when ``e`` came from :func:`parse` (a negative literal
+    comes back as the negation of a positive one)."""
     if isinstance(e, Num):
         s = repr(e.value)
-        if e.value < 0:
-            return f"({s})" if parent > 0 else s
-        return s
+        return f"({s})" if s.startswith("-") else s
     if isinstance(e, Pi):
         return "pi"
     if isinstance(e, Var):
         return "x"
     if isinstance(e, Fun):
-        return f"{e.name}({_fmt(e.arg, 0)})"
+        return f"{e.name}({to_string(e.arg)})"
     if isinstance(e, Neg):
-        prec = _PREC["neg"]
-        body = f"-{_fmt(e.arg, prec)}"
-        return f"({body})" if parent > prec else body
+        return f"(-{to_string(e.arg)})"
     if isinstance(e, BinOp):
-        prec = _PREC[e.op]
-        if e.op == "^":
-            # right associative; base must bind tighter than ^ itself
-            body = f"{_fmt(e.left, prec + 1)}^{_fmt(e.right, prec)}"
-        else:
-            # left associative: right operand rendered one level tighter
-            body = f"{_fmt(e.left, prec)}{e.op}{_fmt(e.right, prec + 1)}"
-        return f"({body})" if parent > prec else body
+        return f"({to_string(e.left)}{e.op}{to_string(e.right)})"
     raise TypeError(f"not an Expr node: {e!r}")

@@ -9,6 +9,8 @@ integrals) stays accurate to near machine precision for smooth inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial.polyutils import trimseq
@@ -133,14 +135,16 @@ def _clenshaw_at_minus_one(c: list) -> float:
     return c0 + c1 * -1
 
 
-def _truncate(coeffs: np.ndarray, tol_rel: float) -> np.ndarray:
+def _truncate(coeffs: np.ndarray) -> np.ndarray:
+    """``coeffs`` without the trailing ones below ``TRUNCATION_TOL`` times
+    the largest; raises :class:`SpectralError` if any is inf or NaN."""
     mag = np.abs(coeffs)
     scale = mag.max()
+    if not math.isfinite(scale):  # np.isfinite costs ~40x more per call
+        raise SpectralError("series coefficients not finite")
     if scale == 0.0:
         return np.zeros(1)
-    keep = np.flatnonzero(mag > tol_rel * scale)
-    if len(keep) == 0:
-        return np.zeros(1)
+    keep = np.flatnonzero(mag > TRUNCATION_TOL * scale)
     return coeffs[: keep[-1] + 1].copy()
 
 
@@ -179,21 +183,21 @@ class SpectralFun:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_function(cls, f, domain, tol_rel: float = DEFAULT_TOL) -> "SpectralFun":
-        """Adaptively fit ``f`` on ``domain`` to relative tail tolerance.
+    def from_function(cls, f, domain) -> "SpectralFun":
+        """Adaptively fit ``f`` on ``domain`` to relative tail tolerance
+        ``DEFAULT_TOL``.
 
         ``f`` is called on one float at a time and must return a float.
         Raises :class:`UnresolvedError` if a sample is not finite or if the
-        coefficient tail has not decayed below ``tol_rel`` by degree
+        coefficient tail has not decayed below ``DEFAULT_TOL`` by degree
         ``MAX_DEGREE``.
         """
         return cls._from_sampler(
             lambda nodes: np.array([float(f(node)) for node in nodes]),
-            domain, tol_rel)
+            domain)
 
     @classmethod
-    def _from_sampler(cls, sample, domain,
-                      tol_rel: float = DEFAULT_TOL) -> "SpectralFun":
+    def _from_sampler(cls, sample, domain) -> "SpectralFun":
         """The adaptive loop of :meth:`from_function`, for a ``sample`` that
         maps a whole array of nodes to the array of values there."""
         a, b = float(domain[0]), float(domain[1])
@@ -213,14 +217,14 @@ class SpectralFun:
             scale = np.max(np.abs(c))
             if scale == 0.0:
                 return cls((a, b), [0.0])
-            if max(abs(c[-2]), abs(c[-1])) <= tol_rel * scale:
+            if max(abs(c[-2]), abs(c[-1])) <= DEFAULT_TOL * scale:
                 # refit once at 2n: the stopping grid's trailing coefficients
                 # are aliased, which costs digits under repeated differentiation
-                c = coeffs(2 * n)
-                return cls((a, b), _truncate(c, min(tol_rel, TRUNCATION_TOL)))
+                return cls((a, b), _truncate(coeffs(2 * n)))
             n *= 2
         raise UnresolvedError(
-            f"no coefficient decay below {tol_rel:g} up to degree {MAX_DEGREE}")
+            f"no coefficient decay below {DEFAULT_TOL:g} up to degree "
+            f"{MAX_DEGREE}")
 
     @classmethod
     def constant(cls, value, domain) -> "SpectralFun":
@@ -249,8 +253,9 @@ class SpectralFun:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def sup_norm(self, samples: int = 257) -> float:
-        grid = np.linspace(self.a, self.b, samples)
+    def sup_norm(self) -> float:
+        """Largest |value| on 257 equispaced points."""
+        grid = np.linspace(self.a, self.b, 257)
         return float(np.max(np.abs(self(grid))))
 
     # ------------------------------------------------------------------
@@ -287,8 +292,7 @@ class SpectralFun:
         if isinstance(other, SpectralFun):
             self._check_domain(other)
             prod = _chebmul(self.coeffs, other.coeffs)
-            return SpectralFun._adopt(self.a, self.b,
-                                      _truncate(prod, TRUNCATION_TOL))
+            return SpectralFun._adopt(self.a, self.b, _truncate(prod))
         return SpectralFun._adopt(self.a, self.b, self.coeffs * float(other))
 
     __rmul__ = __mul__
@@ -356,7 +360,7 @@ def solve_linear_ivp(q: SpectralFun, u_a: float) -> SpectralFun:
         if not np.all(np.isfinite(c)):
             raise UnresolvedError("initial-value solve not finite")
         if max(abs(c[-2]), abs(c[-1])) <= DEFAULT_TOL * np.max(np.abs(c)):
-            return SpectralFun((a, b), _truncate(c, TRUNCATION_TOL))
+            return SpectralFun((a, b), _truncate(c))
         n *= 2
     raise UnresolvedError(
         f"no coefficient decay below {DEFAULT_TOL:g} up to degree "

@@ -173,7 +173,13 @@ def solve_banded(l_and_u, ab, b):
     return _solve_banded(l_and_u, ab, b)
 
 
-def _inverse_iteration(main, upper, lower, shift, tol=1e-12, maxit=200):
+#: inverse iteration stops when the estimate moves by at most this much
+#: relative to max(1, |E|), and fails after this many steps
+_ITERATION_TOL = 1e-12
+_ITERATION_MAX = 200
+
+
+def _inverse_iteration(main, upper, lower, shift):
     M = len(main)
     ab = np.zeros((3, M))
     ab[0, 1:] = upper
@@ -183,17 +189,19 @@ def _inverse_iteration(main, upper, lower, shift, tol=1e-12, maxit=200):
     v = np.ones(M) + 1e-3 * rng.standard_normal(M)
     v /= np.linalg.norm(v)
     est = None
-    for _ in range(maxit):
+    for _ in range(_ITERATION_MAX):
         w = solve_banded((1, 1), ab, v)
         mu = float(np.dot(v, w))
         if mu == 0.0:
             raise OracleError("inverse iteration broke down")
         new_est = shift + 1.0 / mu
         v = w / np.linalg.norm(w)
-        if est is not None and abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        tol = _ITERATION_TOL * max(1.0, abs(new_est))
+        if est is not None and abs(new_est - est) <= tol:
             return new_est
         est = new_est
-    raise OracleError(f"inverse iteration did not converge in {maxit} steps")
+    raise OracleError(
+        f"inverse iteration did not converge in {_ITERATION_MAX} steps")
 
 
 def fd_eigenvalue_raw(problem: PerturbationProblem, lam: float,

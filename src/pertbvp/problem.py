@@ -228,7 +228,7 @@ def analytic_sine_state(problem: PerturbationProblem, n: int,
     length = b - a
     E0 = (n * np.pi / length) ** 2
     w = n * np.pi / length
-    y0_raw = SpectralFun.from_function(
+    y0_raw = SpectralFun._from_sampler(
         lambda x: amplitude * np.sin(w * (x - a)), problem.domain)
     return _normalized_state(n, E0, y0_raw, amplitude)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pertbvp import engine, oracles
 from pertbvp.cli import _build_parser, main
 from pertbvp.oracles import model1_config, model3_config, model3_E_coeffs
 
@@ -343,3 +344,75 @@ def test_closed_form_state_off_the_boundary_fails_at_load(capsys, tmp_path):
         assert code == 2
         assert "closed-form state fails validation" in err
         assert out == ""
+
+
+# ----------------------------------------------------------------------
+# paths the examples above do not reach
+# ----------------------------------------------------------------------
+
+def _series(path):
+    return engine.series_from_dict(json.loads(Path(path).read_text()))
+
+
+def test_eval_normalize_prints_the_normalized_sum(capsys, model3_series):
+    code, out, _ = run(capsys, "eval", model3_series, "--lambda", "0.5",
+                       "--normalize", "--grid", "7")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[5] == "x,y"  # after the header and orders 0..3
+    xs, ys = zip(*(map(float, line.split(",")) for line in lines[6:]))
+    _, y = engine.sum_series(_series(model3_series), 0.5, 3, normalize=True)
+    assert list(xs) == list(np.linspace(0.0, 1.0, 7))
+    assert list(ys) == list(y(np.array(xs)))
+
+
+def test_oracle_without_guess_starts_from_the_series_sum(
+        capsys, monkeypatch, model3_file, model3_series):
+    guesses = []
+    fd = oracles.fd_eigenvalue
+
+    def recording(problem, lam, guess, M):
+        guesses.append(guess)
+        return fd(problem, lam, guess, M)
+
+    monkeypatch.setattr(oracles, "fd_eigenvalue", recording)
+    code, out, _ = run(capsys, "oracle", "--problem", model3_file,
+                       "--lambda", "0.5", "--series", model3_series)
+    assert code == 0
+    summed, _ = engine.sum_series(_series(model3_series), 0.5, 3)
+    assert guesses == [summed]
+    assert f"series_sum    = {summed:.12e}" in out
+
+
+def test_export_without_out_writes_csv_to_stdout(capsys, tmp_path,
+                                                 model3_series):
+    csv_file = tmp_path / "y.csv"
+    run(capsys, "export", model3_series, "--grid", "9", "--out",
+        str(csv_file))
+    code, out, _ = run(capsys, "export", model3_series, "--grid", "9")
+    assert code == 0
+    assert out == csv_file.read_text()
+
+
+def test_broken_wronskian_is_a_computation_failure(capsys, monkeypatch,
+                                                   model3_file):
+    monkeypatch.setattr(engine, "_wronskian_defect", lambda *args: 2e-10)
+    code, out, err = run(capsys, "solve", "--problem", model3_file)
+    assert code == 2
+    assert err == ("computation failed: Wronskian defect 2.000e-10 "
+                   "exceeds 1e-10\n")
+    assert out == ""
+
+
+def test_overflowing_coupling_is_a_computation_failure(capsys, tmp_path):
+    # products of the 1e300 coefficients overflow: the series must not
+    # silently become zero
+    prob = tmp_path / "big.prob"
+    prob.write_text("domain = 0 1\nv0 = 0\nperturbation.1.p2 = 1e300*x\n"
+                    "perturbation.1.p1 = 1e300\nperturbation.1.p0 = 0\n")
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "solve", "--problem", str(prob),
+                             "--order", "4")
+    assert code == 2
+    assert err.startswith("computation failed:") and "not finite" in err
+    assert "Traceback" not in err

@@ -116,6 +116,23 @@ def test_linear_ivp_matches_scipy_solve_ivp():
     assert abs(u.derivative()(0.0)) <= 1e-11
 
 
+@pytest.mark.parametrize("n", [1, 50, 100])
+def test_sine_state_and_ghost_grid_fits_match_per_point_sampling(m3, n):
+    # the whole-grid fits of sin and cos reproduce the scalar route bit
+    # for bit
+    w = n * np.pi
+    y0 = SpectralFun.from_function(lambda x: np.sqrt(2.0) * np.sin(w * x),
+                                   (0.0, 1.0))
+    st = analytic_sine_state(m3, n)
+    expected = y0 * (1.0 / np.sqrt((y0 * y0).definite_integral()))
+    assert st.y0.coeffs.tobytes() == expected.coeffs.tobytes()
+    root = np.sqrt(st.E0)
+    c = st.dy0(0.0) / root
+    u = SpectralFun.from_function(lambda x: -np.cos(root * x) / (c * root),
+                                  (0.0, 1.0))
+    assert ghost(st, m3).u.coeffs.tobytes() == u.coeffs.tobytes()
+
+
 def test_ghost_rejects_degenerate_left_slope(m1):
     flat = SpectralFun.from_function(lambda x: (x * (1 - x)) ** 2, (0, 1))
     st = UnperturbedState(n=1, E0=PI2, y0=flat, dy0=flat.derivative(),

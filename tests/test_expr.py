@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from pertbvp.expr import (DomainError, ExprSyntaxError, differentiate,
-                          evaluate, parse, to_string)
+from pertbvp.expr import (BinOp, DomainError, ExprSyntaxError, Num,
+                          differentiate, evaluate, parse, to_string)
 
 
 def test_parse_polynomial_coefficient():
@@ -173,6 +173,8 @@ def test_roundtrip_print_parse():
     for _ in range(50):
         text = _random_expr(rng, rng.randint(1, 3))
         e = parse(text)
+        assert parse(to_string(e)) == e, text
+        assert to_string(parse(to_string(e))) == to_string(e), text
         e2 = parse(to_string(parse(to_string(e))))
         for _ in range(20):
             x = rng.uniform(0.1, 2.0)
@@ -181,6 +183,33 @@ def test_roundtrip_print_parse():
             except DomainError:
                 continue
             assert evaluate(e2, x) == pytest.approx(v1, rel=1e-14, abs=1e-14)
+
+
+def test_derivative_trees_print_and_reparse():
+    rng = random.Random(5)
+    for _ in range(50):
+        d = differentiate(parse(_random_expr(rng, rng.randint(1, 3))))
+        assert parse(to_string(d)) == d
+
+
+def test_negative_literals_print_in_parentheses():
+    assert to_string(Num(-1.5)) == "(-1.5)"
+    assert to_string(Num(-0.0)) == "(-0.0)"
+    square = BinOp("^", Num(-2.0), Num(2.0))
+    assert to_string(square) == "((-2.0)^2.0)"
+    assert evaluate(parse(to_string(square)), 0.0) == 4.0
+    assert to_string(parse("-x^2-3*x/5")) == "((-(x^2.0))-((3.0*x)/5.0))"
+
+
+def test_derivative_is_undefined_where_the_expression_is():
+    # the derivative of the undefined constant 1/(pi-pi) is not 0
+    d = differentiate(parse("x + 1/(pi-pi)"))
+    with pytest.raises(DomainError):
+        evaluate(d, 0.5)
+    # a literal base builds its tree too, and raises only when evaluated
+    d = differentiate(parse("0^0.5"))
+    with pytest.raises(DomainError):
+        evaluate(d, 1.0)
 
 
 # ----------------------------------------------------------------------

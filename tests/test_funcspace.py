@@ -9,7 +9,8 @@ from numpy.polynomial import chebyshev as cheb
 from pertbvp.funcspace import (DomainMismatchError, SpectralFun,
                                SpectralError, UnresolvedError,
                                _chebmul, _clenshaw_curtis_weights,
-                               _coeffs_from_samples, _values_at_extrema)
+                               _coeffs_from_samples, _truncate,
+                               _values_at_extrema)
 
 
 @pytest.fixture
@@ -273,3 +274,12 @@ def test_from_function_is_the_array_sampler_loop():
     with pytest.raises(UnresolvedError):
         SpectralFun._from_sampler(lambda x: np.where(x > 0.5, np.inf, x),
                                   (0, 1))
+
+
+def test_non_finite_coefficients_raise_instead_of_vanishing():
+    f = SpectralFun((0, 1), [1e300, 1e300])
+    with np.errstate(over="ignore"), pytest.raises(SpectralError):
+        f * f
+    for bad in ([1.0, np.inf], [np.nan, 1.0], [-np.inf]):
+        with pytest.raises(SpectralError, match="not finite"):
+            _truncate(np.array(bad))

@@ -76,6 +76,17 @@ def test_load_is_idempotent_on_serialized_output():
         assert load_problem(again.serialize()).serialize() == again.serialize()
 
 
+def test_serialize_round_trips_a_closed_form_state():
+    prob = load_problem(CLOSED_V0_5)
+    text = prob.serialize()
+    again = load_problem(text)
+    assert again.serialize() == text
+    assert again.e0_value == prob.e0_value
+    assert again.y0_expr == prob.y0_expr
+    assert again.perturbations == prob.perturbations
+    assert "y0 = sin(((3.0*pi)*x))" in text.splitlines()
+
+
 def test_apply_perturbation_is_linear():
     prob = load_problem(model3_config())
     f = SpectralFun.from_function(lambda x: math.sin(math.pi * x), (0, 1))
