@@ -23,13 +23,13 @@ from .problem import (ProblemConfigError, StateError, analytic_sine_state,
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    pass
+class _InputError(Exception):
+    """A usage error or a file that cannot be read: exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _InputError(message)
 
 
 def _int_at_least(low: int):
@@ -108,9 +108,15 @@ def _make_state(problem, args):
 
 
 def _load_series_file(path):
+    """The series in a JSON file; any fault of its content (syntax, nesting,
+    missing keys, wrong types or values) is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return engine.series_from_dict(data)
+        text = fh.read()
+    try:
+        return engine.series_from_dict(json.loads(text))
+    except (LookupError, TypeError, ValueError, ArithmeticError,
+            RecursionError, engine.EngineError, SpectralError) as exc:
+        raise _InputError(f"series file {path}: {exc}") from exc
 
 
 def _fmt(v: float) -> str:
@@ -226,20 +232,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError,
-            ProblemConfigError, ExprError) as exc:
+    except (_InputError, OSError, UnicodeDecodeError, ProblemConfigError,
+            ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (engine.EngineError, StateError, UnresolvedError, SpectralError,
-            oracles.OracleError) as exc:
+            oracles.OracleError, ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

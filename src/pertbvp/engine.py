@@ -302,13 +302,22 @@ def series_to_dict(series: PerturbationSeries) -> dict:
 
 
 def series_from_dict(data: dict) -> PerturbationSeries:
+    """Inverse of :func:`series_to_dict`; raises :class:`EngineError` if the
+    orders are not 0..J on one interval with one ``norm`` entry each."""
     orders = sorted(data["orders"], key=lambda o: o["j"])
-    if [o["j"] for o in orders] != list(range(len(orders))):
+    if not orders or [o["j"] for o in orders] != list(range(len(orders))):
         raise EngineError("series file orders are not contiguous from 0")
+    wavefuns = [SpectralFun.from_dict(o["y"]) for o in orders]
+    if len({y.domain for y in wavefuns}) != 1:
+        raise EngineError("series file orders lie on different domains")
+    norm_coeffs = [float(v) for v in data["norm"]]
+    if len(norm_coeffs) != len(orders):
+        raise EngineError(f"series file has {len(norm_coeffs)} norm entries "
+                          f"for {len(orders)} orders")
     return PerturbationSeries(
         state=None,
         n=int(data["n"]),
         energies=[float(o["E"]) for o in orders],
-        wavefuns=[SpectralFun.from_dict(o["y"]) for o in orders],
-        norm_coeffs=[float(v) for v in data["norm"]],
+        wavefuns=wavefuns,
+        norm_coeffs=norm_coeffs,
     )

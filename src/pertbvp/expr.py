@@ -1,9 +1,9 @@
 """Closed-form expressions of one variable: parsing, evaluation, differentiation.
 
 The grammar covers exactly what coefficient functions in problem files need:
-decimal literals, ``x``, ``pi``, the operators ``+ - * / ^`` and the calls
-``sin cos tan exp log sqrt``.  ``^`` binds tighter than unary minus and is
-right associative; everything else is left associative.
+finite decimal literals, ``x``, ``pi``, ``+ - * / ^`` and the calls ``sin
+cos tan exp log sqrt``, in trees at most 64 nodes deep.  ``^`` binds tighter
+than unary minus and is right associative; the rest is left associative.
 
 :func:`evaluate` takes a float or a numpy array of points: an array is
 evaluated in one walk over the tree with numpy ufuncs.  :func:`differentiate`
@@ -13,6 +13,7 @@ and a pair of parentheses around every operation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -101,133 +102,111 @@ _FUNCTIONS = {
     "sqrt": np.sqrt,
 }
 
+#: the names that stand for a value rather than a function
+_NAMES = {"x": Var(), "pi": Pi()}
+
+#: the deepest tree :func:`parse` builds, in nodes from root to leaf; text
+#: may nest parentheses, signs and ``^`` twice as deep, as to_string prints it
+_MAX_DEPTH = 64
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)|(?P<bad>.))")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """``(kind, value, 1-based position)`` of each token, up to ``"end"``."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # skip over whitespace-only tail
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
-        start = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op"))
-        if m.group("num"):
-            tokens.append(("num", float(m.group("num")), start + 1))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), start + 1))
-        else:
-            tokens.append(("op", m.group("op"), start + 1))
-        pos = m.end()
-    tokens.append(("end", None, n + 1))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = float(m[kind]) if kind == "num" else m[kind]
+        pos = m.start(kind) + 1
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {value!r}", pos)
+        if value == math.inf:  # a literal overflows to inf, never to NaN
+            raise ExprSyntaxError(f"number {m[kind]!r} out of range", pos)
+        tokens.append((kind, value, pos))
+        if kind == "end":
+            return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        if not text or text.strip() == "":
-            raise ExprSyntaxError("empty expression", 1)
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
-        self.advance()
-
-    # sum := term (('+'|'-') term)*
-    def parse_sum(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = BinOp(val, node, rhs)
-            else:
-                return node
-
-    # term := unary (('*'|'/') unary)*
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = BinOp(val, node, rhs)
-            else:
-                return node
-
-    # unary := '-' unary | power     (so -x^2 parses as -(x^2))
-    def parse_unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        if kind == "op" and val == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
-
-    # power := atom ('^' unary)?     (right associative)
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expr:
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return Num(val)
-        if kind == "ident":
-            if val == "x":
-                return Var()
-            if val == "pi":
-                return Pi()
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_sum()
-                self.expect_op(")")
-                return Fun(val, arg)
-            raise ExprSyntaxError(f"unknown identifier {val!r}", pos)
-        if kind == "op" and val == "(":
-            node = self.parse_sum()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError("expected a value", pos)
+def _deeper(depth: int, pos: int, limit: int = _MAX_DEPTH) -> int:
+    """``depth + 1``, or :class:`ExprSyntaxError` at ``pos`` past ``limit``."""
+    if depth >= limit:
+        raise ExprSyntaxError(f"expression nested deeper than {limit}", pos)
+    return depth + 1
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into an AST, or raise :class:`ExprSyntaxError`."""
-    p = _Parser(text)
-    node = p.parse_sum()
-    kind, val, pos = p.peek()
+    """Parse ``text`` into an AST, or raise :class:`ExprSyntaxError` at the
+    1-based position of the offending character or token.
+
+    Literals must be finite; trees may be at most ``_MAX_DEPTH`` nodes deep,
+    and text may nest parentheses, signs and ``^`` twice as deep.  Each rule
+    returns its node with its tree's height and takes ``level``, the count
+    of parentheses, signs and ``^`` around it.
+    """
+    tokens = _tokenize(text)[::-1]  # the next token is the last
+
+    def take(ops):
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        kind, value, _ = tokens[-1]
+        return tokens.pop() if kind == "op" and value in ops else None
+
+    def expect(op):
+        if not take(op):
+            raise ExprSyntaxError(f"expected {op!r}", tokens[-1][2])
+
+    # sum := term (('+'|'-') term)*     term := unary (('*'|'/') unary)*
+    def binary(ops, operand, level):
+        node, height = operand(level)
+        while op := take(ops):
+            rhs, rhs_height = operand(level)
+            node = BinOp(op[1], node, rhs)
+            height = _deeper(max(height, rhs_height), op[2])
+        return node, height
+
+    def term(level):
+        return binary("*/", unary, level)
+
+    # unary := ('-'|'+') unary | atom ('^' unary)?
+    # so -x^2 is -(x^2), and ^ is right associative
+    def unary(level):
+        if sign := take("+-"):
+            node, height = unary(_deeper(level, sign[2], 2 * _MAX_DEPTH))
+            return ((node, height) if sign[1] == "+"
+                    else (Neg(node), _deeper(height, sign[2])))
+        node, height = atom(level)
+        if op := take("^"):
+            rhs, rhs_height = unary(_deeper(level, op[2], 2 * _MAX_DEPTH))
+            node = BinOp("^", node, rhs)
+            height = _deeper(max(height, rhs_height), op[2])
+        return node, height
+
+    # atom := number | 'x' | 'pi' | function '(' sum ')' | '(' sum ')'
+    def atom(level):
+        kind, value, pos = tokens.pop()
+        if kind == "num" or value in _NAMES:
+            return (Num(value) if kind == "num" else _NAMES[value]), 1
+        if kind == "name" and value not in _FUNCTIONS:
+            raise ExprSyntaxError(f"unknown identifier {value!r}", pos)
+        if kind == "name":
+            expect("(")
+        elif value != "(":
+            raise ExprSyntaxError("expected a value", pos)
+        node, height = binary("+-", term, _deeper(level, pos, 2 * _MAX_DEPTH))
+        expect(")")
+        if kind == "name":
+            return Fun(value, node), _deeper(height, pos)
+        return node, height
+
+    if tokens[-1][0] == "end":
+        raise ExprSyntaxError("empty expression", 1)
+    node, _ = binary("+-", term, 0)
+    kind, value, pos = tokens[-1]
     if kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {val!r}", pos)
+        raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
     return node
 
 

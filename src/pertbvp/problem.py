@@ -10,6 +10,8 @@ with closed-form coefficient functions.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,92 +104,81 @@ class PerturbationProblem:
         return "\n".join(lines) + "\n"
 
 
+#: the order ``k`` has at most nine digits and no sign or leading zero
+_PERTURBATION_KEY = re.compile(r"perturbation\.([1-9][0-9]{0,8})\.p[210]")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _domain(text: str) -> tuple:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ProblemConfigError("key 'domain' must hold two numbers")
+    a, b = _finite(parts[0]), _finite(parts[1])
+    if not a < b:
+        raise ValueError(f"need a < b, got {a} {b}")
+    if not math.isfinite(b - a):
+        raise ValueError(f"b - a = {b - a} is not finite")
+    return a, b
+
+
 def load_problem(config_text: str) -> PerturbationProblem:
-    """Parse line-based config text (``key = value``, ``#`` comments)."""
+    """Parse config text of ``key = value`` lines and ``#`` comments.
+
+    Keys: ``domain`` (two finite numbers a < b), ``v0``, optionally ``y0``
+    with a finite ``E0``, and ``perturbation.<k>.<p2|p1|p0>`` for k = 1..m;
+    the other values are expressions for :func:`pertbvp.expr.parse`.  A
+    fault raises :class:`ProblemConfigError` naming the key or line.
+    """
     entries = {}
     for lineno, raw in enumerate(config_text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ProblemConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
         if key in entries:
             raise ProblemConfigError(f"duplicate key {key!r}")
         entries[key] = value
 
-    if "domain" not in entries:
-        raise ProblemConfigError("missing key 'domain'")
-    parts = entries.pop("domain").split()
-    if len(parts) != 2:
-        raise ProblemConfigError("key 'domain' must hold two numbers")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ProblemConfigError(f"key 'domain': {exc}") from exc
-    if not a < b:
-        raise ProblemConfigError(f"key 'domain': need a < b, got {a} {b}")
-
-    if "v0" not in entries:
-        raise ProblemConfigError("missing key 'v0'")
-    try:
-        v0 = ex.parse(entries.pop("v0"))
-    except ex.ExprSyntaxError as exc:
-        raise ProblemConfigError(f"key 'v0': {exc}") from exc
-
-    y0_expr = None
-    e0_value = None
-    if "y0" in entries:
-        if "E0" not in entries:
-            raise ProblemConfigError("key 'y0' given without key 'E0'")
+    def take(key, convert):
+        """Remove ``key`` and convert its value, naming the key in errors."""
+        if key not in entries:
+            raise ProblemConfigError(f"missing key {key!r}")
         try:
-            y0_expr = ex.parse(entries.pop("y0"))
-        except ex.ExprSyntaxError as exc:
-            raise ProblemConfigError(f"key 'y0': {exc}") from exc
-        try:
-            e0_value = float(entries.pop("E0"))
-        except ValueError as exc:
-            raise ProblemConfigError(f"key 'E0': {exc}") from exc
-    elif "E0" in entries:
-        raise ProblemConfigError("key 'E0' given without key 'y0'")
+            return convert(entries.pop(key))
+        except (ValueError, ex.ExprSyntaxError) as exc:
+            raise ProblemConfigError(f"key {key!r}: {exc}") from exc
 
-    # perturbation.k.{p2,p1,p0}, orders contiguous from 1
-    pert_keys = [k for k in entries if k.startswith("perturbation.")]
+    domain, v0 = take("domain", _domain), take("v0", ex.parse)
+    if ("y0" in entries) != ("E0" in entries):
+        given, other = ("y0", "E0") if "y0" in entries else ("E0", "y0")
+        raise ProblemConfigError(f"key {given!r} given without key {other!r}")
+    closed_form = ((take("y0", ex.parse), take("E0", _finite))
+                   if "y0" in entries else (None, None))
+
     orders = set()
-    for key in pert_keys:
-        parts = key.split(".")
-        if len(parts) != 3 or parts[2] not in ("p2", "p1", "p0"):
+    for key in entries:
+        match = _PERTURBATION_KEY.fullmatch(key)
+        if match is None:
             raise ProblemConfigError(f"unrecognized key {key!r}")
-        try:
-            orders.add(int(parts[1]))
-        except ValueError as exc:
-            raise ProblemConfigError(f"unrecognized key {key!r}") from exc
-    unknown = set(entries) - set(pert_keys)
-    if unknown:
-        raise ProblemConfigError(f"unrecognized key {sorted(unknown)[0]!r}")
+        orders.add(int(match[1]))
     if not orders:
         raise ProblemConfigError("empty perturbation list")
-    m = max(orders)
-    if orders != set(range(1, m + 1)):
-        raise ProblemConfigError(
-            f"perturbation orders must be contiguous from 1, got {sorted(orders)}")
-
-    operators = []
-    for k in range(1, m + 1):
-        coeffs = []
-        for part in ("p2", "p1", "p0"):
-            key = f"perturbation.{k}.{part}"
-            if key not in entries:
-                raise ProblemConfigError(f"missing key {key!r}")
-            try:
-                coeffs.append(ex.parse(entries[key]))
-            except ex.ExprSyntaxError as exc:
-                raise ProblemConfigError(f"key {key!r}: {exc}") from exc
-        operators.append(LinearOperator(*coeffs))
-
-    return PerturbationProblem((a, b), v0, tuple(operators), y0_expr, e0_value)
+    if len(orders) != max(orders):
+        raise ProblemConfigError("perturbation orders must be contiguous "
+                                 f"from 1, got {sorted(orders)}")
+    operators = tuple(
+        LinearOperator(*(take(f"perturbation.{k}.{part}", ex.parse)
+                         for part in ("p2", "p1", "p0")))
+        for k in range(1, len(orders) + 1))
+    return PerturbationProblem(domain, v0, operators, *closed_form)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +275,16 @@ def test_shipped_sample_problems(capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("script", ["run_model1.py", "run_model3.py"])
+def test_demo_scripts_run(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / script)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -416,3 +429,98 @@ def test_overflowing_coupling_is_a_computation_failure(capsys, tmp_path):
     assert code == 2
     assert err.startswith("computation failed:") and "not finite" in err
     assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# hostile input ends on the documented error path
+# ----------------------------------------------------------------------
+
+_MODEL1 = model1_config()
+
+
+def _fails(capsys, code, prefix, *argv):
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    _MODEL1.replace("p2 = 0", "p2 = 1e999"),
+    _MODEL1.replace("domain = 0 1", "domain = 0 inf"),
+    _MODEL1.replace("domain = 0 1", "domain = -1e308 1e308"),
+    _MODEL1 + "y0 = sin(pi*x)\nE0 = nan\n",
+    _MODEL1 + "perturbation.01.p1 = 5\n",
+], ids=["literal", "domain", "length", "E0", "order"])
+def test_bad_numbers_and_keys_are_input_errors(capsys, tmp_path, text):
+    prob = tmp_path / "bad.prob"
+    prob.write_text(text)
+    _fails(capsys, 1, "error: ", "oracle", "--problem", str(prob),
+           "--lambda", "0.5")
+
+
+@pytest.mark.parametrize("v0", [
+    "x" + "+x" * 2999, "(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+    ids=["sum", "parentheses", "minus"])
+def test_too_deep_expressions_are_input_errors(capsys, tmp_path, v0):
+    prob = tmp_path / "deep.prob"
+    prob.write_text(_MODEL1.replace("v0 = 0", "v0 = " + v0))
+    for command in ("oracle", "validate"):
+        _fails(capsys, 1, "error: key 'v0': expression nested deeper",
+               command, "--problem", str(prob))
+
+
+@pytest.fixture
+def model3_order8(capsys, tmp_path, model3_file):
+    series = tmp_path / "s8.json"
+    run(capsys, "solve", "--problem", model3_file, "--order", "8",
+        "--out", str(series))
+    return str(series)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "{series}", "--lambda", "1e200"),
+    ("export", "{series}", "--lambda", "1e50"),
+    ("oracle", "--problem", "{problem}", "--series", "{series}",
+     "--lambda", "1e50"),
+], ids=["eval", "export", "oracle"])
+def test_overflowing_lambda_is_a_computation_failure(capsys, model3_file,
+                                                     model3_order8, argv):
+    argv = [a.format(series=model3_order8, problem=model3_file) for a in argv]
+    _fails(capsys, 2, "computation failed: ", *argv)
+
+
+def test_overflowing_fd_grid_is_a_computation_failure(capsys, tmp_path):
+    prob = tmp_path / "wide.prob"
+    prob.write_text(_MODEL1.replace("domain = 0 1", "domain = 0 1e308"))
+    _fails(capsys, 2, "computation failed: ", "oracle", "--problem",
+           str(prob), "--lambda", "0.1")
+
+
+def _mangle(data, shape):
+    if shape == "E":
+        data["orders"][1]["E"] = "x"
+    elif shape == "coeffs":
+        data["orders"][1]["y"]["coeffs"] = "ab"
+    elif shape == "list":
+        data = [data]
+    elif shape == "norm":
+        data["norm"] = []
+    elif shape == "reversed":
+        data["orders"][1]["y"]["domain"] = [1.0, 0.0]
+    elif shape == "domains":
+        data["orders"][1]["y"]["domain"] = [0.0, 2.0]
+    elif shape == "no orders":
+        data["orders"] = []
+    return data
+
+
+@pytest.mark.parametrize("shape", ["E", "coeffs", "list", "norm", "reversed",
+                                   "domains", "no orders"])
+def test_malformed_series_files_are_input_errors(capsys, tmp_path,
+                                                 model3_series, shape):
+    bad = tmp_path / "bad.json"
+    data = json.loads(Path(model3_series).read_text())
+    bad.write_text(json.dumps(_mangle(data, shape)))
+    _fails(capsys, 1, f"error: series file {bad}: ", "eval", str(bad),
+           "--lambda", "0.5", "--normalize")

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from pertbvp.expr import (BinOp, DomainError, ExprSyntaxError, Num,
+from pertbvp import expr as ex
+from pertbvp.expr import (BinOp, DomainError, ExprSyntaxError, Neg, Num, Var,
                           differentiate, evaluate, parse, to_string)
 
 
@@ -49,6 +50,28 @@ def test_precedence_and_associativity():
     # ^ binds tighter than unary minus
     assert evaluate(parse("-2^2"), 0.0) == -4.0
     assert evaluate(parse("(-2)^2"), 0.0) == 4.0
+
+
+def test_unary_plus_is_no_node():
+    assert parse("+x") == Var()
+    assert parse("-+-x") == Neg(Neg(Var()))
+    assert parse("2*+3") == BinOp("*", Num(2.0), Num(3.0))
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("2 3", "unexpected trailing input 3.0", 3),
+    ("x)", "unexpected trailing input ')'", 2),
+    ("x y", "unexpected trailing input 'y'", 3),
+    ("x @", "unexpected character '@'", 3),
+    ("1.5e", "unexpected trailing input 'e'", 4),
+    ("sin x", "expected '('", 5),
+    ("\t \n", "empty expression", 1),
+])
+def test_syntax_error_message_and_position(text, message, position):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 def test_whitespace_insignificant():
@@ -103,6 +126,20 @@ def test_differentiate_general_power():
     x = 1.7
     exact = x**x * (math.log(x) + 1.0)
     assert evaluate(d, x) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("text, exact", [
+    ("x^(2*x)", lambda x: x ** (2 * x) * (2 * math.log(x) + 2)),
+    ("x^sin(x)", lambda x: x ** math.sin(x)
+     * (math.cos(x) * math.log(x) + math.sin(x) / x)),
+    ("x^(-x)", lambda x: -x ** -x * (math.log(x) + 1)),
+])
+def test_differentiate_variable_exponents(text, exact):
+    # exponents holding x through a product, a call and a sign
+    d = differentiate(parse(text))
+    for x in (0.4, 1.0, 1.7):
+        assert evaluate(d, x) == pytest.approx(exact(x), rel=1e-12)
+        assert evaluate(d, x) == pytest.approx(_fd(parse(text), x), rel=1e-8)
 
 
 # ----------------------------------------------------------------------
@@ -285,3 +322,74 @@ def test_constant_expression_returns_array_of_input_shape():
         assert values is not xs
     assert np.all(evaluate(parse("2*pi"), xs) == 2 * math.pi)
     assert type(evaluate(parse("2*pi"), 0.5)) is float
+
+
+# ----------------------------------------------------------------------
+# finite literals and the depth limit
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, position", [
+    ("1e999", 1), ("2*1e400", 3), ("x+" + "9" * 400, 3), ("1e999 @", 1)])
+def test_overflowing_literal_is_a_syntax_error(text, position):
+    with pytest.raises(ExprSyntaxError, match="out of range") as exc:
+        parse(text)
+    assert exc.value.position == position
+
+
+def test_underflowing_literal_is_zero():
+    assert parse("1e-999") == Num(0.0)
+
+
+_D = ex._MAX_DEPTH
+
+
+def _shapes(depth, nest):
+    """Trees ``depth`` nodes deep, and text nesting ``nest`` parentheses or
+    unary plus signs around ``x``."""
+    return {
+        "sum": "x" + "+x" * (depth - 1),
+        "parentheses": "(" * nest + "x" + ")" * nest,
+        "minus": "-" * (depth - 1) + "x",
+        "plus": "+" * nest + "x",
+        "power": "x" + "^x" * (depth - 1),
+        "calls": "sin(" * (depth - 1) + "x" + ")" * (depth - 1),
+        "left powers": "(" * (depth - 1) + "x" + "^x)" * (depth - 1),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_shapes(_D, 2 * _D)))
+def test_trees_at_the_depth_limit_parse_and_walk(shape):
+    e = parse(_shapes(_D, 2 * _D)[shape])
+    assert math.isfinite(evaluate(e, 1.0))
+    assert math.isfinite(evaluate(differentiate(e), 1.0))
+    assert np.all(np.isfinite(evaluate(differentiate(e), np.ones(3))))
+    assert parse(to_string(e)) == e
+
+
+@pytest.mark.parametrize("shape, position", [
+    ("sum", 2 * _D), ("parentheses", 2 * _D + 1), ("minus", 1),
+    ("plus", 2 * _D + 1), ("power", 2), ("calls", 1),
+    ("left powers", 4 * _D - 1)])
+def test_one_past_the_depth_limit_is_a_syntax_error(shape, position):
+    # a sum grows at its last operator; nested nodes are built inside out
+    text = _shapes(_D + 1, 2 * _D + 1)[shape]
+    with pytest.raises(ExprSyntaxError, match="nested deeper than") as exc:
+        parse(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text", [
+    "x" + "+x" * 2999, "(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x",
+    "+" * 3000 + "x", "x" + "^x" * 3000, "sin(" * 3000 + "x" + ")" * 3000])
+def test_very_deep_input_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested deeper than"):
+        parse(text)
+
+
+def test_degree_30_polynomials_parse():
+    coeffs = [k + 1.0 for k in range(31)]
+    expanded = "+".join(f"{c}*x^{k}" for k, c in enumerate(coeffs))
+    horner = "+x*(".join(str(c) for c in coeffs) + ")" * 30
+    for text in (expanded, horner):
+        assert evaluate(parse(text), 0.5) == pytest.approx(
+            np.polynomial.polynomial.polyval(0.5, coeffs), rel=1e-14)

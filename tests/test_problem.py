@@ -61,6 +61,61 @@ def test_noncontiguous_orders():
         load_problem(text)
 
 
+_MINIMAL = ("domain = 0 1\nv0 = 0\nperturbation.1.p2 = 0\n"
+            "perturbation.1.p1 = 1\nperturbation.1.p0 = 0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_MINIMAL + "foo\n", "line 6: expected 'key = value'"),
+    (_MINIMAL + "v0 = 1\n", "duplicate key 'v0'"),
+    (_MINIMAL.replace("domain = 0 1", "domain = 0"),
+     "key 'domain' must hold two numbers"),
+    (_MINIMAL.replace("domain = 0 1", "domain = 0 1 2"),
+     "key 'domain' must hold two numbers"),
+    (_MINIMAL.replace("domain = 0 1", "domain = 0 b"),
+     "key 'domain': could not convert string to float: 'b'"),
+    (_MINIMAL.replace("domain = 0 1", "domain = 1 1"),
+     "key 'domain': need a < b, got 1.0 1.0"),
+    (_MINIMAL.replace("domain = 0 1\n", ""), "missing key 'domain'"),
+    (_MINIMAL.replace("v0 = 0\n", ""), "missing key 'v0'"),
+    (_MINIMAL + "y0 = sin(pi*x)\n", "key 'y0' given without key 'E0'"),
+    (_MINIMAL + "E0 = 1\n", "key 'E0' given without key 'y0'"),
+    (_MINIMAL + "y0 = sin(\nE0 = 1\n",
+     "key 'y0': expected a value (at position 5)"),
+    (_MINIMAL + "y0 = sin(pi*x)\nE0 = abc\n",
+     "key 'E0': could not convert string to float: 'abc'"),
+    (_MINIMAL + "perturbation.x.p1 = 1\n",
+     "unrecognized key 'perturbation.x.p1'"),
+    (_MINIMAL + "perturbation.1.p3 = 1\n",
+     "unrecognized key 'perturbation.1.p3'"),
+    (_MINIMAL + "perturbation.1.p1.p2 = 1\n",
+     "unrecognized key 'perturbation.1.p1.p2'"),
+    (_MINIMAL + "foo = 1\n", "unrecognized key 'foo'"),
+    (_MINIMAL.replace("perturbation.1.p0 = 0\n", ""),
+     "missing key 'perturbation.1.p0'"),
+    (_MINIMAL + "perturbation.2.p2 = 0\n", "missing key 'perturbation.2.p1'"),
+    (_MINIMAL + "perturbation.3.p2 = 0\n",
+     "perturbation orders must be contiguous from 1, got [1, 3]"),
+    (_MINIMAL.replace("p1 = 1", "p1 = 1 +"),
+     "key 'perturbation.1.p1': expected a value (at position 4)"),
+])
+def test_config_error_messages(text, message):
+    with pytest.raises(ProblemConfigError) as exc:
+        load_problem(text)
+    assert str(exc.value) == message
+
+
+def test_config_comments_blank_lines_and_spacing():
+    text = ("# a comment\n\n  domain=0   2  # trailing\nv0 = 0\n"
+            "y0 = sin(pi*x/2)\nE0 = " + repr(math.pi ** 2 / 4) + "\n"
+            "perturbation.1.p2=0\nperturbation.1.p1 = x # note\n"
+            "perturbation.1.p0 =0\n")
+    prob = load_problem(text)
+    assert prob.domain == (0.0, 2.0)
+    assert prob.e0_value == math.pi ** 2 / 4
+    assert prob.perturbations[0].p1 == ex.Var()
+
+
 def test_load_is_idempotent_on_serialized_output():
     for cfg in (model1_config(), model3_config()):
         prob = load_problem(cfg)
@@ -208,3 +263,65 @@ def test_coefficient_fits_match_per_point_sampling(path):
         expected = y0 * (1.0 / np.sqrt((y0 * y0).definite_integral()))
         assert state.y0.coeffs.tobytes() == expected.coeffs.tobytes()
         assert state.user_scale == y0.sup_norm()
+
+
+@pytest.mark.parametrize("order", ["01", "+1", " 1", "1_0", "0", "١",
+                                   "1234567890"])
+def test_perturbation_key_grammar(order):
+    # int() reads each of these orders; the key grammar rejects them
+    key = f"perturbation.{order}.p1"
+    with pytest.raises(ProblemConfigError) as exc:
+        load_problem(_MINIMAL + f"{key} = 5\n")
+    assert str(exc.value) == f"unrecognized key {key!r}"
+
+
+def test_far_order_is_not_contiguous():
+    # checked by counting, not by building the set 1..999999999
+    with pytest.raises(ProblemConfigError,
+                       match=r"contiguous from 1, got \[1, 999999999\]"):
+        load_problem(_MINIMAL + "perturbation.999999999.p1 = 5\n")
+
+
+def test_first_unrecognized_key_in_file_order_is_named():
+    text = _MINIMAL + "perturbation.1.p3 = 1\nfoo = 1\n"
+    with pytest.raises(ProblemConfigError,
+                       match="unrecognized key 'perturbation.1.p3'"):
+        load_problem(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_MINIMAL.replace("domain = 0 1", "domain = 0 inf"),
+     "key 'domain': not a finite number: 'inf'"),
+    (_MINIMAL.replace("domain = 0 1", "domain = nan 1"),
+     "key 'domain': not a finite number: 'nan'"),
+    (_MINIMAL.replace("domain = 0 1", "domain = -1e308 1e308"),
+     "key 'domain': b - a = inf is not finite"),
+    (_MINIMAL + "y0 = sin(pi*x)\nE0 = nan\n",
+     "key 'E0': not a finite number: 'nan'"),
+    (_MINIMAL + "y0 = sin(pi*x)\nE0 = -inf\n",
+     "key 'E0': not a finite number: '-inf'"),
+    (_MINIMAL.replace("v0 = 0", "v0 = 1e999"),
+     "key 'v0': number '1e999' out of range (at position 1)"),
+    (_MINIMAL.replace("p2 = 0", "p2 = x*1e400"),
+     "key 'perturbation.1.p2': number '1e400' out of range (at position 3)"),
+])
+def test_non_finite_numbers_are_config_errors(text, message):
+    with pytest.raises(ProblemConfigError) as exc:
+        load_problem(text)
+    assert str(exc.value) == message
+
+
+def test_too_deep_expression_names_its_key():
+    text = _MINIMAL.replace("v0 = 0", "v0 = " + "-" * 3000 + "x")
+    with pytest.raises(ProblemConfigError,
+                       match="key 'v0': expression nested deeper than"):
+        load_problem(text)
+
+
+def test_many_orders_load_in_order():
+    text = "domain = 0 1\nv0 = 0\n" + "".join(
+        f"perturbation.{k}.{part} = {k}\n"
+        for k in range(12, 0, -1) for part in ("p0", "p1", "p2"))
+    prob = load_problem(text)
+    assert [op.p1 for op in prob.perturbations] == [
+        ex.Num(float(k)) for k in range(1, 13)]
