@@ -13,12 +13,16 @@ which is affine in E_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .funcspace import (SpectralFun, UnresolvedError, _clenshaw_curtis_weights,
-                        _truncate, _values_at_extrema, solve_linear_ivp)
+from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
+                        _clenshaw_at_minus_one, _clenshaw_curtis_weights,
+                        _coeffs_from_samples, _grid_size, _integrate_rows,
+                        _rows, _truncate, _values_at_extrema,
+                        solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
 __all__ = [
@@ -44,10 +48,18 @@ class EngineError(Exception):
 
 @dataclass(frozen=True)
 class GhostFunction:
-    """Second unperturbed solution with W(u, y0) = u' y0 - y0' u = 1."""
+    """Second unperturbed solution with W(u, y0) = u' y0 - y0' u = 1.
+
+    ``wronskian`` is the measured W: the mean of the samples that
+    :func:`ghost` checks (1 for a ghost built by hand).  ``_grid`` holds the
+    values of y0 and u on the Chebyshev grids of :func:`_vp`, per grid size.
+    """
 
     u: SpectralFun
     du: SpectralFun
+    wronskian: float = 1.0
+    _grid: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
 
 @dataclass
@@ -69,11 +81,22 @@ class PerturbationSeries:
         return len(self.energies) - 1
 
 
+def _wronskian_samples(gh: GhostFunction,
+                       state: UnperturbedState) -> np.ndarray:
+    """W = u' y0 - y0' u at the N+1 Chebyshev extrema, N >= 64 and above
+    every degree, from one batched transform of u, u', y0, y0'."""
+    funs = [f.coeffs for f in (gh.u, gh.du, state.y0, state.dy0)]
+    width = max(len(c) for c in funs)
+    n = max(64, _grid_size(width - 1))
+    u, du, y0, dy0 = _values_at_extrema(_rows(funs, width), n)
+    return du * y0 - dy0 * u
+
+
 def _wronskian_defect(gh: GhostFunction, state: UnperturbedState,
                       domain) -> float:
-    xs = np.linspace(domain[0], domain[1], 64)
-    w = gh.du(xs) * state.y0(xs) - state.dy0(xs) * gh.u(xs)
-    return float(np.max(np.abs(w - 1.0)))
+    """max |W - 1| over the samples of :func:`_wronskian_samples`, which
+    lie on the functions' own interval ``domain``."""
+    return float(np.max(np.abs(_wronskian_samples(gh, state) - 1.0)))
 
 
 def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunction:
@@ -85,11 +108,15 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     Chebyshev initial-value solve of the equation in integral form
     (:func:`~pertbvp.funcspace.solve_linear_ivp`), with an adaptive degree
     and the same tail rule; an unresolved solve raises
-    :class:`EngineError`.  Either way the Wronskian is checked on a grid
-    and a defect above 1e-10 raises :class:`EngineError`.
+    :class:`EngineError`.  Either way the Wronskian is sampled on the
+    Chebyshev grid of :func:`_wronskian_samples`: a defect above 1e-10
+    raises :class:`EngineError`, and the samples' mean is kept as
+    ``wronskian``, by which :func:`_vp` divides.
     """
     a, b = problem.domain
-    d0 = state.dy0(a)
+    # y0'(a) by Clenshaw on Python floats: bit for bit as chebval gives it
+    dc = state.dy0.coeffs.tolist()
+    d0 = dc[0] if len(dc) == 1 else _clenshaw_at_minus_one(dc)
     if abs(d0) < 1e-12:
         raise EngineError("degenerate state: y0'(a) vanishes")
 
@@ -109,7 +136,7 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     defect = _wronskian_defect(gh, state, problem.domain)
     if defect > 1e-10:
         raise EngineError(f"Wronskian defect {defect:.3e} exceeds 1e-10")
-    return gh
+    return replace(gh, wronskian=float(np.mean(_wronskian_samples(gh, state))))
 
 
 def order_rhs(problem: PerturbationProblem, energies, wavefuns,
@@ -129,11 +156,40 @@ def order_rhs(problem: PerturbationProblem, energies, wavefuns,
     return SpectralFun._adopt(problem.a, problem.b, acc)
 
 
+def _ghost_grid(gh: GhostFunction, y0: SpectralFun, n: int) -> np.ndarray:
+    """Rows (y0, u) of values at the n+1 extrema, cached on ``gh`` per n."""
+    hit = gh._grid.get(n)
+    if hit is None or hit[0] is not y0:
+        funs = (y0.coeffs, gh.u.coeffs)
+        hit = (y0, _values_at_extrema(_rows(funs, max(map(len, funs))), n))
+        gh._grid[n] = hit
+    return hit[1]
+
+
 def _vp(state: UnperturbedState, gh: GhostFunction,
         r: SpectralFun) -> SpectralFun:
-    inner_y0 = (state.y0 * r).cumulative_integral()
-    inner_u = (gh.u * r).cumulative_integral()
-    return gh.u * inner_y0 - state.y0 * inner_u
+    """V(r) = (u int_a^x y0 r - y0 int_a^x u r) / W in one grid pass.
+
+    W is ``gh.wronskian``, which makes V exact for any constant Wronskian.
+    N is the smallest power of two above the degree of the result, so on
+    the N+1 Chebyshev extrema every product below is exact up to rounding:
+    r is sampled there, the products y0 r and u r go to coefficients in one
+    batched DCT, are integrated from a in coefficient form, come back in
+    one batched inverse DCT, are combined with u and y0 pointwise, and one
+    DCT and one truncation give V(r).
+    """
+    a, b = r.domain
+    n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
+                   + len(r.coeffs) - 2)
+    y0_u = _ghost_grid(gh, state.y0, n)
+    # an overflow turns into NaN in the transforms; _truncate reports it
+    with np.errstate(invalid="ignore"):
+        ints = _integrate_rows(_coeffs_from_samples(
+            y0_u * _values_at_extrema(r.coeffs, n)))
+        int_y0, int_u = _values_at_extrema(ints, n)
+        out = _coeffs_from_samples(y0_u[1] * int_y0 - y0_u[0] * int_u)
+    out *= 0.5 * (b - a) / gh.wronskian
+    return SpectralFun._adopt(a, b, _truncate(out))
 
 
 def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
@@ -144,7 +200,7 @@ def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
     boundary condition y_j(b) = 0 cannot fix E_j.
     """
     phi_b = _vp(state, gh, -state.y0)
-    denom = phi_b(problem.b)
+    denom = float(phi_b.coeffs.sum())  # phi_b(b): T_k(1) = 1
     if abs(denom) < 1e-12:
         raise EngineError(
             "boundary equation degenerate (u(b) ~ 0): invalid state")
@@ -153,13 +209,18 @@ def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
 
 def _order_step(problem: PerturbationProblem, state: UnperturbedState,
                 gh: GhostFunction, energies, wavefuns, j: int, phi_b, denom):
-    """(E_j, y_j) from the lower orders and the boundary solution."""
+    """(E_j, y_j) from the lower orders and the boundary solution: E_j
+    from the coefficient sums (the values at b), y_j = phi_a + E_j phi_b
+    in coefficient form."""
     g = order_rhs(problem, energies, wavefuns, j)
-    phi_a = _vp(state, gh, g)
-    e_j = -phi_a(problem.b) / denom
-    y_j = phi_a + phi_b * e_j
-    return e_j, SpectralFun._adopt(problem.a, problem.b,
-                                   _truncate(y_j.coeffs))
+    phi_a = _vp(state, gh, g).coeffs
+    e_j = -float(phi_a.sum()) / denom
+    if not math.isfinite(e_j):
+        raise SpectralError("series coefficients not finite")
+    y_j = np.zeros(max(len(phi_a), len(phi_b.coeffs)))
+    y_j[:len(phi_a)] = phi_a
+    y_j[:len(phi_b.coeffs)] += phi_b.coeffs * e_j
+    return e_j, SpectralFun._adopt(problem.a, problem.b, _truncate(y_j))
 
 
 def solve_order(problem: PerturbationProblem, state: UnperturbedState,
@@ -241,11 +302,8 @@ def normalization_coeffs(state: UnperturbedState, wavefuns, J: int) -> list:
     ys = wavefuns[:J + 1]
     a, b = ys[0].domain
     width = max(len(y.coeffs) for y in ys)
-    coeffs = np.zeros((len(ys), width))
-    for row, y in zip(coeffs, ys):
-        row[:len(y.coeffs)] = y.coeffs
     n = max(2 * (width - 1), 2)
-    values = _values_at_extrema(coeffs, n)
+    values = _values_at_extrema(_rows([y.coeffs for y in ys], width), n)
     gram = (values * (0.5 * (b - a) * _clenshaw_curtis_weights(n))) @ values.T
     order = np.add.outer(np.arange(len(ys)), np.arange(len(ys)))
     s = np.bincount(order.ravel(), weights=gram.ravel())[:J + 1].tolist()
@@ -301,23 +359,43 @@ def series_to_dict(series: PerturbationSeries) -> dict:
     }
 
 
+def _finite_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a boolean),
+    else :class:`EngineError` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(float(value)):
+        raise EngineError(f"series file {what} is not a finite number: "
+                          f"{value!r}")
+    return float(value)
+
+
 def series_from_dict(data: dict) -> PerturbationSeries:
-    """Inverse of :func:`series_to_dict`; raises :class:`EngineError` if the
-    orders are not 0..J on one interval with one ``norm`` entry each."""
+    """Inverse of :func:`series_to_dict`; raises :class:`EngineError` unless
+    the orders are 0..J on one finite interval with finite coefficients,
+    every ``E`` and ``norm`` entry is a finite number, one ``norm`` entry
+    per order, and N_0 is not zero."""
     orders = sorted(data["orders"], key=lambda o: o["j"])
     if not orders or [o["j"] for o in orders] != list(range(len(orders))):
         raise EngineError("series file orders are not contiguous from 0")
     wavefuns = [SpectralFun.from_dict(o["y"]) for o in orders]
     if len({y.domain for y in wavefuns}) != 1:
         raise EngineError("series file orders lie on different domains")
-    norm_coeffs = [float(v) for v in data["norm"]]
+    if not all(np.all(np.isfinite(y.coeffs)) and math.isfinite(y.b - y.a)
+               for y in wavefuns):
+        raise EngineError("series file holds a non-finite domain or "
+                          "coefficient")
+    energies = [_finite_number(o["E"], f"E of order {o['j']}")
+                for o in orders]
+    norm_coeffs = [_finite_number(v, "norm entry") for v in data["norm"]]
     if len(norm_coeffs) != len(orders):
         raise EngineError(f"series file has {len(norm_coeffs)} norm entries "
                           f"for {len(orders)} orders")
+    if norm_coeffs[0] == 0.0:
+        raise EngineError("series file norm entry N_0 is zero")
     return PerturbationSeries(
         state=None,
         n=int(data["n"]),
-        energies=[float(o["E"]) for o in orders],
+        energies=energies,
         wavefuns=wavefuns,
         norm_coeffs=norm_coeffs,
     )

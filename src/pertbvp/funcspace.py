@@ -5,6 +5,12 @@ linearly from ``[a, b]`` onto ``[-1, 1]``.  Construction is adaptive: node
 counts double (17, 33, 65, ...) until the trailing coefficients fall below a
 relative tolerance, so downstream calculus (differentiation, products,
 integrals) stays accurate to near machine precision for smooth inputs.
+
+The grid helpers below move batches of series between coefficients and
+values at the N+1 Chebyshev extrema, one DCT-I (a real FFT) per batch.  With
+N from :func:`_grid_size` a pointwise product on that grid is the exact
+product series up to rounding: the kernels of the order recurrence work
+there.
 """
 
 from __future__ import annotations
@@ -52,22 +58,74 @@ def _dct1(x: np.ndarray) -> np.ndarray:
 
 
 def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from samples at the N+1 extrema cos(pi*j/N)."""
-    n = len(values) - 1
+    """Chebyshev coefficients from samples at the N+1 extrema cos(pi*j/N),
+    along the last axis of ``values`` (one series per row)."""
+    n = values.shape[-1] - 1
     c = _dct1(values) / n
-    c[0] *= 0.5
-    c[-1] *= 0.5
+    c[..., 0] *= 0.5
+    c[..., -1] *= 0.5
     return c
 
 
 def _values_at_extrema(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series in
-    each row of ``coeffs``, which has at most n columns: the inverse of
+    each row of ``coeffs``, which has at most n + 1 columns: the inverse of
     :func:`_coeffs_from_samples`, a DCT-I with the interior halved."""
     x = np.zeros(coeffs.shape[:-1] + (n + 1,))
     x[..., :coeffs.shape[-1]] = 0.5 * coeffs
     x[..., 0] = coeffs[..., 0]
+    if coeffs.shape[-1] == n + 1:
+        x[..., n] = coeffs[..., n]
     return _dct1(x)
+
+
+def _grid_size(degree: int) -> int:
+    """The smallest power of two above ``degree``: on the N+1 extrema for
+    this N, samples determine a series of that degree exactly."""
+    return 1 << int(degree).bit_length()
+
+
+def _rows(series, width: int) -> np.ndarray:
+    """The coefficient arrays in ``series`` as the rows of one array,
+    zero-padded to ``width`` columns."""
+    out = np.zeros((len(series), width))
+    for row, c in zip(out, series):
+        row[:len(c)] = c
+    return out
+
+
+def _integrate_rows(c: np.ndarray) -> np.ndarray:
+    """Antiderivatives in t, zero at t = -1, of the series in each row of
+    ``c``, truncated to the same n + 1 columns.
+
+    The dropped degree-(n+1) term is c_n / (2n + 2); callers pick n above
+    the degree of every row, so c_n is rounding noise.  The constant term
+    is the alternating sum that makes the value at -1 vanish.
+    """
+    n = c.shape[-1] - 1
+    out = np.empty_like(c)
+    out[..., 1:] = c[..., :-1]
+    out[..., 1] += c[..., 0]
+    out[..., 1:-1] -= c[..., 2:]
+    out[..., 1:] /= 2.0 * np.arange(1, n + 1)
+    out[..., 0] = out[..., 1::2].sum(-1) - out[..., 2::2].sum(-1)
+    return out
+
+
+def _derivative(c: np.ndarray, scl: float) -> np.ndarray:
+    """Coefficients of the derivative of the series ``c`` (length >= 2),
+    times ``scl``.
+
+    The derivative's k-th coefficient is the sum of 2 m c_m over m > k with
+    m - k odd (halved at k = 0): a reverse cumulative sum over each parity
+    of m, in place of numpy's Python-loop ``chebder``.
+    """
+    w = (2.0 * scl) * np.arange(1, len(c)) * c[1:]  # w[i] = 2 (i+1) c_(i+1)
+    d = np.empty(len(w))
+    d[0::2] = np.cumsum(w[0::2][::-1])[::-1]
+    d[1::2] = np.cumsum(w[1::2][::-1])[::-1]
+    d[0] *= 0.5
+    return d
 
 
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
@@ -262,10 +320,11 @@ class SpectralFun:
     # calculus
     # ------------------------------------------------------------------
     def derivative(self) -> "SpectralFun":
-        """Coefficient-space differentiation, rescaled to the interval."""
+        """Derivative, rescaled to the interval: vectorised reverse sums of
+        the coefficients (see :func:`_derivative`)."""
         if len(self.coeffs) == 1:
             return SpectralFun._adopt(self.a, self.b, np.zeros(1))
-        dc = _cheb.chebder(self.coeffs) * (2.0 / (self.b - self.a))
+        dc = _derivative(self.coeffs, 2.0 / (self.b - self.a))
         return SpectralFun._adopt(self.a, self.b, dc)
 
     def cumulative_integral(self) -> "SpectralFun":

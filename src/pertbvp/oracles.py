@@ -140,7 +140,8 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     """Tridiagonal bands of A with A y = E y on M interior points.
 
     A = -(D2 - diag(v0) - sum_k lam^k (p2_k D2 + p1_k D1 + p0_k)), second
-    order central differences, Dirichlet rows eliminated.
+    order central differences, Dirichlet rows eliminated.  Raises
+    :class:`OracleError` if an entry overflows.
     """
     a, b = problem.domain
     h = (b - a) / (M + 1)
@@ -151,17 +152,21 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     upper = np.full(M - 1, 1.0 / h ** 2)
     lower = np.full(M - 1, 1.0 / h ** 2)
 
-    for k, op in enumerate(problem.perturbations, start=1):
-        c = lam ** k
-        if c == 0.0:
-            continue
-        p2 = ex.evaluate(op.p2, x)
-        p1 = ex.evaluate(op.p1, x)
-        p0 = ex.evaluate(op.p0, x)
-        main -= c * (-2.0 * p2 / h ** 2 + p0)
-        upper -= c * (p2[:-1] / h ** 2 + p1[:-1] / (2.0 * h))
-        lower -= c * (p2[1:] / h ** 2 - p1[1:] / (2.0 * h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, op in enumerate(problem.perturbations, start=1):
+            c = lam ** k
+            if c == 0.0:
+                continue
+            p2 = ex.evaluate(op.p2, x)
+            p1 = ex.evaluate(op.p1, x)
+            p0 = ex.evaluate(op.p0, x)
+            main -= c * (-2.0 * p2 / h ** 2 + p0)
+            upper -= c * (p2[:-1] / h ** 2 + p1[:-1] / (2.0 * h))
+            lower -= c * (p2[1:] / h ** 2 - p1[1:] / (2.0 * h))
 
+    if not all(np.all(np.isfinite(band)) for band in (main, upper, lower)):
+        raise OracleError("finite-difference matrix not finite "
+                          "(coupling too large for the grid)")
     return -main, -upper, -lower
 
 
@@ -195,7 +200,11 @@ def _inverse_iteration(main, upper, lower, shift):
         if mu == 0.0:
             raise OracleError("inverse iteration broke down")
         new_est = shift + 1.0 / mu
-        v = w / np.linalg.norm(w)
+        size = np.linalg.norm(w)
+        if not 0.0 < size < math.inf:
+            raise OracleError("inverse iteration broke down: iterate not "
+                              "representable in floating point")
+        v = w / size
         tol = _ITERATION_TOL * max(1.0, abs(new_est))
         if est is not None and abs(new_est - est) <= tol:
             return new_est

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .funcspace import SpectralFun
+from .funcspace import (SpectralFun, _coeffs_from_samples, _grid_size, _rows,
+                        _truncate, _values_at_extrema)
 
 __all__ = [
     "LinearOperator",
@@ -82,13 +83,34 @@ class PerturbationProblem:
         return bool(np.all(np.abs(ex.evaluate(self.v0, xs)) < 1e-12))
 
     def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:
-        """Apply the order-k operator to a spectral function."""
+        """Apply the order-k operator to a spectral function.
+
+        One pass on the N+1 Chebyshev extrema, N the smallest power of two
+        above the degree of the result: f' and f'' come from
+        :meth:`SpectralFun.derivative`, one batched inverse DCT samples
+        f'', f' and f, p2 f'' + p1 f' + p0 f is summed pointwise (the
+        p-values are cached per N), and one DCT and one truncation give
+        the result.
+        """
         op = self.perturbations[k - 1]
+        ps = [self._fit((k, part), getattr(op, part)).coeffs
+              for part in ("p2", "p1", "p0")]
         df = f.derivative()
-        out = self._fit((k, "p2"), op.p2) * df.derivative()
-        out = out + self._fit((k, "p1"), op.p1) * df
-        out = out + self._fit((k, "p0"), op.p0) * f
-        return out
+        fs = (df.derivative().coeffs, df.coeffs, f.coeffs)
+        deg = len(f.coeffs) - 1
+        p2, p1, p0 = (len(c) - 1 for c in ps)
+        # the grid resolves the result and every factor it samples
+        n = _grid_size(max(deg + max(p2 - 2, p1 - 1, p0), deg, p2, p1, p0))
+        key = (k, "grid", n)
+        if key not in self._cache:
+            self._cache[key] = _values_at_extrema(
+                _rows(ps, max(map(len, ps))), n)
+        # an overflow turns into NaN in the transforms; _truncate reports it
+        with np.errstate(invalid="ignore"):
+            values = _values_at_extrema(_rows(fs, deg + 1), n)
+            out = _coeffs_from_samples(
+                np.einsum("ij,ij->j", self._cache[key], values))
+        return SpectralFun._adopt(self.a, self.b, _truncate(out))
 
     def serialize(self) -> str:
         """Config text that :func:`load_problem` maps back to this problem."""

@@ -524,3 +524,42 @@ def test_malformed_series_files_are_input_errors(capsys, tmp_path,
     bad.write_text(json.dumps(_mangle(data, shape)))
     _fails(capsys, 1, f"error: series file {bad}: ", "eval", str(bad),
            "--lambda", "0.5", "--normalize")
+
+
+@pytest.mark.parametrize("p1", ["1e300", "1e308"], ids=["iteration", "bands"])
+def test_overflowing_fd_oracle_is_a_computation_failure(capsys, tmp_path, p1):
+    # 1e300 keeps the bands finite but not the inverse iteration; 1e308
+    # overflows the bands themselves
+    prob = tmp_path / "big.prob"
+    prob.write_text(_MODEL1.replace("p1 = 1\n", f"p1 = {p1}\n"))
+    _fails(capsys, 2, "computation failed: ", "oracle", "--problem",
+           str(prob), "--lambda", "0.5")
+
+
+def _spoil(data, shape):
+    if shape == "E nan":
+        data["orders"][1]["E"] = float("nan")
+    elif shape == "E inf":
+        data["orders"][2]["E"] = float("inf")
+    elif shape == "E bool":
+        data["orders"][1]["E"] = True
+    elif shape == "norm zero":
+        data["norm"][0] = 0
+    elif shape == "norm nan":
+        data["norm"][1] = float("nan")
+    elif shape == "coeffs nan":
+        data["orders"][1]["y"]["coeffs"][0] = float("nan")
+    elif shape == "coeffs inf":
+        data["orders"][2]["y"]["coeffs"][-1] = float("-inf")
+    return data
+
+
+@pytest.mark.parametrize("shape", ["E nan", "E inf", "E bool", "norm zero",
+                                   "norm nan", "coeffs nan", "coeffs inf"])
+def test_non_finite_series_values_are_input_errors(capsys, tmp_path,
+                                                   model3_series, shape):
+    bad = tmp_path / "bad.json"
+    data = json.loads(Path(model3_series).read_text())
+    bad.write_text(json.dumps(_spoil(data, shape)))
+    _fails(capsys, 1, f"error: series file {bad}: ", "eval", str(bad),
+           "--lambda", "0.5", "--normalize")

@@ -1,0 +1,288 @@
+"""The grid kernels of the order recurrence against the coefficient-space
+code they replace, which is written out here as the reference."""
+
+import math
+import weakref
+
+import numpy as np
+import pytest
+from numpy.polynomial import chebyshev as cheb
+
+from pertbvp import engine, funcspace
+from pertbvp import problem as pb
+from pertbvp.engine import compute_series, ghost, order_rhs
+from pertbvp.funcspace import (SpectralFun, _chebmul, _coeffs_from_samples,
+                               _grid_size, _integrate_rows,
+                               _values_at_extrema)
+from pertbvp.oracles import (model1_problem, model1_series_exact,
+                             model3_problem)
+
+XS = np.linspace(0.0, 1.0, 257)
+
+
+@pytest.fixture(scope="module")
+def m1():
+    return model1_problem()
+
+
+@pytest.fixture(scope="module")
+def m3():
+    return model3_problem()
+
+
+@pytest.fixture(scope="module")
+def mp():
+    """Coefficients whose degrees raise the degree of the result."""
+    return pb.load_problem("domain = 0 1\nv0 = 0\nperturbation.1.p2 = x^4/5\n"
+                           "perturbation.1.p1 = x^3\n"
+                           "perturbation.1.p0 = x^5 - 1\n")
+
+
+def _plain_vp(state, gh, r):
+    """V(r) = u int y0 r - y0 int u r as four coefficient-space products,
+    with no division by the measured Wronskian."""
+    return (gh.u * (state.y0 * r).cumulative_integral()
+            - state.y0 * (gh.u * r).cumulative_integral())
+
+
+def _chain(problem, k, f):
+    """p2 f'' + p1 f' + p0 f as three coefficient-space products, with
+    numpy's ``chebder``."""
+    op = problem.perturbations[k - 1]
+    scl = 2.0 / (f.b - f.a)
+    df = SpectralFun(f.domain, cheb.chebder(f.coeffs) * scl)
+    ddf = SpectralFun(f.domain, cheb.chebder(df.coeffs) * scl)
+    return (problem._fit((k, "p2"), op.p2) * ddf
+            + problem._fit((k, "p1"), op.p1) * df
+            + problem._fit((k, "p0"), op.p0) * f)
+
+
+def _sup(f):
+    return float(np.max(np.abs(f(XS))))
+
+
+# ----------------------------------------------------------------------
+# funcspace helpers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("domain", [(0.0, 1.0), (-3.0, 7.5), (2.0, 2.25)])
+def test_derivative_matches_chebder(domain):
+    a, b = domain
+    scl = 2.0 / (b - a)
+    rng = np.random.default_rng(21)
+    for size in [2, 3, 4, 5, 8, 17, 64, 65, 200, 513]:
+        for decay in (0.0, 0.1):
+            c = rng.standard_normal(size) * np.exp(-decay * np.arange(size))
+            got = SpectralFun(domain, c).derivative().coeffs
+            ref = cheb.chebder(c) * scl
+            assert len(got) == len(ref)
+            deg = size - 1
+            bound = 2e-16 * deg * deg * np.max(np.abs(c)) * scl
+            assert np.max(np.abs(got - ref)) <= bound
+    const = SpectralFun(domain, [4.0]).derivative()
+    assert const.coeffs.tolist() == [0.0]
+
+
+def test_integrate_rows_matches_chebint():
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 7, 64):
+        c = np.zeros((3, n + 1))
+        c[:, :n] = rng.standard_normal((3, n))
+        got = _integrate_rows(c)
+        for row, ref in zip(got, c):
+            expected = cheb.chebint(ref[:n], lbnd=-1)
+            assert np.max(np.abs(row - expected[:n + 1])) <= 1e-15 * n
+
+
+def test_values_at_extrema_takes_the_degree_n_column():
+    rng = np.random.default_rng(23)
+    for n in (1, 4, 33):
+        coeffs = rng.standard_normal((2, n + 1))
+        t = np.cos(np.pi * np.arange(n + 1) / n)
+        for row, c in zip(_values_at_extrema(coeffs, n), coeffs):
+            assert np.max(np.abs(row - cheb.chebval(t, c))) <= 1e-14 * n
+
+
+@pytest.mark.parametrize("deg1,deg2", [(0, 0), (1, 1), (3, 4), (20, 43),
+                                       (30, 40), (63, 64), (50, 90),
+                                       (100, 411)])
+def test_grid_size_is_the_smallest_alias_free_grid(deg1, deg2):
+    rng = np.random.default_rng(deg1 + 7 * deg2)
+    c1, c2 = rng.standard_normal(deg1 + 1), rng.standard_normal(deg2 + 1)
+    exact = _chebmul(c1, c2)
+    n = _grid_size(deg1 + deg2)
+    assert n > deg1 + deg2 >= n // 2 and n & (n - 1) == 0
+
+    def grid_product(m):
+        return _coeffs_from_samples(_values_at_extrema(c1, m)
+                                    * _values_at_extrema(c2, m))
+
+    got = grid_product(n)
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(got[:len(exact)] - exact)) <= 1e-14 * scale * n
+    assert np.max(np.abs(got[len(exact):]), initial=0.0) <= 1e-14 * scale * n
+    if max(deg1, deg2) < n // 2 < deg1 + deg2:
+        # the next smaller grid aliases the product
+        small = grid_product(n // 2)
+        assert np.max(np.abs(small - exact[:n // 2 + 1])) > 1e-6 * scale
+
+
+def _spy_grid_sizes(monkeypatch, module):
+    seen = []
+
+    def spy(degree):
+        n = _grid_size(degree)
+        seen.append(n)
+        return n
+
+    monkeypatch.setattr(module, "_grid_size", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_kernel_grids_are_above_the_exact_degree(m3, mp, monkeypatch, n):
+    st = pb.analytic_sine_state(m3, n)
+    gh = ghost(st, m3)
+    g = order_rhs(m3, [st.E0], [st.y0], 1)
+    vp_sizes = _spy_grid_sizes(monkeypatch, engine)
+    engine._vp(st, gh, g)
+    assert vp_sizes == [vp_sizes[0]]
+    assert vp_sizes[0] > gh.u.degree + st.y0.degree + g.degree + 1
+    op_sizes = _spy_grid_sizes(monkeypatch, pb)
+    for prob in (m3, mp):
+        prob.apply_perturbation(1, g)
+        p2, p1, p0 = (prob._fit((1, part), getattr(prob.perturbations[0], part))
+                      for part in ("p2", "p1", "p0"))
+        exact = max(p2.degree + g.degree - 2, p1.degree + g.degree - 1,
+                    p0.degree + g.degree)
+        assert op_sizes.pop() > exact and not op_sizes
+
+
+# ----------------------------------------------------------------------
+# the kernels against the code they replace
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+@pytest.mark.parametrize("model", ["m1", "m3"])
+def test_grid_vp_matches_four_product_formula(model, n, m1, m3):
+    prob = m1 if model == "m1" else m3
+    st = pb.analytic_sine_state(prob, n)
+    gh = ghost(st, prob)
+    bump = SpectralFun._from_sampler(lambda x: np.exp(x) * np.cos(3 * x),
+                                     prob.domain)
+    for r in (-st.y0, order_rhs(prob, [st.E0], [st.y0], 1), bump):
+        ref = _plain_vp(st, gh, r) * (1.0 / gh.wronskian)
+        got = engine._vp(st, gh, r)
+        assert np.max(np.abs(got(XS) - ref(XS))) <= 1e-13 * _sup(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+@pytest.mark.parametrize("model", ["m1", "m3", "mp"])
+def test_grid_apply_perturbation_matches_three_product_chain(
+        model, n, m1, m3, mp):
+    prob = {"m1": m1, "m3": m3, "mp": mp}[model]
+    st = pb.analytic_sine_state(prob, n)
+    ser = compute_series(prob, st, 4)
+    for f in ser.wavefuns:
+        ref = _chain(prob, 1, f)
+        got = prob.apply_perturbation(1, f)
+        bound = 1e-15 * f.degree ** 2 * max(_sup(ref), _sup(f))
+        assert np.max(np.abs(got(XS) - ref(XS))) <= bound
+
+
+def _relative_gap(got, ref):
+    """Largest coefficient difference relative to the largest of ``ref``,
+    the shorter array padded with zeros."""
+    gap = np.zeros(max(len(got), len(ref)))
+    gap[:len(got)] += got
+    gap[:len(ref)] -= ref
+    return np.max(np.abs(gap)) / np.max(np.abs(ref))
+
+
+def test_kernels_are_alias_free_at_every_degree(m1, mp):
+    # random coefficients that do not decay: a grid one size too small for
+    # any degree would fold the top of the product back onto the bottom
+    rng = np.random.default_rng(24)
+    st = pb.analytic_sine_state(m1, 1)
+    gh = ghost(st, m1)
+    for deg in range(80):
+        f = SpectralFun(mp.domain, rng.standard_normal(deg + 1))
+        ref = _chain(mp, 1, f).coeffs
+        assert _relative_gap(mp.apply_perturbation(1, f).coeffs, ref) <= 1e-14
+        ref = _plain_vp(st, gh, f).coeffs / gh.wronskian
+        assert _relative_gap(engine._vp(st, gh, f).coeffs, ref) <= 1e-14
+
+
+def test_operator_on_series_of_lower_degree_than_its_coefficients():
+    prob = pb.load_problem("domain = -1 2\nv0 = 0\nperturbation.1.p2 = x^3\n"
+                           "perturbation.1.p1 = x\nperturbation.1.p0 = 2\n")
+    xs = np.linspace(-1.0, 2.0, 31)
+    const = prob.apply_perturbation(1, SpectralFun(prob.domain, [3.0]))
+    assert np.max(np.abs(const(xs) - 6.0)) <= 1e-13
+    # 0.5 + 1.5 t with t = (2x - 1) / 3 is f = x, so P f = x + 2x
+    line = prob.apply_perturbation(1, SpectralFun(prob.domain, [0.5, 1.5]))
+    assert np.max(np.abs(line(xs) - 3.0 * xs)) <= 1e-13
+
+
+def test_no_ghost_outlives_compute_series(m3, monkeypatch):
+    refs = []
+    build = engine.ghost
+
+    def recorded(state, problem):
+        gh = build(state, problem)
+        refs.append(weakref.ref(gh))
+        return gh
+
+    monkeypatch.setattr(engine, "ghost", recorded)
+    ser = compute_series(m3, pb.analytic_sine_state(m3, 3), 12)
+    assert ser.order == 12
+    assert len(refs) == 1 and refs[0]() is None
+
+
+# ----------------------------------------------------------------------
+# the measured Wronskian
+# ----------------------------------------------------------------------
+
+def _model1_digits(problem, J):
+    """Correct digits of the worst model-1 y_j, j = 1..J, n = 1..3."""
+    worst = 0.0
+    for n in (1, 2, 3):
+        ser = compute_series(problem, pb.analytic_sine_state(problem, n), J)
+        for j in range(1, J + 1):
+            ref = model1_series_exact(n, j)[1](XS)
+            err = np.max(np.abs(ser.wavefuns[j](XS) - ref))
+            worst = max(worst, err / np.max(np.abs(ref)))
+    return -math.log10(worst)
+
+
+def test_dividing_by_the_measured_wronskian_gains_digits(m1, monkeypatch):
+    st = pb.analytic_sine_state(m1, 3)
+    gh = ghost(st, m1)
+    samples = engine._wronskian_samples(gh, st)
+    assert gh.wronskian == float(np.mean(samples))
+    assert 0.0 < abs(gh.wronskian - 1.0) <= 1e-10
+    assert type(gh)(u=gh.u, du=gh.du).wronskian == 1.0
+    grid = _model1_digits(m1, 10)
+    monkeypatch.setattr(engine, "_vp", _plain_vp)
+    plain = _model1_digits(m1, 10)
+    assert grid >= plain + 0.5
+
+
+# ----------------------------------------------------------------------
+# hot-path guard
+# ----------------------------------------------------------------------
+
+def _boom(*args, **kwargs):
+    raise AssertionError("Python-loop kernel on the hot path")
+
+
+@pytest.mark.parametrize("make", [model3_problem, model1_problem],
+                         ids=["model3", "model1"])
+def test_series_runs_without_python_loop_kernels(make, monkeypatch):
+    prob = make()
+    st = pb.analytic_sine_state(prob, 3)
+    monkeypatch.setattr(cheb, "chebder", _boom)
+    monkeypatch.setattr(cheb, "chebval", _boom)
+    monkeypatch.setattr(funcspace, "_chebmul", _boom)
+    ser = compute_series(prob, st, 30)
+    assert ser.order == 30 and all(map(math.isfinite, ser.energies))
