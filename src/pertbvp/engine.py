@@ -9,6 +9,12 @@ where ``u`` is the second, Wronskian-normalized solution of the unperturbed
 equation (W(u, y0) = 1).  ``V`` enforces y_j(a) = y_j'(a) = 0; the energy
 coefficient E_j is fixed by the remaining boundary condition y_j(b) = 0,
 which is affine in E_j.
+
+The boundary solution V(-y0) is computed once per series.  Each order then
+makes one pass on the N+1 Chebyshev extrema of its VP map: g_j is sampled
+there straight from the coefficients of the lower orders (no round trip
+through its own coefficients), and :func:`_vp_samples` integrates it on the
+same grid.  The public :func:`order_rhs` still builds g_j as a series.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import numpy as np
 
 from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
                         _clenshaw_at_minus_one, _clenshaw_curtis_weights,
-                        _coeffs_from_samples, _grid_size, _integrate_rows,
-                        _rows, _truncate, _values_at_extrema,
+                        _coeffs_from_samples, _derivatives, _grid_size,
+                        _integrate_rows, _rows, _truncate, _values_at_extrema,
                         solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
@@ -166,30 +172,41 @@ def _ghost_grid(gh: GhostFunction, y0: SpectralFun, n: int) -> np.ndarray:
     return hit[1]
 
 
-def _vp(state: UnperturbedState, gh: GhostFunction,
-        r: SpectralFun) -> SpectralFun:
-    """V(r) = (u int_a^x y0 r - y0 int_a^x u r) / W in one grid pass.
+def _vp_samples(state: UnperturbedState, gh: GhostFunction,
+                r: np.ndarray) -> np.ndarray:
+    """Coefficients of V(r) = (u int_a^x y0 r - y0 int_a^x u r) / W from
+    the values ``r`` of r at the N+1 Chebyshev extrema, untruncated.
 
     W is ``gh.wronskian``, which makes V exact for any constant Wronskian.
-    N is the smallest power of two above the degree of the result, so on
-    the N+1 Chebyshev extrema every product below is exact up to rounding:
-    r is sampled there, the products y0 r and u r go to coefficients in one
-    batched DCT, are integrated from a in coefficient form, come back in
-    one batched inverse DCT, are combined with u and y0 pointwise, and one
-    DCT and one truncation give V(r).
+    The caller picks N above the degree of the result, so every product
+    below is exact up to rounding: the products y0 r and u r go to
+    coefficients in one batched DCT, are integrated from a in coefficient
+    form, come back in one batched inverse DCT, are combined with u and y0
+    pointwise, and one DCT gives V(r).
     """
-    a, b = r.domain
-    n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
-                   + len(r.coeffs) - 2)
+    a, b = state.y0.domain
+    n = len(r) - 1
     y0_u = _ghost_grid(gh, state.y0, n)
     # an overflow turns into NaN in the transforms; _truncate reports it
     with np.errstate(invalid="ignore"):
-        ints = _integrate_rows(_coeffs_from_samples(
-            y0_u * _values_at_extrema(r.coeffs, n)))
+        ints = _integrate_rows(_coeffs_from_samples(y0_u * r))
         int_y0, int_u = _values_at_extrema(ints, n)
         out = _coeffs_from_samples(y0_u[1] * int_y0 - y0_u[0] * int_u)
     out *= 0.5 * (b - a) / gh.wronskian
-    return SpectralFun._adopt(a, b, _truncate(out))
+    return out
+
+
+def _vp(state: UnperturbedState, gh: GhostFunction,
+        r: SpectralFun) -> SpectralFun:
+    """V(r) for a series r: r sampled on the N+1 extrema, N the smallest
+    power of two above the degree of the result, then
+    :func:`_vp_samples` and one truncation."""
+    n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
+                   + len(r.coeffs) - 2)
+    with np.errstate(invalid="ignore"):
+        values = _values_at_extrema(r.coeffs, n)
+    return SpectralFun._adopt(r.a, r.b, _truncate(_vp_samples(state, gh,
+                                                              values)))
 
 
 def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
@@ -209,17 +226,48 @@ def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
 
 def _order_step(problem: PerturbationProblem, state: UnperturbedState,
                 gh: GhostFunction, energies, wavefuns, j: int, phi_b, denom):
-    """(E_j, y_j) from the lower orders and the boundary solution: E_j
-    from the coefficient sums (the values at b), y_j = phi_a + E_j phi_b
-    in coefficient form."""
-    g = order_rhs(problem, energies, wavefuns, j)
-    phi_a = _vp(state, gh, g).coeffs
-    e_j = -float(phi_a.sum()) / denom
-    if not math.isfinite(e_j):
-        raise SpectralError("series coefficients not finite")
-    y_j = np.zeros(max(len(phi_a), len(phi_b.coeffs)))
-    y_j[:len(phi_a)] = phi_a
-    y_j[:len(phi_b.coeffs)] += phi_b.coeffs * e_j
+    """(E_j, y_j) from the lower orders and the boundary solution.
+
+    g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is sampled straight
+    onto the grid of :func:`_vp_samples`, N the smallest power of two above
+    the degree of V(g_j) from the degree bound of g_j: one batched inverse
+    DCT samples y'', y' and y for every operator order and the energy sum
+    (one product of the energies with the stacked lower orders), and the
+    operator rows are summed pointwise with the cached p-values.  E_j comes
+    from the coefficient sums (the values at b), and y_j = V(g_j) + E_j
+    phi_b is truncated once.
+    """
+    mm = min(len(problem.perturbations), j)
+    scl = 2.0 / (problem.b - problem.a)
+    lower = [wavefuns[j - k].coeffs for k in range(1, j)]
+    rows, deg = [], 0
+    for k in range(1, mm + 1):
+        c = wavefuns[j - k].coeffs
+        rows.extend(_derivatives(c, scl))
+        deg = max(deg, problem._operator_degree(k, len(c) - 1))
+    width = max(map(len, rows + lower))
+    rows.append(np.asarray(energies[1:j], dtype=float) @ _rows(lower, width))
+    # g_j has degree at most max(deg, width - 1), V(g_j) one more than
+    # deg u + deg y0 + deg g_j
+    n = _grid_size(gh.u.degree + state.y0.degree + max(deg, width - 1))
+    ps = np.concatenate([problem._operator_values(k, n)
+                         for k in range(1, mm + 1)])
+    # an overflow turns into NaN in the transforms; _truncate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _values_at_extrema(_rows(rows, width), n)
+        phi_a = _vp_samples(state, gh, np.einsum("ij,ij->j", ps, values[:-1])
+                            - values[-1])
+        # phi_a(b) as the correctly rounded sum of all N+1 coefficients:
+        # the untruncated rounding tail would add noise to a plain sum
+        try:
+            e_j = -math.fsum(phi_a.tolist()) / denom
+        except (ValueError, OverflowError):  # inf - inf, or an overflow
+            e_j = math.nan
+        if not math.isfinite(e_j):
+            raise SpectralError("series coefficients not finite")
+        y_j = np.zeros(max(len(phi_a), len(phi_b.coeffs)))
+        y_j[:len(phi_a)] = phi_a
+        y_j[:len(phi_b.coeffs)] += phi_b.coeffs * e_j
     return e_j, SpectralFun._adopt(problem.a, problem.b, _truncate(y_j))
 
 
@@ -323,8 +371,14 @@ def sum_series(series: PerturbationSeries, lam: float, upto: int,
         raise EngineError(f"truncation order {upto} outside 0..{series.order}")
     energy = sum(series.energies[j] * lam ** j for j in range(upto + 1))
     y = series.wavefuns[0]
-    for j in range(1, upto + 1):
-        y = y + series.wavefuns[j] * (lam ** j)
+    if upto > 0:
+        # y_0 + y_1 lam + ... accumulated in one padded array, with the
+        # additions (and so the bits) of the chain of SpectralFun sums
+        ys = series.wavefuns[:upto + 1]
+        acc = np.zeros(max(len(f.coeffs) for f in ys))
+        for j, f in enumerate(ys):
+            acc[:len(f.coeffs)] += f.coeffs * (lam ** j)
+        y = SpectralFun._adopt(y.a, y.b, acc)
     if normalize:
         n0 = series.norm_coeffs[0]
         factor = sum(series.norm_coeffs[j] / n0 * lam ** j

@@ -128,6 +128,13 @@ def _derivative(c: np.ndarray, scl: float) -> np.ndarray:
     return d
 
 
+def _derivatives(c: np.ndarray, scl: float) -> tuple:
+    """Coefficients (f'', f', f) of the series ``c`` on an interval of
+    length 2 / ``scl``."""
+    dc = _derivative(c, scl) if len(c) > 1 else np.zeros(1)
+    return (_derivative(dc, scl) if len(dc) > 1 else np.zeros(1)), dc, c
+
+
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Weights of the (n+1)-point Clenshaw-Curtis rule on [-1, 1], n even.
 

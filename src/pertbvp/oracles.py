@@ -141,7 +141,10 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
 
     A = -(D2 - diag(v0) - sum_k lam^k (p2_k D2 + p1_k D1 + p0_k)), second
     order central differences, Dirichlet rows eliminated.  Raises
-    :class:`OracleError` if an entry overflows.
+    :class:`OracleError` if an entry overflows, or unless each pair of
+    off-diagonal entries coupling two neighbours has one nonzero sign: the
+    cell-Peclet condition, without which central differences of a large
+    first-derivative coupling give a meaningless eigenvalue.
     """
     a, b = problem.domain
     h = (b - a) / (M + 1)
@@ -167,15 +170,34 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     if not all(np.all(np.isfinite(band)) for band in (main, upper, lower)):
         raise OracleError("finite-difference matrix not finite "
                           "(coupling too large for the grid)")
+    # signs, not the product upper * lower, which can overflow
+    if not np.all((np.sign(upper) == np.sign(lower)) & (upper != 0.0)):
+        raise OracleError("finite-difference matrix couples neighbours "
+                          "with opposite signs (first-derivative coupling "
+                          "too large for the grid)")
     return -main, -upper, -lower
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on first use: scipy.linalg
-    takes longer to import than the rest of pertbvp, and only this oracle
-    needs it."""
-    from scipy.linalg import solve_banded as _solve_banded
-    return _solve_banded(l_and_u, ab, b)
+def _tridiagonal_lu(main, upper, lower):
+    """LU factors of the tridiagonal matrix with diagonal ``main``, super-
+    diagonal ``upper`` and subdiagonal ``lower``, by LAPACK ``dgttrf``
+    (partial pivoting), for :func:`solve_banded`.  scipy.linalg is imported
+    on first use: it takes longer to import than the rest of pertbvp, and
+    only this oracle needs it.  Raises ``LinAlgError`` when a pivot is
+    exactly zero."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    dl, d, du, du2, ipiv, info = dgttrf(lower, main, upper)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return dgttrs, (dl, d, du, du2, ipiv)
+
+
+def solve_banded(lu, b):
+    """The solution x of A x = b for the factors ``lu`` of A from
+    :func:`_tridiagonal_lu` (LAPACK ``dgttrs``): the same operations, bit
+    for bit, as ``scipy.linalg.solve_banded`` on the tridiagonal bands."""
+    gttrs, factors = lu
+    return gttrs(*factors, b)[0]
 
 
 #: inverse iteration stops when the estimate moves by at most this much
@@ -185,17 +207,16 @@ _ITERATION_MAX = 200
 
 
 def _inverse_iteration(main, upper, lower, shift):
+    """The eigenvalue of the tridiagonal matrix nearest ``shift``, by
+    inverse iteration on A - shift I, factored once."""
     M = len(main)
-    ab = np.zeros((3, M))
-    ab[0, 1:] = upper
-    ab[1, :] = main - shift
-    ab[2, :-1] = lower
+    lu = _tridiagonal_lu(main - shift, upper, lower)
     rng = np.random.default_rng(7)
     v = np.ones(M) + 1e-3 * rng.standard_normal(M)
     v /= np.linalg.norm(v)
     est = None
     for _ in range(_ITERATION_MAX):
-        w = solve_banded((1, 1), ab, v)
+        w = solve_banded(lu, v)
         mu = float(np.dot(v, w))
         if mu == 0.0:
             raise OracleError("inverse iteration broke down")
@@ -221,7 +242,7 @@ def fd_eigenvalue_raw(problem: PerturbationProblem, lam: float,
     main, upper, lower = _fd_bands(problem, lam, M)
     try:
         return _inverse_iteration(main, upper, lower, e_guess)
-    except np.linalg.LinAlgError:  # the class scipy.linalg raises too
+    except np.linalg.LinAlgError:
         # shift hit an eigenvalue exactly: nudge once and retry
         return _inverse_iteration(main, upper, lower, e_guess + 1e-8)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .funcspace import (SpectralFun, _coeffs_from_samples, _grid_size, _rows,
-                        _truncate, _values_at_extrema)
+from .funcspace import (SpectralFun, _coeffs_from_samples, _derivatives,
+                        _grid_size, _rows, _truncate, _values_at_extrema)
 
 __all__ = [
     "LinearOperator",
@@ -82,34 +82,46 @@ class PerturbationProblem:
         xs = np.linspace(self.a, self.b, 64)
         return bool(np.all(np.abs(ex.evaluate(self.v0, xs)) < 1e-12))
 
+    def _operator_degree(self, k: int, deg: int) -> int:
+        """Degree bound of P_k f for a series f of degree ``deg``, and of
+        every coefficient of P_k: a grid of N+1 extrema with N above it
+        resolves the result and every factor it samples."""
+        p2, p1, p0 = (len(c) - 1 for c in self._operator_coeffs(k))
+        return max(deg + max(p2 - 2, p1 - 1, p0), deg, p2, p1, p0)
+
+    def _operator_coeffs(self, k: int) -> tuple:
+        """Chebyshev coefficients of (p2, p1, p0) of the order-k operator."""
+        op = self.perturbations[k - 1]
+        return tuple(self._fit((k, part), getattr(op, part)).coeffs
+                     for part in ("p2", "p1", "p0"))
+
+    def _operator_values(self, k: int, n: int) -> np.ndarray:
+        """Rows (p2, p1, p0) of the order-k operator at the n+1 Chebyshev
+        extrema, cached per n."""
+        key = (k, "grid", n)
+        if key not in self._cache:
+            ps = self._operator_coeffs(k)
+            self._cache[key] = _values_at_extrema(
+                _rows(ps, max(map(len, ps))), n)
+        return self._cache[key]
+
     def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:
         """Apply the order-k operator to a spectral function.
 
         One pass on the N+1 Chebyshev extrema, N the smallest power of two
-        above the degree of the result: f' and f'' come from
-        :meth:`SpectralFun.derivative`, one batched inverse DCT samples
-        f'', f' and f, p2 f'' + p1 f' + p0 f is summed pointwise (the
-        p-values are cached per N), and one DCT and one truncation give
-        the result.
+        above :meth:`_operator_degree`: f' and f'' come from the
+        coefficients, one batched inverse DCT samples f'', f' and f,
+        p2 f'' + p1 f' + p0 f is summed pointwise (the p-values are cached
+        per N), and one DCT and one truncation give the result.
         """
-        op = self.perturbations[k - 1]
-        ps = [self._fit((k, part), getattr(op, part)).coeffs
-              for part in ("p2", "p1", "p0")]
-        df = f.derivative()
-        fs = (df.derivative().coeffs, df.coeffs, f.coeffs)
+        fs = _derivatives(f.coeffs, 2.0 / (self.b - self.a))
         deg = len(f.coeffs) - 1
-        p2, p1, p0 = (len(c) - 1 for c in ps)
-        # the grid resolves the result and every factor it samples
-        n = _grid_size(max(deg + max(p2 - 2, p1 - 1, p0), deg, p2, p1, p0))
-        key = (k, "grid", n)
-        if key not in self._cache:
-            self._cache[key] = _values_at_extrema(
-                _rows(ps, max(map(len, ps))), n)
+        n = _grid_size(self._operator_degree(k, deg))
         # an overflow turns into NaN in the transforms; _truncate reports it
         with np.errstate(invalid="ignore"):
             values = _values_at_extrema(_rows(fs, deg + 1), n)
             out = _coeffs_from_samples(
-                np.einsum("ij,ij->j", self._cache[key], values))
+                np.einsum("ij,ij->j", self._operator_values(k, n), values))
         return SpectralFun._adopt(self.a, self.b, _truncate(out))
 
     def serialize(self) -> str:

@@ -536,6 +536,17 @@ def test_overflowing_fd_oracle_is_a_computation_failure(capsys, tmp_path, p1):
            str(prob), "--lambda", "0.5")
 
 
+@pytest.mark.parametrize("p1", ["1e20", "1e100"])
+def test_fd_oracle_past_the_cell_peclet_limit_is_a_computation_failure(
+        capsys, tmp_path, p1):
+    # central differences of a first-derivative coupling this large couple
+    # neighbours with opposite signs: the eigenvalue they give is meaningless
+    prob = tmp_path / "big.prob"
+    prob.write_text(_MODEL1.replace("p1 = 1\n", f"p1 = {p1}\n"))
+    _fails(capsys, 2, "computation failed: ", "oracle", "--problem",
+           str(prob), "--lambda", "0.5")
+
+
 def _spoil(data, shape):
     if shape == "E nan":
         data["orders"][1]["E"] = float("nan")

@@ -227,16 +227,24 @@ def test_compute_series_order_zero(m1):
 
 @pytest.mark.parametrize("J", [0, 1, 5, 12])
 def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
-    calls = []
-    vp = engine._vp
+    # _vp runs only for the boundary solution; every order feeds its g_j
+    # samples to the kernel directly
+    calls, kernel_calls = [], []
+    vp, kernel = engine._vp, engine._vp_samples
 
     def counted(*args):
         calls.append(args[2])
         return vp(*args)
 
+    def counted_kernel(*args):
+        kernel_calls.append(len(args[2]))
+        return kernel(*args)
+
     monkeypatch.setattr(engine, "_vp", counted)
+    monkeypatch.setattr(engine, "_vp_samples", counted_kernel)
     compute_series(m3, analytic_sine_state(m3, 2), J)
-    assert len(calls) == (J + 1 if J >= 1 else 0)
+    assert len(calls) == (1 if J >= 1 else 0)
+    assert len(kernel_calls) == (J + 1 if J >= 1 else 0)
 
 
 @pytest.mark.parametrize("model,n,J", [("m1", 3, 12), ("m3", 2, 10)])
@@ -398,6 +406,31 @@ def test_sum_series_lambda_zero(m3):
     energy, y = sum_series(ser, 0.0, 3)
     assert energy == st.E0
     assert np.max(np.abs(y(XS) - st.y0(XS))) == 0.0
+
+
+def _sum_chain(series, lam, upto, normalize):
+    """The summed wavefunction as a chain of SpectralFun sums."""
+    y = series.wavefuns[0]
+    for j in range(1, upto + 1):
+        y = y + series.wavefuns[j] * (lam ** j)
+    if normalize:
+        n0 = series.norm_coeffs[0]
+        y = y * sum(series.norm_coeffs[j] / n0 * lam ** j
+                    for j in range(upto + 1))
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 3, 20])
+@pytest.mark.parametrize("model", ["m1", "m3"])
+def test_sum_series_accumulates_the_bits_of_the_chain(model, n, m1, m3):
+    prob = m1 if model == "m1" else m3
+    ser = compute_series(prob, analytic_sine_state(prob, n), 12)
+    for lam in (0.0, 0.3, -0.7, 1.9):
+        for upto in (0, 1, 5, 12):
+            for normalize in (False, True):
+                _, y = sum_series(ser, lam, upto, normalize=normalize)
+                ref = _sum_chain(ser, lam, upto, normalize)
+                assert y.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_residual_exact_model1_solution(m1):

@@ -45,6 +45,13 @@ def _plain_vp(state, gh, r):
             - state.y0 * (gh.u * r).cumulative_integral())
 
 
+def _plain_vp_samples(state, gh, r):
+    """:func:`_plain_vp` in the form of the sample-level kernel: the
+    coefficients of V(r) from the values of r at the Chebyshev extrema."""
+    r = SpectralFun(state.y0.domain, _coeffs_from_samples(r))
+    return _plain_vp(state, gh, r).coeffs
+
+
 def _chain(problem, k, f):
     """p2 f'' + p1 f' + p0 f as three coefficient-space products, with
     numpy's ``chebder``."""
@@ -263,9 +270,156 @@ def test_dividing_by_the_measured_wronskian_gains_digits(m1, monkeypatch):
     assert 0.0 < abs(gh.wronskian - 1.0) <= 1e-10
     assert type(gh)(u=gh.u, du=gh.du).wronskian == 1.0
     grid = _model1_digits(m1, 10)
+    # every VP pass, the boundary solution's and each order's, becomes
+    # the four-product map with W = 1
     monkeypatch.setattr(engine, "_vp", _plain_vp)
+    monkeypatch.setattr(engine, "_vp_samples", _plain_vp_samples)
     plain = _model1_digits(m1, 10)
     assert grid >= plain + 0.5
+
+
+# ----------------------------------------------------------------------
+# the fused order step
+# ----------------------------------------------------------------------
+
+def _closed_v0():
+    """v0 = 5 with the closed-form state sin(pi x) and model 3's coupling."""
+    prob = pb.load_problem(
+        f"domain = 0 1\nv0 = 5\ny0 = sin(pi*x)\nE0 = {math.pi ** 2 + 5.0!r}\n"
+        "perturbation.1.p2 = 3*x^2/5\nperturbation.1.p1 = 6*x/5\n"
+        "perturbation.1.p0 = -6/5\n")
+    return prob, pb.state_from_expr(prob, 1)
+
+
+def _second_order():
+    """A coupling with a second-order operator, on a shifted interval."""
+    prob = pb.load_problem(
+        "domain = 0.5 2\nv0 = 0\nperturbation.1.p2 = 3*x^2/5\n"
+        "perturbation.1.p1 = 6*x/5\nperturbation.1.p0 = -6/5\n"
+        "perturbation.2.p2 = x/4\nperturbation.2.p1 = x^2\n"
+        "perturbation.2.p0 = cos(x)\n")
+    return prob, pb.analytic_sine_state(prob, 2)
+
+
+def _case(name, m1, m3, mp):
+    if name == "closed":
+        return _closed_v0()
+    if name == "second":
+        return _second_order()
+    prob = {"m1": m1, "m3": m3, "mp": mp}[name]
+    return prob, pb.analytic_sine_state(prob, 3)
+
+
+@pytest.mark.parametrize("name", ["m1", "m3", "mp", "closed", "second"])
+def test_order_step_matches_vp_of_order_rhs(name, m1, m3, mp):
+    prob, st = _case(name, m1, m3, mp)
+    gh = ghost(st, prob)
+    phi_b, denom = engine._boundary_solution(prob, st, gh)
+    ser = compute_series(prob, st, 8)
+    xs = np.linspace(prob.a, prob.b, 257)
+    for j in range(1, 9):
+        lower_e, lower_y = ser.energies[:j], ser.wavefuns[:j]
+        phi_a = engine._vp(st, gh, order_rhs(prob, lower_e, lower_y, j))
+        e_ref = -float(phi_a.coeffs.sum()) / denom
+        y_ref = phi_a + phi_b * e_ref
+        e_j, y_j = engine._order_step(prob, st, gh, lower_e, lower_y, j,
+                                      phi_b, denom)
+        assert abs(e_j - e_ref) <= 1e-13 * max(abs(e_ref), abs(st.E0))
+        ref = y_ref(xs)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(y_j(xs) - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["m1", "m3", "mp", "second"])
+def test_order_step_grid_is_above_the_exact_degree(name, m1, m3, mp,
+                                                   monkeypatch):
+    prob, st = _case(name, m1, m3, mp)
+    sizes = []
+    kernel = engine._vp_samples
+
+    def spy(state, gh, r):
+        sizes.append(len(r) - 1)
+        return kernel(state, gh, r)
+
+    monkeypatch.setattr(engine, "_vp_samples", spy)
+    gh = ghost(st, prob)
+    ser = compute_series(prob, st, 8)
+    assert len(sizes) == 9  # the boundary solution, then orders 1..8
+    for j in range(1, 9):
+        deg = max(ser.wavefuns[j - k].degree for k in range(1, j + 1))
+        for k in range(1, min(len(prob.perturbations), j) + 1):
+            f = ser.wavefuns[j - k].degree
+            p2, p1, p0 = (prob._fit((k, part),
+                                    getattr(prob.perturbations[k - 1], part))
+                          .degree for part in ("p2", "p1", "p0"))
+            deg = max(deg, p2 + f - 2, p1 + f - 1, p0 + f)
+        # V(g_j) has degree deg u + deg y0 + deg g_j + 1
+        assert sizes[j] >= gh.u.degree + st.y0.degree + deg + 1
+
+
+def test_order_step_is_alias_free_at_every_degree(m1, mp):
+    # lower orders with random coefficients that do not decay: a grid one
+    # size too small for any degree would fold the top of V(g_j) back onto
+    # its bottom
+    rng = np.random.default_rng(25)
+    st = pb.analytic_sine_state(m1, 1)
+    gh = ghost(st, m1)
+    phi_b, denom = engine._boundary_solution(mp, st, gh)
+    for deg in range(0, 80, 3):
+        ys = [st.y0] + [SpectralFun(mp.domain, rng.standard_normal(deg + 1))
+                        for _ in range(2)]
+        energies = [st.E0, 0.7, -1.3]
+        g = (_chain(mp, 1, ys[2]) - ys[2] * energies[1]
+             - ys[1] * energies[2])
+        phi_a = _plain_vp(st, gh, g) * (1.0 / gh.wronskian)
+        e_ref = -float(phi_a.coeffs.sum()) / denom
+        ref = (phi_a + phi_b * e_ref).coeffs
+        e_j, y_j = engine._order_step(mp, st, gh, energies, ys, 3, phi_b,
+                                      denom)
+        # rounding grows with the derivatives of a non-decaying series;
+        # aliasing would leave an O(1) gap
+        bound = 1e-15 * (deg + 2) ** 3
+        e_scale = np.max(np.abs(phi_a.coeffs)) / abs(denom)
+        assert abs(e_j - e_ref) <= bound * e_scale
+        assert _relative_gap(y_j.coeffs, ref) <= bound
+
+
+@pytest.mark.parametrize("values", [[math.inf, -math.inf, 1.0],
+                                    [math.nan, 1.0], [1e308, 1e308, 1.0]],
+                         ids=["inf-inf", "nan", "overflow"])
+def test_order_step_reports_coefficients_that_are_not_finite(
+        m3, monkeypatch, values):
+    st = pb.analytic_sine_state(m3, 1)
+    gh = ghost(st, m3)
+    phi_b, denom = engine._boundary_solution(m3, st, gh)
+    monkeypatch.setattr(engine, "_vp_samples",
+                        lambda state, gh, r: np.array(values))
+    with pytest.raises(funcspace.SpectralError, match="not finite"):
+        engine._order_step(m3, st, gh, [st.E0], [st.y0], 1, phi_b, denom)
+
+
+@pytest.mark.parametrize("make,n", [(model3_problem, 2), (model1_problem, 3)],
+                         ids=["model3", "model1"])
+def test_ten_more_orders_cost_at_most_four_transforms_each(make, n,
+                                                           monkeypatch):
+    # an order is one inverse DCT of its rows and the three transforms of
+    # the VP kernel (the route through order_rhs and _vp took six)
+    calls = []
+    dct = funcspace._dct1
+
+    def counted(x):
+        calls.append(x.shape)
+        return dct(x)
+
+    prob = make()
+    st = pb.analytic_sine_state(prob, n)
+    compute_series(prob, st, 20)  # fill the problem's grid caches
+    monkeypatch.setattr(funcspace, "_dct1", counted)
+    compute_series(prob, st, 10)
+    ten = len(calls)
+    calls.clear()
+    compute_series(prob, st, 20)
+    assert len(calls) - ten <= 40
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ from pertbvp import expr as ex
 from pertbvp import oracles
 from pertbvp.funcspace import SpectralFun
 from pertbvp.oracles import (OracleError, fd_eigenvalue, fd_eigenvalue_raw,
-                             model1_exact, model1_problem, model1_series_exact,
+                             model1_config, model1_exact, model1_problem,
+                             model1_series_exact,
                              model3_E_coeffs, model3_ground_exact,
                              model3_problem, model3_y1_exact)
 from pertbvp.problem import load_problem
@@ -216,3 +217,83 @@ def test_fd_eigenvalue_matches_pointwise_reference(monkeypatch, problem,
     monkeypatch.setattr(ex, "evaluate", pointwise)
     reference = fd_eigenvalue(prob, 1.0, guess, 8192)
     assert got == pytest.approx(reference, rel=1e-12)
+
+
+def _solve_banded_per_step(main, upper, lower, shift):
+    """Inverse iteration with one ``scipy.linalg.solve_banded`` per step:
+    the oracle before it factored A - shift I once per grid."""
+    from scipy.linalg import solve_banded
+    M = len(main)
+    ab = np.zeros((3, M))
+    ab[0, 1:] = upper
+    ab[1, :] = main - shift
+    ab[2, :-1] = lower
+    rng = np.random.default_rng(7)
+    v = np.ones(M) + 1e-3 * rng.standard_normal(M)
+    v /= np.linalg.norm(v)
+    est = None
+    for _ in range(oracles._ITERATION_MAX):
+        w = solve_banded((1, 1), ab, v)
+        new_est = shift + 1.0 / float(np.dot(v, w))
+        v = w / np.linalg.norm(w)
+        tol = oracles._ITERATION_TOL * max(1.0, abs(new_est))
+        if est is not None and abs(new_est - est) <= tol:
+            return new_est
+        est = new_est
+    raise OracleError("no convergence")
+
+
+@pytest.mark.parametrize("problem, lam, guess", [
+    (model1_problem, 0.5, PI2), (model1_problem, 2.0, 4.1 * PI2),
+    (model3_problem, 1.0, 9.0), (model3_problem, 0.3, 9.5 * PI2),
+    (_closed_problem, 1.0, 14.0)])
+@pytest.mark.parametrize("M", [16, 255, 1024, 4099])
+def test_factored_inverse_iteration_matches_per_step_solves(
+        monkeypatch, problem, lam, guess, M):
+    prob = problem()
+    factored = fd_eigenvalue(prob, lam, guess, M)
+    monkeypatch.setattr(oracles, "_inverse_iteration", _solve_banded_per_step)
+    assert factored == fd_eigenvalue(prob, lam, guess, M)
+
+
+def test_inverse_iteration_factors_once_per_grid(monkeypatch):
+    factors, solves = [], []
+    lu, solve = oracles._tridiagonal_lu, oracles.solve_banded
+    monkeypatch.setattr(oracles, "_tridiagonal_lu",
+                        lambda *a: factors.append(a) or lu(*a))
+    monkeypatch.setattr(oracles, "solve_banded",
+                        lambda *a: solves.append(a) or solve(*a))
+    fd_eigenvalue(model3_problem(), 1.0, 9.0, 512)
+    assert len(factors) == 2 and len(solves) > 2
+
+
+def test_singular_shift_is_nudged_once(monkeypatch):
+    # a pivot that is exactly zero raises LinAlgError from the
+    # factorization; the oracle retries once with the shift nudged
+    with pytest.raises(np.linalg.LinAlgError):
+        # rows 1 and 2 of [[1, 1, 0], [1, 1, 0], [0, 0, 1]] are equal
+        oracles._tridiagonal_lu(np.array([1.0, 1.0, 1.0]),
+                                np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    shifts = []
+    lu = oracles._tridiagonal_lu
+
+    def singular_first(main, upper, lower):
+        shifts.append(main[0])
+        if len(shifts) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return lu(main, upper, lower)
+
+    monkeypatch.setattr(oracles, "_tridiagonal_lu", singular_first)
+    got = fd_eigenvalue_raw(model1_problem(), 0.0, PI2, 64)
+    assert len(shifts) == 2 and shifts[0] - shifts[1] == pytest.approx(1e-8)
+    assert got == pytest.approx(PI2, rel=1e-3)
+
+
+@pytest.mark.parametrize("p1", [1e20, 1e100, 1e300])
+def test_fd_bands_reject_opposite_neighbour_signs(p1):
+    # 1e300 would overflow the product upper * lower; the signs are compared
+    prob = load_problem(model1_config().replace("p1 = 1\n", f"p1 = {p1!r}\n"))
+    with pytest.raises(OracleError, match="opposite signs"):
+        oracles._fd_bands(prob, 0.5, 64)
+    main, upper, lower = oracles._fd_bands(model1_problem(), 0.5, 64)
+    assert np.all(np.sign(upper) == np.sign(lower))
