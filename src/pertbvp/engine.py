@@ -98,11 +98,9 @@ def _wronskian_samples(gh: GhostFunction,
     return du * y0 - dy0 * u
 
 
-def _wronskian_defect(gh: GhostFunction, state: UnperturbedState,
-                      domain) -> float:
-    """max |W - 1| over the samples of :func:`_wronskian_samples`, which
-    lie on the functions' own interval ``domain``."""
-    return float(np.max(np.abs(_wronskian_samples(gh, state) - 1.0)))
+def _wronskian_defect(samples: np.ndarray) -> float:
+    """max |W - 1| over the samples of :func:`_wronskian_samples`."""
+    return float(np.max(np.abs(samples - 1.0)))
 
 
 def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunction:
@@ -139,10 +137,11 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
             raise EngineError(f"ghost solve failed: {exc}") from exc
 
     gh = GhostFunction(u=u, du=u.derivative())
-    defect = _wronskian_defect(gh, state, problem.domain)
+    samples = _wronskian_samples(gh, state)
+    defect = _wronskian_defect(samples)
     if defect > 1e-10:
         raise EngineError(f"Wronskian defect {defect:.3e} exceeds 1e-10")
-    return replace(gh, wronskian=float(np.mean(_wronskian_samples(gh, state))))
+    return replace(gh, wronskian=float(np.mean(samples)))
 
 
 def order_rhs(problem: PerturbationProblem, energies, wavefuns,

@@ -9,8 +9,11 @@ integrals) stays accurate to near machine precision for smooth inputs.
 The grid helpers below move batches of series between coefficients and
 values at the N+1 Chebyshev extrema, one DCT-I (a real FFT) per batch.  With
 N from :func:`_grid_size` a pointwise product on that grid is the exact
-product series up to rounding: the kernels of the order recurrence work
-there.
+product series up to rounding.  There is one route for each operation:
+every product (``SpectralFun.__mul__`` and the kernels of the order
+recurrence) is a pointwise product on that grid, and every integral
+(``cumulative_integral``, the VP map, the operator of
+:func:`solve_linear_ivp`) is :func:`_integrate_rows` in coefficient space.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial.polyutils import trimseq
 
 __all__ = ["SpectralFun", "SpectralError", "UnresolvedError",
            "DomainMismatchError", "solve_linear_ivp"]
@@ -147,49 +149,6 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     k = np.arange(0, n + 1, 2)
     moments[::2] = 2.0 / (1.0 - k.astype(float) ** 2)
     return _coeffs_from_samples(moments)
-
-
-def _chebmul(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """``numpy.polynomial.chebyshev.chebmul`` on float arrays, bit for bit.
-
-    The same steps without numpy's argument handling: trim trailing zeros,
-    map both series to symmetric z-series (Laurent form, halved off the
-    centre), convolve, fold back and trim again.
-    """
-    prd = np.convolve(_zseries(trimseq(c1)), _zseries(trimseq(c2)))
-    n = (prd.size + 1) // 2
-    c = prd[n - 1:]
-    c[1:n] *= 2
-    return trimseq(c)
-
-
-def _zseries(c: np.ndarray) -> np.ndarray:
-    n = c.size
-    zs = np.zeros(2 * n - 1)
-    zs[n - 1:] = c / 2
-    return zs + zs[::-1]
-
-
-def _chebint(c: np.ndarray, scl: float) -> np.ndarray:
-    """``chebint(c, lbnd=-1, scl=scl)`` on a float array, bit for bit.
-
-    The same per-element operations, vectorised: the recurrence's only
-    sequential part is the Clenshaw sum for the value at -1, run on Python
-    floats (the same IEEE operations as numpy's scalar loop).
-    """
-    c = c * scl
-    n = len(c)
-    if n == 1 and c[0] == 0:
-        c[0] += 0  # as numpy: -0.0 becomes 0.0
-        return c
-    out = np.empty(n + 1)
-    out[0] = c[0] * 0
-    out[1] = c[0]
-    if n > 1:
-        out[2:] = c[1:] / (2.0 * np.arange(2, n + 1))
-        out[1:n - 1] -= c[2:] / (2.0 * np.arange(1, n - 1))
-    out[0] += 0 - _clenshaw_at_minus_one(out.tolist())
-    return out
 
 
 def _clenshaw_at_minus_one(c: list) -> float:
@@ -335,8 +294,12 @@ class SpectralFun:
         return SpectralFun._adopt(self.a, self.b, dc)
 
     def cumulative_integral(self) -> "SpectralFun":
-        """Antiderivative F with F(a) = 0, computed in coefficient space."""
-        ci = _chebint(self.coeffs, 0.5 * (self.b - self.a))
+        """Antiderivative F with F(a) = 0: :func:`_integrate_rows` on the
+        coefficients padded by one zero (so nothing is dropped), rescaled
+        to the interval."""
+        c = np.zeros(len(self.coeffs) + 1)
+        c[:-1] = self.coeffs
+        ci = _integrate_rows(c) * (0.5 * (self.b - self.a))
         return SpectralFun._adopt(self.a, self.b, ci)
 
     def definite_integral(self) -> float:
@@ -355,9 +318,19 @@ class SpectralFun:
                 f"domains differ: [{self.a}, {self.b}] vs [{other.a}, {other.b}]")
 
     def __mul__(self, other):
+        """Product with a series or a number.  Two series are sampled at the
+        N+1 Chebyshev extrema, N the smallest power of two above the degree
+        of the product (one batched inverse DCT), multiplied pointwise, and
+        transformed back and truncated."""
         if isinstance(other, SpectralFun):
             self._check_domain(other)
-            prod = _chebmul(self.coeffs, other.coeffs)
+            c1, c2 = self.coeffs, other.coeffs
+            n = _grid_size(len(c1) + len(c2) - 2)
+            # an overflow turns into inf or NaN; _truncate reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                f, g = _values_at_extrema(
+                    _rows((c1, c2), max(len(c1), len(c2))), n)
+                prod = _coeffs_from_samples(f * g)
             return SpectralFun._adopt(self.a, self.b, _truncate(prod))
         return SpectralFun._adopt(self.a, self.b, self.coeffs * float(other))
 
@@ -401,7 +374,9 @@ def solve_linear_ivp(q: SpectralFun, u_a: float) -> SpectralFun:
 
     Integral (Volterra) form, after Greengard (SIAM J. Numer. Anal. 28,
     1991): the unknown is ``w = u''`` as a degree-N series, with
-    ``u = u_a + K w`` and ``K`` the double cumulative integral from ``a``.
+    ``u = u_a + K w`` and ``K`` the double cumulative integral from ``a``,
+    two passes of :func:`_integrate_rows` over the identity padded to N + 3
+    columns (exact: no row reaches the dropped degree).
     Collocating ``w = q u`` at the N+1 Chebyshev extrema gives a dense
     second-kind system.  N doubles from ``MIN_DEGREE`` until u's
     coefficient tail falls below ``DEFAULT_TOL`` (the stopping rule of
@@ -414,7 +389,8 @@ def solve_linear_ivp(q: SpectralFun, u_a: float) -> SpectralFun:
     while n <= IVP_MAX_DEGREE:
         t = np.cos(np.pi * np.arange(n + 1) / n)
         qx = q(half * t + 0.5 * (a + b))
-        kmat = _cheb.chebint(np.eye(n + 1), m=2, lbnd=-1, scl=half, axis=0)
+        kmat = (half * half) * _integrate_rows(
+            _integrate_rows(np.eye(n + 1, n + 3))).T
         lhs = _cheb.chebvander(t, n) - qx[:, None] * (
             _cheb.chebvander(t, n + 2) @ kmat)
         try:

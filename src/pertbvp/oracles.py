@@ -141,10 +141,13 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
 
     A = -(D2 - diag(v0) - sum_k lam^k (p2_k D2 + p1_k D1 + p0_k)), second
     order central differences, Dirichlet rows eliminated.  Raises
-    :class:`OracleError` if an entry overflows, or unless each pair of
-    off-diagonal entries coupling two neighbours has one nonzero sign: the
-    cell-Peclet condition, without which central differences of a large
-    first-derivative coupling give a meaningless eigenvalue.
+    :class:`OracleError` if an entry overflows, or unless every entry
+    coupling two neighbours in D2 - ... is positive.  Where the second-order
+    coefficient c2 = 1 - sum_k lam^k p2_k is positive this is the
+    cell-Peclet condition |c1| h / 2 < c2; where c2 <= 0 (past the
+    ellipticity radius) both entries turn negative and the node fails too.
+    Without it central differences give an eigenvalue that jumps with the
+    grid.
     """
     a, b = problem.domain
     h = (b - a) / (M + 1)
@@ -171,10 +174,11 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
         raise OracleError("finite-difference matrix not finite "
                           "(coupling too large for the grid)")
     # signs, not the product upper * lower, which can overflow
-    if not np.all((np.sign(upper) == np.sign(lower)) & (upper != 0.0)):
-        raise OracleError("finite-difference matrix couples neighbours "
-                          "with opposite signs (first-derivative coupling "
-                          "too large for the grid)")
+    if not np.all((upper > 0.0) & (lower > 0.0)):
+        raise OracleError("finite-difference matrix has a neighbour coupling "
+                          "that is not positive (first-derivative coupling "
+                          "too large for the grid, or the second-order "
+                          "coefficient not positive)")
     return -main, -upper, -lower
 
 

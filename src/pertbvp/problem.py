@@ -232,8 +232,8 @@ class UnperturbedState:
     report_scale: float
 
 
-def _normalized_state(n, E0, y0_raw, user_scale) -> UnperturbedState:
-    norm = float(np.sqrt((y0_raw * y0_raw).definite_integral()))
+def _normalized_state(n, E0, y0_raw, user_scale, norm) -> UnperturbedState:
+    """The state y0_raw / norm, ``norm`` the L2 norm of ``y0_raw``."""
     if norm == 0.0:
         raise StateError("unperturbed state is identically zero")
     y0 = y0_raw * (1.0 / norm)
@@ -244,7 +244,9 @@ def _normalized_state(n, E0, y0_raw, user_scale) -> UnperturbedState:
 
 def analytic_sine_state(problem: PerturbationProblem, n: int,
                         amplitude: float = np.sqrt(2.0)) -> UnperturbedState:
-    """Sine eigenstate of the free unperturbed problem (v0 identically 0)."""
+    """Sine eigenstate of the free unperturbed problem (v0 identically 0),
+    normalized by its L2 norm in closed form, |amplitude| sqrt((b - a) / 2)
+    (exactly 1 at the default amplitude on an interval of length 1)."""
     if n < 1:
         raise StateError(f"quantum number must be >= 1, got {n}")
     if not problem.v0_is_zero():
@@ -255,7 +257,8 @@ def analytic_sine_state(problem: PerturbationProblem, n: int,
     w = n * np.pi / length
     y0_raw = SpectralFun._from_sampler(
         lambda x: amplitude * np.sin(w * (x - a)), problem.domain)
-    return _normalized_state(n, E0, y0_raw, amplitude)
+    norm = abs(amplitude) / math.sqrt(2.0 / length)
+    return _normalized_state(n, E0, y0_raw, amplitude, norm)
 
 
 def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedState:
@@ -264,8 +267,9 @@ def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedStat
         raise StateError("problem config carries no y0/E0 closed form")
     y0_raw = SpectralFun._from_sampler(
         lambda nodes: ex.evaluate(problem.y0_expr, nodes), problem.domain)
-    user_scale = y0_raw.sup_norm()
-    state = _normalized_state(n, problem.e0_value, y0_raw, user_scale)
+    norm = float(np.sqrt((y0_raw * y0_raw).definite_integral()))
+    state = _normalized_state(n, problem.e0_value, y0_raw,
+                              y0_raw.sup_norm(), norm)
     ok, res, left, right = state_verdict(problem, state)
     if not ok:
         raise StateError(

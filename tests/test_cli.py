@@ -547,6 +547,23 @@ def test_fd_oracle_past_the_cell_peclet_limit_is_a_computation_failure(
            str(prob), "--lambda", "0.5")
 
 
+@pytest.mark.parametrize("grid", ["128", "512", "2048"])
+def test_fd_oracle_past_the_ellipticity_radius_is_a_computation_failure(
+        capsys, model3_file, grid):
+    # 1 - lam 3x^2/5 changes sign at x ~ 0.91 for lam = 2: the eigenvalue
+    # central differences give there jumps with the grid
+    _fails(capsys, 2, "computation failed: ", "oracle", "--problem",
+           model3_file, "--lambda", "2", "--guess", "17.5", "--grid", grid)
+
+
+def test_fd_oracle_inside_the_ellipticity_radius_answers(capsys, model3_file):
+    # lam = 1.6 keeps 1 - lam 3x^2/5 >= 0.04 on [0, 1]
+    code, out, err = run(capsys, "oracle", "--problem", model3_file,
+                         "--lambda", "1.6", "--guess", "17.5", "--grid", "512")
+    assert code == 0 and err == ""
+    assert out.startswith("fd_eigenvalue = ")
+
+
 def _spoil(data, shape):
     if shape == "E nan":
         data["orders"][1]["E"] = float("nan")

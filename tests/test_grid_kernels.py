@@ -11,8 +11,8 @@ from numpy.polynomial import chebyshev as cheb
 from pertbvp import engine, funcspace
 from pertbvp import problem as pb
 from pertbvp.engine import compute_series, ghost, order_rhs
-from pertbvp.funcspace import (SpectralFun, _chebmul, _coeffs_from_samples,
-                               _grid_size, _integrate_rows,
+from pertbvp.funcspace import (SpectralFun, _coeffs_from_samples,
+                               _grid_size, _integrate_rows, _truncate,
                                _values_at_extrema)
 from pertbvp.oracles import (model1_problem, model1_series_exact,
                              model3_problem)
@@ -39,10 +39,15 @@ def mp():
 
 
 def _plain_vp(state, gh, r):
-    """V(r) = u int y0 r - y0 int u r as four coefficient-space products,
-    with no division by the measured Wronskian."""
-    return (gh.u * (state.y0 * r).cumulative_integral()
-            - state.y0 * (gh.u * r).cumulative_integral())
+    """V(r) = u int y0 r - y0 int u r as four products and two integrals in
+    coefficient space, with numpy's ``chebmul`` and ``chebint``, and no
+    division by the measured Wronskian."""
+    y0, u, rc = state.y0.coeffs, gh.u.coeffs, r.coeffs
+    scl = 0.5 * (r.b - r.a)
+    int_y0 = cheb.chebint(cheb.chebmul(y0, rc), lbnd=-1, scl=scl)
+    int_u = cheb.chebint(cheb.chebmul(u, rc), lbnd=-1, scl=scl)
+    return SpectralFun(r.domain, _truncate(cheb.chebsub(
+        cheb.chebmul(u, int_y0), cheb.chebmul(y0, int_u))))
 
 
 def _plain_vp_samples(state, gh, r):
@@ -54,14 +59,16 @@ def _plain_vp_samples(state, gh, r):
 
 def _chain(problem, k, f):
     """p2 f'' + p1 f' + p0 f as three coefficient-space products, with
-    numpy's ``chebder``."""
+    numpy's ``chebder`` and ``chebmul``."""
     op = problem.perturbations[k - 1]
     scl = 2.0 / (f.b - f.a)
-    df = SpectralFun(f.domain, cheb.chebder(f.coeffs) * scl)
-    ddf = SpectralFun(f.domain, cheb.chebder(df.coeffs) * scl)
-    return (problem._fit((k, "p2"), op.p2) * ddf
-            + problem._fit((k, "p1"), op.p1) * df
-            + problem._fit((k, "p0"), op.p0) * f)
+    df = cheb.chebder(f.coeffs) * scl
+    ddf = cheb.chebder(df) * scl
+    terms = [cheb.chebmul(problem._fit((k, part), getattr(op, part)).coeffs,
+                          c)
+             for part, c in (("p2", ddf), ("p1", df), ("p0", f.coeffs))]
+    return SpectralFun(f.domain, _truncate(cheb.chebadd(
+        cheb.chebadd(*terms[:2]), terms[2])))
 
 
 def _sup(f):
@@ -116,7 +123,7 @@ def test_values_at_extrema_takes_the_degree_n_column():
 def test_grid_size_is_the_smallest_alias_free_grid(deg1, deg2):
     rng = np.random.default_rng(deg1 + 7 * deg2)
     c1, c2 = rng.standard_normal(deg1 + 1), rng.standard_normal(deg2 + 1)
-    exact = _chebmul(c1, c2)
+    exact = cheb.chebmul(c1, c2)
     n = _grid_size(deg1 + deg2)
     assert n > deg1 + deg2 >= n // 2 and n & (n - 1) == 0
 
@@ -437,6 +444,7 @@ def test_series_runs_without_python_loop_kernels(make, monkeypatch):
     st = pb.analytic_sine_state(prob, 3)
     monkeypatch.setattr(cheb, "chebder", _boom)
     monkeypatch.setattr(cheb, "chebval", _boom)
-    monkeypatch.setattr(funcspace, "_chebmul", _boom)
+    monkeypatch.setattr(cheb, "chebmul", _boom)
+    monkeypatch.setattr(cheb, "chebint", _boom)
     ser = compute_series(prob, st, 30)
     assert ser.order == 30 and all(map(math.isfinite, ser.energies))

@@ -293,7 +293,16 @@ def test_singular_shift_is_nudged_once(monkeypatch):
 def test_fd_bands_reject_opposite_neighbour_signs(p1):
     # 1e300 would overflow the product upper * lower; the signs are compared
     prob = load_problem(model1_config().replace("p1 = 1\n", f"p1 = {p1!r}\n"))
-    with pytest.raises(OracleError, match="opposite signs"):
+    with pytest.raises(OracleError, match="neighbour coupling that is not "
+                                          "positive"):
         oracles._fd_bands(prob, 0.5, 64)
     main, upper, lower = oracles._fd_bands(model1_problem(), 0.5, 64)
-    assert np.all(np.sign(upper) == np.sign(lower))
+    assert np.all(upper < 0.0) and np.all(lower < 0.0)
+
+
+@pytest.mark.parametrize("M", [128, 512, 2048])
+def test_fd_bands_reject_a_second_order_coefficient_past_zero(M):
+    # model 3 at lam = 2: 1 - lam 3x^2/5 changes sign at x ~ 0.91, where
+    # both neighbour couplings flip sign together
+    with pytest.raises(OracleError, match="not positive"):
+        oracles._fd_bands(model3_problem(), 2.0, M)
