@@ -11,10 +11,10 @@ coefficient E_j is fixed by the remaining boundary condition y_j(b) = 0,
 which is affine in E_j.
 
 The boundary solution V(-y0) is computed once per series.  Each order then
-makes one pass on the N+1 Chebyshev extrema of its VP map: g_j is sampled
-there straight from the coefficients of the lower orders (no round trip
-through its own coefficients), and :func:`_vp_samples` integrates it on the
-same grid.  The public :func:`order_rhs` still builds g_j as a series.
+makes one pass on the N+1 Chebyshev extrema of its VP map: the problem's
+operator kernel samples g_j there straight from the lower orders, and
+:func:`_vp_samples` integrates it on the same grid.  :func:`order_rhs` and
+:func:`residual` run the same kernel on their own alias-free grid.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
                         _clenshaw_at_minus_one, _clenshaw_curtis_weights,
-                        _coeffs_from_samples, _derivatives, _grid_size,
-                        _integrate_rows, _rows, _truncate, _values_at_extrema,
+                        _coeffs_from_samples, _grid_size, _integrate_rows,
+                        _rows, _truncate, _values_at_extrema,
                         solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
@@ -127,7 +127,7 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     if problem.v0_is_zero():
         w = np.sqrt(state.E0)
         c = d0 / w  # y0 = c sin(w (x-a))
-        u = SpectralFun._from_sampler(
+        u = SpectralFun.from_function(
             lambda x: -np.cos(w * (x - a)) / (c * w), problem.domain)
     else:
         q = problem.v0_fun - SpectralFun.constant(state.E0, problem.domain)
@@ -144,21 +144,23 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     return replace(gh, wronskian=float(np.mean(samples)))
 
 
+def _rhs_terms(problem: PerturbationProblem, energies, wavefuns, j: int):
+    """The operator terms (k, y_(j-k)), k = 1..min(m, j), of g_j and its
+    energy sum sum_(k<j) E_k y_(j-k): one product of the energies with the
+    lower orders, stacked as wide as the longest series."""
+    ys = [y.coeffs for y in wavefuns[j - 1::-1]]  # y_(j-1), ..., y_0
+    mm = min(len(problem.perturbations), j)
+    width = max(map(len, ys[:max(mm, j - 1)]))
+    return (list(enumerate(ys[:mm], start=1)),
+            np.asarray(energies[1:j], dtype=float) @ _rows(ys[:j - 1], width))
+
+
 def order_rhs(problem: PerturbationProblem, energies, wavefuns,
               j: int) -> SpectralFun:
     """Known part g_j of the order-j right-hand side (E_j still open)."""
     if j < 1 or len(wavefuns) < j:
         raise EngineError(f"orders 0..{j - 1} required before order {j}")
-    m = len(problem.perturbations)
-    terms = [problem.apply_perturbation(k, wavefuns[j - k]).coeffs
-             for k in range(1, min(m, j) + 1)]
-    lower = [wavefuns[j - k].coeffs for k in range(1, j)]
-    acc = np.zeros(max([1] + [len(c) for c in terms + lower]))
-    for c in terms:
-        acc[:len(c)] += c
-    for k, c in enumerate(lower, start=1):
-        acc[:len(c)] -= c * float(energies[k])
-    return SpectralFun._adopt(problem.a, problem.b, acc)
+    return problem._operator_fun(*_rhs_terms(problem, energies, wavefuns, j))
 
 
 def _ghost_grid(gh: GhostFunction, y0: SpectralFun, n: int) -> np.ndarray:
@@ -227,35 +229,17 @@ def _order_step(problem: PerturbationProblem, state: UnperturbedState,
                 gh: GhostFunction, energies, wavefuns, j: int, phi_b, denom):
     """(E_j, y_j) from the lower orders and the boundary solution.
 
-    g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is sampled straight
-    onto the grid of :func:`_vp_samples`, N the smallest power of two above
-    the degree of V(g_j) from the degree bound of g_j: one batched inverse
-    DCT samples y'', y' and y for every operator order and the energy sum
-    (one product of the energies with the stacked lower orders), and the
-    operator rows are summed pointwise with the cached p-values.  E_j comes
-    from the coefficient sums (the values at b), and y_j = V(g_j) + E_j
-    phi_b is truncated once.
+    g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is sampled by
+    :meth:`PerturbationProblem._operator_samples` straight onto the grid of
+    :func:`_vp_samples`, N above the degree bound of g_j plus deg u +
+    deg y0 (V(g_j) has one degree more).  E_j comes from the coefficient
+    sums (the values at b), and y_j = V(g_j) + E_j phi_b is truncated once.
     """
-    mm = min(len(problem.perturbations), j)
-    scl = 2.0 / (problem.b - problem.a)
-    lower = [wavefuns[j - k].coeffs for k in range(1, j)]
-    rows, deg = [], 0
-    for k in range(1, mm + 1):
-        c = wavefuns[j - k].coeffs
-        rows.extend(_derivatives(c, scl))
-        deg = max(deg, problem._operator_degree(k, len(c) - 1))
-    width = max(map(len, rows + lower))
-    rows.append(np.asarray(energies[1:j], dtype=float) @ _rows(lower, width))
-    # g_j has degree at most max(deg, width - 1), V(g_j) one more than
-    # deg u + deg y0 + deg g_j
-    n = _grid_size(gh.u.degree + state.y0.degree + max(deg, width - 1))
-    ps = np.concatenate([problem._operator_values(k, n)
-                         for k in range(1, mm + 1)])
     # an overflow turns into NaN in the transforms; _truncate reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _values_at_extrema(_rows(rows, width), n)
-        phi_a = _vp_samples(state, gh, np.einsum("ij,ij->j", ps, values[:-1])
-                            - values[-1])
+        phi_a = _vp_samples(state, gh, problem._operator_samples(
+            *_rhs_terms(problem, energies, wavefuns, j),
+            pad=gh.u.degree + state.y0.degree))
         # phi_a(b) as the correctly rounded sum of all N+1 coefficients:
         # the untruncated rounding tail would add noise to a plain sum
         try:
@@ -388,10 +372,12 @@ def sum_series(series: PerturbationSeries, lam: float, upto: int,
 
 def residual(problem: PerturbationProblem, lam: float, energy: float,
              y: SpectralFun) -> float:
-    """Relative sup-norm defect of (E, y) in the original equation."""
-    r = y.derivative().derivative() - problem.v0_fun * y + y * energy
-    for k in range(1, len(problem.perturbations) + 1):
-        r = r - problem.apply_perturbation(k, y) * (lam ** k)
+    """Relative sup-norm defect of (E, y) in the original equation:
+    P_0 y + E y - sum_k lam^k P_k y from one pass of the operator kernel."""
+    c = y.coeffs
+    terms = [(0, c)] + [(k, -(lam ** k) * c)
+                        for k in range(1, len(problem.perturbations) + 1)]
+    r = problem._operator_fun(terms, -energy * c)
     xs = np.linspace(problem.a, problem.b, 256)
     return float(np.max(np.abs(r(xs)))) / y.sup_norm()
 

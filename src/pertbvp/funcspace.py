@@ -211,26 +211,20 @@ class SpectralFun:
         """Adaptively fit ``f`` on ``domain`` to relative tail tolerance
         ``DEFAULT_TOL``.
 
-        ``f`` is called on one float at a time and must return a float.
-        Raises :class:`UnresolvedError` if a sample is not finite or if the
+        ``f`` maps a whole array of nodes to the array of values there (or
+        to one number, a constant); it is called once per grid.  Raises
+        :class:`UnresolvedError` if a sample is not finite or if the
         coefficient tail has not decayed below ``DEFAULT_TOL`` by degree
         ``MAX_DEGREE``.
         """
-        return cls._from_sampler(
-            lambda nodes: np.array([float(f(node)) for node in nodes]),
-            domain)
-
-    @classmethod
-    def _from_sampler(cls, sample, domain) -> "SpectralFun":
-        """The adaptive loop of :meth:`from_function`, for a ``sample`` that
-        maps a whole array of nodes to the array of values there."""
         a, b = float(domain[0]), float(domain[1])
 
         def coeffs(m):
             """Coefficients from samples at the m+1 Chebyshev extrema."""
             t = np.cos(np.pi * np.arange(m + 1) / m)
             nodes = 0.5 * (b - a) * t + 0.5 * (a + b)
-            values = np.asarray(sample(nodes), dtype=float)
+            values = np.empty_like(nodes)
+            values[...] = f(nodes)  # one number is a constant
             if not np.all(np.isfinite(values)):
                 raise UnresolvedError("function not finite at sample nodes")
             return _coeffs_from_samples(values)

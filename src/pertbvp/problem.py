@@ -5,7 +5,8 @@ The canonical form is
     y''(x) = v0(x) y - E y + sum_k lambda^k P_k(y),   y(a) = y(b) = 0,
 
 where each perturbation operator acts as ``P(f) = p2 f'' + p1 f' + p0 f``
-with closed-form coefficient functions.
+with closed-form coefficient functions.  Order 0 is the unperturbed
+operator P_0 f = f'' - v0 f.  One grid kernel applies any sum of them.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class PerturbationProblem:
 
     def _fit(self, key, e: ex.Expr) -> SpectralFun:
         if key not in self._cache:
-            self._cache[key] = SpectralFun._from_sampler(
+            self._cache[key] = SpectralFun.from_function(
                 lambda nodes: ex.evaluate(e, nodes), self.domain)
         return self._cache[key]
 
@@ -90,7 +91,10 @@ class PerturbationProblem:
         return max(deg + max(p2 - 2, p1 - 1, p0), deg, p2, p1, p0)
 
     def _operator_coeffs(self, k: int) -> tuple:
-        """Chebyshev coefficients of (p2, p1, p0) of the order-k operator."""
+        """Chebyshev coefficients of (p2, p1, p0) of the order-k operator;
+        order 0 is the unperturbed operator P_0 f = f'' - v0 f."""
+        if k == 0:
+            return np.ones(1), np.zeros(1), -self.v0_fun.coeffs
         op = self.perturbations[k - 1]
         return tuple(self._fit((k, part), getattr(op, part)).coeffs
                      for part in ("p2", "p1", "p0"))
@@ -105,24 +109,42 @@ class PerturbationProblem:
                 _rows(ps, max(map(len, ps))), n)
         return self._cache[key]
 
-    def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:
-        """Apply the order-k operator to a spectral function.
+    def _operator_samples(self, terms, r: np.ndarray,
+                          pad: int = 0) -> np.ndarray:
+        """Values of sum_i P_(k_i) f_i - r at the N+1 Chebyshev extrema, for
+        pairs (k, coefficients of f) in ``terms`` and a coefficient row r.
 
-        One pass on the N+1 Chebyshev extrema, N the smallest power of two
-        above :meth:`_operator_degree`: f' and f'' come from the
-        coefficients, one batched inverse DCT samples f'', f' and f,
-        p2 f'' + p1 f' + p0 f is summed pointwise (the p-values are cached
-        per N), and one DCT and one truncation give the result.
+        N is the smallest power of two above ``pad`` plus the degree bound
+        of the sum (:meth:`_operator_degree`).  One batched inverse DCT
+        samples f'', f' and f of every term and r, and the operator rows
+        are summed pointwise with the cached p-values.  Callers run it under
+        ``np.errstate(over="ignore", invalid="ignore")``: an overflow ends
+        as inf or NaN in the values, which ``_truncate`` reports.
         """
-        fs = _derivatives(f.coeffs, 2.0 / (self.b - self.a))
-        deg = len(f.coeffs) - 1
-        n = _grid_size(self._operator_degree(k, deg))
+        scl = 2.0 / (self.b - self.a)
+        rows, deg = [], 0
+        for k, c in terms:
+            rows.extend(_derivatives(c, scl))
+            deg = max(deg, self._operator_degree(k, len(c) - 1))
+        rows.append(r)
+        width = max(map(len, rows))
+        n = _grid_size(pad + max(deg, width - 1))
+        ps = np.concatenate([self._operator_values(k, n) for k, _ in terms])
+        values = _values_at_extrema(_rows(rows, width), n)
+        return np.einsum("ij,ij->j", ps, values[:-1]) - values[-1]
+
+    def _operator_fun(self, terms, r: np.ndarray) -> SpectralFun:
+        """sum_i P_(k_i) f_i - r as a series: :meth:`_operator_samples` on
+        the smallest alias-free grid, one DCT and one truncation."""
         # an overflow turns into NaN in the transforms; _truncate reports it
-        with np.errstate(invalid="ignore"):
-            values = _values_at_extrema(_rows(fs, deg + 1), n)
-            out = _coeffs_from_samples(
-                np.einsum("ij,ij->j", self._operator_values(k, n), values))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _coeffs_from_samples(self._operator_samples(terms, r))
         return SpectralFun._adopt(self.a, self.b, _truncate(out))
+
+    def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:
+        """Apply the order-k operator to a spectral function: one pass of
+        :meth:`_operator_fun` over the single term (k, f)."""
+        return self._operator_fun([(k, f.coeffs)], np.zeros(1))
 
     def serialize(self) -> str:
         """Config text that :func:`load_problem` maps back to this problem."""
@@ -219,26 +241,23 @@ def load_problem(config_text: str) -> PerturbationProblem:
 class UnperturbedState:
     """Solution of the unperturbed problem, normalized internally to unit L2.
 
-    ``user_scale`` records the amplitude the caller asked for;
     ``report_scale`` converts internally-scaled normalization coefficients
-    back to that convention.
+    back to the amplitude convention the caller asked for.
     """
 
     n: int
     E0: float
     y0: SpectralFun
     dy0: SpectralFun
-    user_scale: float
     report_scale: float
 
 
-def _normalized_state(n, E0, y0_raw, user_scale, norm) -> UnperturbedState:
+def _normalized_state(n, E0, y0_raw, norm) -> UnperturbedState:
     """The state y0_raw / norm, ``norm`` the L2 norm of ``y0_raw``."""
     if norm == 0.0:
         raise StateError("unperturbed state is identically zero")
     y0 = y0_raw * (1.0 / norm)
     return UnperturbedState(n=n, E0=float(E0), y0=y0, dy0=y0.derivative(),
-                            user_scale=float(user_scale),
                             report_scale=1.0 / norm)
 
 
@@ -255,21 +274,20 @@ def analytic_sine_state(problem: PerturbationProblem, n: int,
     length = b - a
     E0 = (n * np.pi / length) ** 2
     w = n * np.pi / length
-    y0_raw = SpectralFun._from_sampler(
+    y0_raw = SpectralFun.from_function(
         lambda x: amplitude * np.sin(w * (x - a)), problem.domain)
     norm = abs(amplitude) / math.sqrt(2.0 / length)
-    return _normalized_state(n, E0, y0_raw, amplitude, norm)
+    return _normalized_state(n, E0, y0_raw, norm)
 
 
 def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedState:
     """Closed-form unperturbed state from the config's ``y0``/``E0`` keys."""
     if problem.y0_expr is None or problem.e0_value is None:
         raise StateError("problem config carries no y0/E0 closed form")
-    y0_raw = SpectralFun._from_sampler(
+    y0_raw = SpectralFun.from_function(
         lambda nodes: ex.evaluate(problem.y0_expr, nodes), problem.domain)
     norm = float(np.sqrt((y0_raw * y0_raw).definite_integral()))
-    state = _normalized_state(n, problem.e0_value, y0_raw,
-                              y0_raw.sup_norm(), norm)
+    state = _normalized_state(n, problem.e0_value, y0_raw, norm)
     ok, res, left, right = state_verdict(problem, state)
     if not ok:
         raise StateError(
@@ -280,9 +298,10 @@ def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedStat
 
 def validate_state(problem: PerturbationProblem,
                    state: UnperturbedState) -> tuple:
-    """Return (sup |y0'' - v0 y0 + E0 y0|, |y0(a)|, |y0(b)|)."""
-    ypp = state.dy0.derivative()
-    resid = ypp - problem.v0_fun * state.y0 + state.y0 * state.E0
+    """Return (sup |y0'' - v0 y0 + E0 y0|, |y0(a)|, |y0(b)|), the residual
+    P_0 y0 + E0 y0 from one pass of the operator kernel."""
+    c = state.y0.coeffs
+    resid = problem._operator_fun([(0, c)], -state.E0 * c)
     xs = np.linspace(problem.a, problem.b, 256)
     res = float(np.max(np.abs(resid(xs))))
     return res, abs(state.y0(problem.a)), abs(state.y0(problem.b))

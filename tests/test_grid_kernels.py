@@ -182,7 +182,7 @@ def test_grid_vp_matches_four_product_formula(model, n, m1, m3):
     prob = m1 if model == "m1" else m3
     st = pb.analytic_sine_state(prob, n)
     gh = ghost(st, prob)
-    bump = SpectralFun._from_sampler(lambda x: np.exp(x) * np.cos(3 * x),
+    bump = SpectralFun.from_function(lambda x: np.exp(x) * np.cos(3 * x),
                                      prob.domain)
     for r in (-st.y0, order_rhs(prob, [st.E0], [st.y0], 1), bump):
         ref = _plain_vp(st, gh, r) * (1.0 / gh.wronskian)

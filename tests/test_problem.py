@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from pertbvp import expr as ex
 from pertbvp.funcspace import SpectralFun
@@ -144,7 +145,7 @@ def test_serialize_round_trips_a_closed_form_state():
 
 def test_apply_perturbation_is_linear():
     prob = load_problem(model3_config())
-    f = SpectralFun.from_function(lambda x: math.sin(math.pi * x), (0, 1))
+    f = SpectralFun.from_function(lambda x: np.sin(math.pi * x), (0, 1))
     g = SpectralFun.from_function(lambda x: x * (1 - x), (0, 1))
     alpha, beta = 1.7, -0.4
     combo = prob.apply_perturbation(1, f * alpha + g * beta)
@@ -162,7 +163,6 @@ def test_sine_state_ground():
     st = analytic_sine_state(prob, 1, amplitude=math.sqrt(2))
     assert st.E0 == pytest.approx(math.pi**2, rel=1e-14)
     assert st.E0 == pytest.approx(9.8696044, rel=1e-7)
-    assert st.user_scale == pytest.approx(math.sqrt(2))
     assert st.report_scale == pytest.approx(1.0, rel=1e-12)
 
 
@@ -198,7 +198,7 @@ def test_validate_detects_perturbed_state():
     bump = SpectralFun.from_function(lambda x: 0.01 * x * (1 - x), (0, 1))
     bad = type(st)(n=st.n, E0=st.E0, y0=st.y0 + bump,
                    dy0=(st.y0 + bump).derivative(),
-                   user_scale=st.user_scale, report_scale=st.report_scale)
+                   report_scale=st.report_scale)
     res, _, _ = validate_state(prob, bad)
     assert res > 1e-3
 
@@ -208,7 +208,7 @@ def test_exact_cubic_is_not_the_unperturbed_state():
     cubic = SpectralFun.from_function(lambda x: x * (1 - x**2), (0, 1))
     st = analytic_sine_state(prob, 1)
     fake = type(st)(n=1, E0=math.pi**2, y0=cubic, dy0=cubic.derivative(),
-                    user_scale=1.0, report_scale=1.0)
+                    report_scale=1.0)
     res, _, _ = validate_state(prob, fake)
     assert res > 1e-1
 
@@ -240,16 +240,40 @@ CLOSED_V0_5 = ("domain = 0 1\nv0 = 5\ny0 = sin(3*pi*x)\nE0 = "
                  "perturbation.1.p0 = x^2 - 1/3\n")
 
 
+def test_unperturbed_operator_is_order_zero_of_the_kernel():
+    # P_0 f = f'' - v0 f with v0 = 5: the kernel's y0'' - v0 y0 + E0 y0
+    # against a reference built with numpy's chebder and chebmul
+    prob = load_problem(CLOSED_V0_5)
+    st = state_from_expr(prob, n=3)
+    c = st.y0.coeffs
+    got = prob._operator_fun([(0, c)], -st.E0 * c).coeffs
+    ypp = cheb.chebder(c, 2, scl=2.0 / (prob.b - prob.a))
+    ref = cheb.chebadd(cheb.chebsub(ypp, cheb.chebmul(prob.v0_fun.coeffs, c)),
+                       st.E0 * c)
+    width = max(len(got), len(ref))
+    diff = np.zeros(width)
+    diff[:len(got)] = got
+    diff[:len(ref)] -= ref
+    sup_ypp = st.dy0.derivative().sup_norm()
+    assert np.max(np.abs(diff)) <= 1e-14 * sup_ypp
+    assert np.max(np.abs(got)) <= 1e-9 * sup_ypp  # y0 solves P_0 y0 = -E0 y0
+
+
 @pytest.mark.parametrize("path", ["model1.prob", "model3.prob", None])
 def test_coefficient_fits_match_per_point_sampling(path):
-    # the grid sampler must reproduce the scalar route bit for bit
+    # the grid sampler must reproduce the scalar route bit for bit: the
+    # reference evaluates the expression at one float at a time
     text = (CLOSED_V0_5 if path is None
             else (Path(__file__).parent.parent / "demos" / path).read_text())
     prob = load_problem(text)
 
+    def fit_per_point(e):
+        return SpectralFun.from_function(
+            lambda nodes: np.array([float(ex.evaluate(e, x)) for x in nodes]),
+            prob.domain)
+
     def per_point(e):
-        return SpectralFun.from_function(lambda x: ex.evaluate(e, x),
-                                         prob.domain).coeffs.tobytes()
+        return fit_per_point(e).coeffs.tobytes()
 
     assert prob.v0_fun.coeffs.tobytes() == per_point(prob.v0)
     for k, op in enumerate(prob.perturbations, start=1):
@@ -257,12 +281,10 @@ def test_coefficient_fits_match_per_point_sampling(path):
             fit = prob._fit((k, part), getattr(op, part))
             assert fit.coeffs.tobytes() == per_point(getattr(op, part))
     if prob.y0_expr is not None:
-        y0 = SpectralFun.from_function(
-            lambda x: ex.evaluate(prob.y0_expr, x), prob.domain)
+        y0 = fit_per_point(prob.y0_expr)
         state = state_from_expr(prob, n=3)
         expected = y0 * (1.0 / np.sqrt((y0 * y0).definite_integral()))
         assert state.y0.coeffs.tobytes() == expected.coeffs.tobytes()
-        assert state.user_scale == y0.sup_norm()
 
 
 @pytest.mark.parametrize("order", ["01", "+1", " 1", "1_0", "0", "١",
