@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,19 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(nonzero: bool = False):
+    """argparse type: a finite float, and with ``nonzero`` not zero."""
+    def parse(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if nonzero and value == 0.0:
+            raise argparse.ArgumentTypeError(f"must be nonzero, got {value}")
+        return value
+    parse.__name__ = "float"  # argparse names it in "invalid float value"
+    return parse
+
+
 #: every flag of the CLI, keyed by its name on the command line
 _FLAGS = {
     "--problem": dict(required=True, help="problem config file"),
@@ -51,16 +65,19 @@ _FLAGS = {
     "--order": dict(type=_int_at_least(0), default=None,
                     help="highest perturbation order J "
                          "(solve: 3; eval, export: the whole series)"),
-    "--lambda": dict(dest="lam", type=float, help="coupling strength"),
+    "--lambda": dict(dest="lam", type=_finite_float(),
+                     help="coupling strength"),
     "--normalize": dict(action="store_true",
                         help="apply the normalization series"),
     "--out": dict(help="output file path"),
     "--grid": dict(type=_int_at_least(2),
                    help="sample count (eval, export) or FD interior points "
                         "(oracle)"),
-    "--amplitude": dict(type=float, default=float(np.sqrt(2.0)),
-                        help="requested unperturbed amplitude"),
-    "--guess": dict(type=float,
+    "--amplitude": dict(type=_finite_float(nonzero=True),
+                        help="requested amplitude of the sine state "
+                             "(default: sqrt(2); not read when the problem "
+                             "file gives y0)"),
+    "--guess": dict(type=_finite_float(),
                     help="eigenvalue guess (default: unperturbed E0)"),
     "--series": dict(dest="series_file",
                      help="series JSON to compare against"),
@@ -103,7 +120,12 @@ def _load_problem_file(path):
 
 def _make_state(problem, args):
     if problem.y0_expr is not None:
+        if args.amplitude is not None:
+            raise _InputError("argument --amplitude: not read when the "
+                              "problem file gives y0")
         return state_from_expr(problem, n=args.n)
+    if args.amplitude is None:
+        return analytic_sine_state(problem, args.n)
     return analytic_sine_state(problem, args.n, amplitude=args.amplitude)
 
 

@@ -10,7 +10,7 @@ equation (W(u, y0) = 1).  ``V`` enforces y_j(a) = y_j'(a) = 0; the energy
 coefficient E_j is fixed by the remaining boundary condition y_j(b) = 0,
 which is affine in E_j.
 
-The boundary solution V(-y0) is computed once per series.  Each order then
+The boundary solution V(-y0) is computed once per ghost.  Each order then
 makes one pass on the N+1 Chebyshev extrema of its VP map: the problem's
 operator kernel samples g_j there straight from the lower orders, and
 :func:`_vp_samples` integrates it on the same grid.  :func:`order_rhs` and
@@ -58,7 +58,9 @@ class GhostFunction:
 
     ``wronskian`` is the measured W: the mean of the samples that
     :func:`ghost` checks (1 for a ghost built by hand).  ``_grid`` holds the
-    values of y0 and u on the Chebyshev grids of :func:`_vp`, per grid size.
+    values of y0 and u on the Chebyshev grids of :func:`_vp`, per grid size,
+    and under ``"phi_b"`` the boundary solution V(-y0), solved once per
+    ghost; each entry is kept with the y0 it was computed for.
     """
 
     u: SpectralFun
@@ -147,7 +149,10 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
 def _rhs_terms(problem: PerturbationProblem, energies, wavefuns, j: int):
     """The operator terms (k, y_(j-k)), k = 1..min(m, j), of g_j and its
     energy sum sum_(k<j) E_k y_(j-k): one product of the energies with the
-    lower orders, stacked as wide as the longest series."""
+    lower orders, stacked as wide as the longest series.  Raises
+    :class:`EngineError` unless j >= 1 and orders 0..j-1 are given."""
+    if j < 1 or len(wavefuns) < j or len(energies) < j:
+        raise EngineError(f"orders 0..{j - 1} required before order {j}")
     ys = [y.coeffs for y in wavefuns[j - 1::-1]]  # y_(j-1), ..., y_0
     mm = min(len(problem.perturbations), j)
     width = max(map(len, ys[:max(mm, j - 1)]))
@@ -158,8 +163,6 @@ def _rhs_terms(problem: PerturbationProblem, energies, wavefuns, j: int):
 def order_rhs(problem: PerturbationProblem, energies, wavefuns,
               j: int) -> SpectralFun:
     """Known part g_j of the order-j right-hand side (E_j still open)."""
-    if j < 1 or len(wavefuns) < j:
-        raise EngineError(f"orders 0..{j - 1} required before order {j}")
     return problem._operator_fun(*_rhs_terms(problem, energies, wavefuns, j))
 
 
@@ -210,31 +213,38 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
                                                               values)))
 
 
-def _boundary_solution(problem: PerturbationProblem, state: UnperturbedState,
-                       gh: GhostFunction):
-    """(phi_b, phi_b(b)) with phi_b = V(-y0): the E_j-part of every order.
+def _boundary_solution(state: UnperturbedState, gh: GhostFunction):
+    """(phi_b, phi_b(b)) with phi_b = V(-y0): the E_j-part of every order,
+    solved on first use and kept on ``gh`` for this y0.
 
     Raises :class:`EngineError` when phi_b(b) vanishes, because then the
     boundary condition y_j(b) = 0 cannot fix E_j.
     """
-    phi_b = _vp(state, gh, -state.y0)
-    denom = float(phi_b.coeffs.sum())  # phi_b(b): T_k(1) = 1
-    if abs(denom) < 1e-12:
-        raise EngineError(
-            "boundary equation degenerate (u(b) ~ 0): invalid state")
-    return phi_b, denom
+    hit = gh._grid.get("phi_b")
+    if hit is None or hit[0] is not state.y0:
+        phi_b = _vp(state, gh, -state.y0)
+        denom = float(phi_b.coeffs.sum())  # phi_b(b): T_k(1) = 1
+        if abs(denom) < 1e-12:
+            raise EngineError(
+                "boundary equation degenerate (u(b) ~ 0): invalid state")
+        hit = (state.y0, phi_b, denom)
+        gh._grid["phi_b"] = hit
+    return hit[1:]
 
 
-def _order_step(problem: PerturbationProblem, state: UnperturbedState,
-                gh: GhostFunction, energies, wavefuns, j: int, phi_b, denom):
-    """(E_j, y_j) from the lower orders and the boundary solution.
+def solve_order(problem: PerturbationProblem, state: UnperturbedState,
+                gh: GhostFunction, energies, wavefuns, j: int):
+    """Return (E_j, y_j) given all lower orders.
 
+    y_j = V(g_j) + E_j phi_b with the boundary solution phi_b = V(-y0),
+    which is solved once per ghost, and E_j fixed by y_j(b) = 0.
     g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is sampled by
     :meth:`PerturbationProblem._operator_samples` straight onto the grid of
     :func:`_vp_samples`, N above the degree bound of g_j plus deg u +
     deg y0 (V(g_j) has one degree more).  E_j comes from the coefficient
-    sums (the values at b), and y_j = V(g_j) + E_j phi_b is truncated once.
+    sums (the values at b), and y_j is truncated once.
     """
+    phi_b, denom = _boundary_solution(state, gh)
     # an overflow turns into NaN in the transforms; _truncate reports it
     with np.errstate(over="ignore", invalid="ignore"):
         phi_a = _vp_samples(state, gh, problem._operator_samples(
@@ -254,19 +264,6 @@ def _order_step(problem: PerturbationProblem, state: UnperturbedState,
     return e_j, SpectralFun._adopt(problem.a, problem.b, _truncate(y_j))
 
 
-def solve_order(problem: PerturbationProblem, state: UnperturbedState,
-                gh: GhostFunction, energies, wavefuns, j: int):
-    """Return (E_j, y_j) given all lower orders.
-
-    y_j = V(g_j) + E_j V(-y0), with E_j fixed by y_j(b) = 0.  This computes
-    the boundary solution V(-y0) for the one order;
-    :func:`compute_series` computes it once for all orders.
-    """
-    phi_b, denom = _boundary_solution(problem, state, gh)
-    return _order_step(problem, state, gh, energies, wavefuns, j, phi_b,
-                       denom)
-
-
 def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
     """Independent route to E_j: ratio of projections onto y0."""
     num = (state.y0 * g).definite_integral()
@@ -276,22 +273,20 @@ def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
 
 def compute_series(problem: PerturbationProblem, state: UnperturbedState,
                    J: int) -> PerturbationSeries:
-    """Run the recurrence through order J and attach normalization.
+    """Run the recurrence through order J with :func:`solve_order` and
+    attach normalization.
 
-    The boundary solution V(-y0) does not depend on the order: it is
-    computed once (when J >= 1) and shared by every order, so the series
-    costs J + 1 variation-of-parameters solves.
+    The series builds one ghost, and the boundary solution V(-y0) is solved
+    once per ghost (when J >= 1), so the series costs J + 1
+    variation-of-parameters solves.
     """
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
     gh = ghost(state, problem)
     energies = [state.E0]
     wavefuns = [state.y0]
-    if J >= 1:
-        phi_b, denom = _boundary_solution(problem, state, gh)
     for j in range(1, J + 1):
-        e_j, y_j = _order_step(problem, state, gh, energies, wavefuns, j,
-                               phi_b, denom)
+        e_j, y_j = solve_order(problem, state, gh, energies, wavefuns, j)
         energies.append(e_j)
         wavefuns.append(y_j)
     norm = normalization_coeffs(state, wavefuns, J)

@@ -490,6 +490,40 @@ def test_overflowing_lambda_is_a_computation_failure(capsys, model3_file,
     _fails(capsys, 2, "computation failed: ", *argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--problem", "{problem}", "--amplitude", "nan"),
+    ("solve", "--problem", "{problem}", "--amplitude", "0"),
+    ("eval", "{series}", "--lambda", "nan"),
+    ("export", "{series}", "--lambda", "nan"),
+    ("oracle", "--problem", "{problem}", "--lambda", "nan"),
+    ("oracle", "--problem", "{problem}", "--guess", "inf"),
+    ("validate", "--problem", "{problem}", "--amplitude", "inf"),
+], ids=["solve-nan", "solve-zero", "eval", "export", "oracle-lambda",
+        "oracle-guess", "validate"])
+def test_non_finite_float_flags_are_usage_errors(capsys, model3_file,
+                                                 model3_order8, argv):
+    argv = [a.format(series=model3_order8, problem=model3_file) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: argument {argv[-2]}: must be "), err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_amplitude_for_a_closed_form_state_is_usage_error(capsys, tmp_path,
+                                                          command):
+    prob = tmp_path / "closed.prob"
+    prob.write_text(f"domain = 0 1\nv0 = 5\ny0 = sin(pi*x)\n"
+                    f"E0 = {PI2 + 5.0!r}\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 0\nperturbation.1.p0 = x\n")
+    assert run(capsys, command, "--problem", str(prob))[0] == 0
+    code, out, err = run(capsys, command, "--problem", str(prob),
+                         "--amplitude", "7")
+    assert code == 1
+    assert err.startswith("error: argument --amplitude: not read")
+    assert out == ""
+
+
 def test_overflowing_fd_grid_is_a_computation_failure(capsys, tmp_path):
     prob = tmp_path / "wide.prob"
     prob.write_text(_MODEL1.replace("domain = 0 1", "domain = 0 1e308"))

@@ -317,6 +317,53 @@ def test_degenerate_boundary_equation_only_when_orders_requested(
         solve_order(m1, st, ghost(st, m1), [st.E0], [st.y0], 1)
 
 
+def test_order_by_order_solves_boundary_once_per_ghost(m3, monkeypatch):
+    calls = []
+    vp = engine._vp
+
+    def counted(*args):
+        calls.append(args[2])
+        return vp(*args)
+
+    monkeypatch.setattr(engine, "_vp", counted)
+    st = analytic_sine_state(m3, 3)
+    gh = ghost(st, m3)
+    energies, wavefuns = [st.E0], [st.y0]
+    for j in range(1, 9):
+        e_j, y_j = solve_order(m3, st, gh, energies, wavefuns, j)
+        energies.append(e_j)
+        wavefuns.append(y_j)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("J", [0, 1, 7])
+def test_compute_series_runs_solve_order_for_every_order(J, m3,
+                                                         monkeypatch):
+    orders = []
+    step = engine.solve_order
+
+    def counted(problem, state, gh, energies, wavefuns, j):
+        orders.append(j)
+        return step(problem, state, gh, energies, wavefuns, j)
+
+    monkeypatch.setattr(engine, "solve_order", counted)
+    compute_series(m3, analytic_sine_state(m3, 2), J)
+    assert orders == list(range(1, J + 1))
+
+
+@pytest.mark.parametrize("j,energies,wavefuns",
+                         [(-1, 1, 1), (0, 1, 1), (3, 1, 1), (3, 2, 3)])
+def test_order_entries_require_the_lower_orders(j, energies, wavefuns, m3):
+    # the first j of E_0.. and y_0.. are needed for order j
+    st = analytic_sine_state(m3, 1)
+    ser = compute_series(m3, st, 2)
+    energies, wavefuns = ser.energies[:energies], ser.wavefuns[:wavefuns]
+    with pytest.raises(EngineError, match=f"required before order {j}"):
+        solve_order(m3, st, ghost(st, m3), energies, wavefuns, j)
+    with pytest.raises(EngineError, match=f"required before order {j}"):
+        order_rhs(m3, energies, wavefuns, j)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("model", ["m1", "m3"])
 def test_series_invariants(n, model, m1, m3):

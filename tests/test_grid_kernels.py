@@ -321,7 +321,7 @@ def _case(name, m1, m3, mp):
 def test_order_step_matches_vp_of_order_rhs(name, m1, m3, mp):
     prob, st = _case(name, m1, m3, mp)
     gh = ghost(st, prob)
-    phi_b, denom = engine._boundary_solution(prob, st, gh)
+    phi_b, denom = engine._boundary_solution(st, gh)
     ser = compute_series(prob, st, 8)
     xs = np.linspace(prob.a, prob.b, 257)
     for j in range(1, 9):
@@ -329,8 +329,7 @@ def test_order_step_matches_vp_of_order_rhs(name, m1, m3, mp):
         phi_a = engine._vp(st, gh, order_rhs(prob, lower_e, lower_y, j))
         e_ref = -float(phi_a.coeffs.sum()) / denom
         y_ref = phi_a + phi_b * e_ref
-        e_j, y_j = engine._order_step(prob, st, gh, lower_e, lower_y, j,
-                                      phi_b, denom)
+        e_j, y_j = engine.solve_order(prob, st, gh, lower_e, lower_y, j)
         assert abs(e_j - e_ref) <= 1e-13 * max(abs(e_ref), abs(st.E0))
         ref = y_ref(xs)
         scale = np.max(np.abs(ref))
@@ -371,7 +370,7 @@ def test_order_step_is_alias_free_at_every_degree(m1, mp):
     rng = np.random.default_rng(25)
     st = pb.analytic_sine_state(m1, 1)
     gh = ghost(st, m1)
-    phi_b, denom = engine._boundary_solution(mp, st, gh)
+    phi_b, denom = engine._boundary_solution(st, gh)
     for deg in range(0, 80, 3):
         ys = [st.y0] + [SpectralFun(mp.domain, rng.standard_normal(deg + 1))
                         for _ in range(2)]
@@ -381,8 +380,7 @@ def test_order_step_is_alias_free_at_every_degree(m1, mp):
         phi_a = _plain_vp(st, gh, g) * (1.0 / gh.wronskian)
         e_ref = -float(phi_a.coeffs.sum()) / denom
         ref = (phi_a + phi_b * e_ref).coeffs
-        e_j, y_j = engine._order_step(mp, st, gh, energies, ys, 3, phi_b,
-                                      denom)
+        e_j, y_j = engine.solve_order(mp, st, gh, energies, ys, 3)
         # rounding grows with the derivatives of a non-decaying series;
         # aliasing would leave an O(1) gap
         bound = 1e-15 * (deg + 2) ** 3
@@ -398,11 +396,11 @@ def test_order_step_reports_coefficients_that_are_not_finite(
         m3, monkeypatch, values):
     st = pb.analytic_sine_state(m3, 1)
     gh = ghost(st, m3)
-    phi_b, denom = engine._boundary_solution(m3, st, gh)
+    engine._boundary_solution(st, gh)  # kept on gh: the patch hits order 1
     monkeypatch.setattr(engine, "_vp_samples",
                         lambda state, gh, r: np.array(values))
     with pytest.raises(funcspace.SpectralError, match="not finite"):
-        engine._order_step(m3, st, gh, [st.E0], [st.y0], 1, phi_b, denom)
+        engine.solve_order(m3, st, gh, [st.E0], [st.y0], 1)
 
 
 @pytest.mark.parametrize("make,n", [(model3_problem, 2), (model1_problem, 3)],
