@@ -33,12 +33,20 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than ``low``."""
+#: the highest ``--order``: ``solve`` on the model-3 demo takes ~2.7 s and
+#: ~94 MB peak RSS at order 1000 (~0.4 s and ~32 MB at order 100)
+MAX_ORDER = 1000
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an int no smaller than ``low`` (and with ``high`` no
+    larger than it)."""
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names it in "invalid int value"
     return parse
@@ -61,8 +69,8 @@ def _finite_float(nonzero: bool = False):
 _FLAGS = {
     "--problem": dict(required=True, help="problem config file"),
     "series": dict(help="series JSON file"),
-    "--n": dict(type=_int_at_least(1), default=1, help="quantum number"),
-    "--order": dict(type=_int_at_least(0), default=None,
+    "--n": dict(type=_int_in(1), default=1, help="quantum number"),
+    "--order": dict(type=_int_in(0, MAX_ORDER), default=None,
                     help="highest perturbation order J "
                          "(solve: 3; eval, export: the whole series)"),
     "--lambda": dict(dest="lam", type=_finite_float(),
@@ -70,7 +78,7 @@ _FLAGS = {
     "--normalize": dict(action="store_true",
                         help="apply the normalization series"),
     "--out": dict(help="output file path"),
-    "--grid": dict(type=_int_at_least(2),
+    "--grid": dict(type=_int_in(2),
                    help="sample count (eval, export) or FD interior points "
                         "(oracle)"),
     "--amplitude": dict(type=_finite_float(nonzero=True),
@@ -78,7 +86,8 @@ _FLAGS = {
                              "(default: sqrt(2); not read when the problem "
                              "file gives y0)"),
     "--guess": dict(type=_finite_float(),
-                    help="eigenvalue guess (default: unperturbed E0)"),
+                    help="eigenvalue guess (default: the summed --series, "
+                         "else the problem file's E0, else (n pi / L)^2)"),
     "--series": dict(dest="series_file",
                      help="series JSON to compare against"),
 }
@@ -253,9 +262,36 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+#: the flags whose value may be a negative number such as ``-1e-3``
+_FLOAT_FLAGS = ("--lambda", "--guess", "--amplitude")
+
+
+def _is_float(text: str) -> bool:
     try:
-        args = _build_parser().parse_args(argv)
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv: list) -> list:
+    """``argv`` with each ``FLAG VALUE`` of a float flag written as
+    ``FLAG=VALUE`` when float() reads VALUE: argparse takes a token such as
+    ``-1e-3`` for an option, because only plain decimals count as negative
+    numbers there."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(_attach_float_values(argv))
         return _COMMANDS[args.command](args)
     except (_InputError, OSError, UnicodeDecodeError, ProblemConfigError,
             ExprError) as exc:

@@ -10,11 +10,21 @@ equation (W(u, y0) = 1).  ``V`` enforces y_j(a) = y_j'(a) = 0; the energy
 coefficient E_j is fixed by the remaining boundary condition y_j(b) = 0,
 which is affine in E_j.
 
-The boundary solution V(-y0) is computed once per ghost.  Each order then
-makes one pass on the N+1 Chebyshev extrema of its VP map: the problem's
-operator kernel samples g_j there straight from the lower orders, and
-:func:`_vp_samples` integrates it on the same grid.  :func:`order_rhs` and
-:func:`residual` run the same kernel on their own alias-free grid.
+The recurrence needs y_j, y_j' and y_j'' only as values on the grid where
+V integrates, so it runs there (after Greengard, SIAM J. Numer. Anal. 28,
+1991): the ghost carries the values of every lower order as returned
+(cut and truncated), and y', y'' of the last m, from one order to the
+next.  The boundary solution V(-y0) is
+computed once per ghost.  Each order forms g_j pointwise, and
+:func:`_vp_values` gives V(g_j) and its derivative
+
+    V(r)'(x) = u'(x) * int_a^x y0 r  -  y0'(x) * int_a^x u r
+
+in one integration pass; y_j'' comes from the order equation itself.  An
+order is four transforms and no coefficient derivative.  The grid only
+grows: when an order needs more degrees the carried rows are resampled.
+:func:`order_rhs` and :func:`residual` run the problem's operator kernel
+on their own alias-free grid.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ import numpy as np
 
 from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
                         _clenshaw_at_minus_one, _clenshaw_curtis_weights,
-                        _coeffs_from_samples, _grid_size, _integrate_rows,
-                        _rows, _truncate, _values_at_extrema,
-                        solve_linear_ivp)
+                        _coeffs_from_samples, _derivatives, _grid_size,
+                        _integrate_rows, _rows, _truncate,
+                        _values_at_extrema, solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
 __all__ = [
@@ -58,9 +68,11 @@ class GhostFunction:
 
     ``wronskian`` is the measured W: the mean of the samples that
     :func:`ghost` checks (1 for a ghost built by hand).  ``_grid`` holds the
-    values of y0 and u on the Chebyshev grids of :func:`_vp`, per grid size,
-    and under ``"phi_b"`` the boundary solution V(-y0), solved once per
-    ghost; each entry is kept with the y0 it was computed for.
+    values of y0, u, y0' and u' on the Chebyshev grids of the VP map, per
+    grid size; under ``"phi_b"`` the boundary solution V(-y0), solved once
+    per ghost; and under ``"orders"`` the values that :func:`solve_order`
+    carries from one order to the next (:class:`_OrderStack`).  Each entry
+    is kept with the y0 it was computed for.
     """
 
     u: SpectralFun
@@ -117,7 +129,7 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     :class:`EngineError`.  Either way the Wronskian is sampled on the
     Chebyshev grid of :func:`_wronskian_samples`: a defect above 1e-10
     raises :class:`EngineError`, and the samples' mean is kept as
-    ``wronskian``, by which :func:`_vp` divides.
+    ``wronskian``, by which :func:`_vp_values` divides.
     """
     a, b = problem.domain
     # y0'(a) by Clenshaw on Python floats: bit for bit as chebval gives it
@@ -146,13 +158,19 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     return replace(gh, wronskian=float(np.mean(samples)))
 
 
+def _check_orders(energies, wavefuns, j: int):
+    """Raise :class:`EngineError` unless j >= 1 and orders 0..j-1 are
+    given."""
+    if j < 1 or len(wavefuns) < j or len(energies) < j:
+        raise EngineError(f"orders 0..{j - 1} required before order {j}")
+
+
 def _rhs_terms(problem: PerturbationProblem, energies, wavefuns, j: int):
     """The operator terms (k, y_(j-k)), k = 1..min(m, j), of g_j and its
     energy sum sum_(k<j) E_k y_(j-k): one product of the energies with the
-    lower orders, stacked as wide as the longest series.  Raises
-    :class:`EngineError` unless j >= 1 and orders 0..j-1 are given."""
-    if j < 1 or len(wavefuns) < j or len(energies) < j:
-        raise EngineError(f"orders 0..{j - 1} required before order {j}")
+    lower orders, stacked as wide as the longest series (orders checked by
+    :func:`_check_orders`)."""
+    _check_orders(energies, wavefuns, j)
     ys = [y.coeffs for y in wavefuns[j - 1::-1]]  # y_(j-1), ..., y_0
     mm = min(len(problem.perturbations), j)
     width = max(map(len, ys[:max(mm, j - 1)]))
@@ -166,70 +184,227 @@ def order_rhs(problem: PerturbationProblem, energies, wavefuns,
     return problem._operator_fun(*_rhs_terms(problem, energies, wavefuns, j))
 
 
-def _ghost_grid(gh: GhostFunction, y0: SpectralFun, n: int) -> np.ndarray:
-    """Rows (y0, u) of values at the n+1 extrema, cached on ``gh`` per n."""
+def _ghost_grid(gh: GhostFunction, state: UnperturbedState,
+                n: int) -> np.ndarray:
+    """Rows (y0, u, y0', u') of values at the n+1 extrema, cached on ``gh``
+    per n for this y0."""
     hit = gh._grid.get(n)
-    if hit is None or hit[0] is not y0:
-        funs = (y0.coeffs, gh.u.coeffs)
-        hit = (y0, _values_at_extrema(_rows(funs, max(map(len, funs))), n))
+    if hit is None or hit[0] is not state.y0:
+        funs = [f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du)]
+        hit = (state.y0, _values_at_extrema(_rows(funs, max(map(len, funs))),
+                                            n))
         gh._grid[n] = hit
     return hit[1]
 
 
-def _vp_samples(state: UnperturbedState, gh: GhostFunction,
-                r: np.ndarray) -> np.ndarray:
-    """Coefficients of V(r) = (u int_a^x y0 r - y0 int_a^x u r) / W from
-    the values ``r`` of r at the N+1 Chebyshev extrema, untruncated.
+def _vp_values(state: UnperturbedState, gh: GhostFunction,
+               r: np.ndarray) -> np.ndarray:
+    """Rows (V(r), V(r)') of values at the N+1 Chebyshev extrema from the
+    values ``r`` of r there, with
+
+        V(r)' = (u' int_a^x y0 r - y0' int_a^x u r) / W,
+
+    because the terms u y0 r - y0 u r of the product rule cancel.
 
     W is ``gh.wronskian``, which makes V exact for any constant Wronskian.
-    The caller picks N above the degree of the result, so every product
-    below is exact up to rounding: the products y0 r and u r go to
-    coefficients in one batched DCT, are integrated from a in coefficient
-    form, come back in one batched inverse DCT, are combined with u and y0
-    pointwise, and one DCT gives V(r).
+    The caller picks N above the degree of V(r), so every product below is
+    exact up to rounding: the products y0 r and u r go to coefficients in
+    one batched DCT, are integrated from a in coefficient form and come
+    back in one batched inverse DCT; the rest is pointwise.  Callers run
+    it under ``np.errstate(invalid="ignore")``: an overflow turns into NaN
+    in the transforms, which ``_truncate`` reports.
     """
     a, b = state.y0.domain
     n = len(r) - 1
-    y0_u = _ghost_grid(gh, state.y0, n)
-    # an overflow turns into NaN in the transforms; _truncate reports it
-    with np.errstate(invalid="ignore"):
-        ints = _integrate_rows(_coeffs_from_samples(y0_u * r))
-        int_y0, int_u = _values_at_extrema(ints, n)
-        out = _coeffs_from_samples(y0_u[1] * int_y0 - y0_u[0] * int_u)
+    ghost_rows = _ghost_grid(gh, state, n)  # y0, u, y0', u'
+    ints = _integrate_rows(_coeffs_from_samples(ghost_rows[:2] * r))
+    int_y0, int_u = _values_at_extrema(ints, n)
+    out = ghost_rows[1::2] * int_y0 - ghost_rows[0::2] * int_u
     out *= 0.5 * (b - a) / gh.wronskian
     return out
+
+
+def _vp_samples(state: UnperturbedState, gh: GhostFunction,
+                r: np.ndarray) -> np.ndarray:
+    """Coefficients of the rows (V(r), V(r)') of :func:`_vp_values`,
+    untruncated."""
+    # an overflow turns into NaN in the transforms; _truncate reports it
+    with np.errstate(invalid="ignore"):
+        return _coeffs_from_samples(_vp_values(state, gh, r))
 
 
 def _vp(state: UnperturbedState, gh: GhostFunction,
         r: SpectralFun) -> SpectralFun:
     """V(r) for a series r: r sampled on the N+1 extrema, N the smallest
-    power of two above the degree of the result, then
-    :func:`_vp_samples` and one truncation."""
+    power of two above the degree of the result, then the value row of
+    :func:`_vp_values`, one DCT and one truncation.  The recurrence does
+    not call it: it is V as a map of series."""
     n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
                    + len(r.coeffs) - 2)
     with np.errstate(invalid="ignore"):
-        values = _values_at_extrema(r.coeffs, n)
-    return SpectralFun._adopt(r.a, r.b, _truncate(_vp_samples(state, gh,
-                                                              values)))
+        values = _vp_values(state, gh, _values_at_extrema(r.coeffs, n))[0]
+        return SpectralFun._adopt(r.a, r.b,
+                                  _truncate(_coeffs_from_samples(values)))
 
 
 def _boundary_solution(state: UnperturbedState, gh: GhostFunction):
     """(phi_b, phi_b(b)) with phi_b = V(-y0): the E_j-part of every order,
     solved on first use and kept on ``gh`` for this y0.
 
+    The entry on ``gh`` also keeps the untruncated coefficients of phi_b
+    and phi_b' from :func:`_vp_samples`, on the smallest grid above the
+    degree of phi_b; :func:`solve_order` samples them onto its own grid.
     Raises :class:`EngineError` when phi_b(b) vanishes, because then the
     boundary condition y_j(b) = 0 cannot fix E_j.
     """
     hit = gh._grid.get("phi_b")
     if hit is None or hit[0] is not state.y0:
-        phi_b = _vp(state, gh, -state.y0)
-        denom = float(phi_b.coeffs.sum())  # phi_b(b): T_k(1) = 1
+        n = _grid_size(gh.u.degree + 2 * state.y0.degree)
+        rows = _vp_samples(state, gh, -_ghost_grid(gh, state, n)[0])
+        denom = float(rows[0].sum())  # phi_b(b): T_k(1) = 1
         if abs(denom) < 1e-12:
             raise EngineError(
                 "boundary equation degenerate (u(b) ~ 0): invalid state")
-        hit = (state.y0, phi_b, denom)
+        phi_b = SpectralFun._adopt(state.y0.a, state.y0.b,
+                                   _truncate(rows[0]))
+        hit = (state.y0, phi_b, denom, rows)
         gh._grid["phi_b"] = hit
-    return hit[1:]
+    return hit[1:3]
+
+
+class _OrderStack:
+    """What :func:`solve_order` carries on a ghost from one order to the
+    next: values on the N+1 extrema of its grid, for the orders ``funs``
+    (y_0 .. y_(j-1)) of ``problem`` and the state whose y0 is ``y0``.
+
+    ``values`` holds y_0 .. y_(j-1) in its first j rows (the rest is spare
+    room), ``derivs`` a block (y'', y', y) for each of the last m orders,
+    ``phi`` the block (phi_b'', phi_b', phi_b) and ``q`` the values of
+    v0 - E0.  ``maxdeg`` is the largest degree in ``funs``, and ``full``
+    tells whether the last order of a warm run kept every coefficient up to
+    its exact degree (see :func:`solve_order`).  (A plain class: a
+    dataclass would cost its code generation at every import.)
+    """
+
+    __slots__ = ("y0", "problem", "funs", "n", "values", "derivs", "phi",
+                 "q", "maxdeg", "full")
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+
+def _v0_minus_e0(problem: PerturbationProblem, state: UnperturbedState,
+                 n: int) -> np.ndarray:
+    """v0 - E0 at the n+1 extrema (without fitting v0 when it is zero)."""
+    if problem.v0_is_zero():
+        return np.full(n + 1, -state.E0)
+    return _values_at_extrema(problem.v0_fun.coeffs, n) - state.E0
+
+
+def _phi_block(q: np.ndarray, phi_b: np.ndarray, dphi_b: np.ndarray,
+               y0: np.ndarray) -> np.ndarray:
+    """The block (phi_b'', phi_b', phi_b), with phi_b'' = q phi_b - y0 from
+    the equation phi_b = V(-y0) solves."""
+    return np.stack((q * phi_b - y0, dphi_b, phi_b))
+
+
+def _cold_stack(problem: PerturbationProblem, state: UnperturbedState,
+                gh: GhostFunction, lower: list, mm: int,
+                n: int) -> _OrderStack:
+    """The stack of the orders ``lower`` = y_0 .. y_(j-1), sampled on the
+    n+1 extrema from their coefficients in one batched inverse DCT.
+
+    y_k' and y_k'' of the last ``mm`` orders are differentiated in
+    coefficient form, except y_0: y_0' is the state's dy0 and
+    y_0'' = (v0 - E0) y_0 comes from the unperturbed equation.
+    """
+    _boundary_solution(state, gh)
+    j = len(lower)
+    scl = 2.0 / (problem.b - problem.a)
+    rows = [y.coeffs for y in lower]
+    for y in lower[max(1, j - mm):]:
+        rows.extend(_derivatives(y.coeffs, scl)[:2])
+    values = _values_at_extrema(_rows(rows, max(map(len, rows))), n)
+    q = _v0_minus_e0(problem, state, n)
+    derivs = []
+    if j <= mm:
+        derivs.append(np.stack((q * values[0],
+                                _ghost_grid(gh, state, n)[2], values[0])))
+    derivs.extend(np.stack((d2, d1, y))
+                  for d2, d1, y in zip(values[j::2], values[j + 1::2],
+                                       values[max(1, j - mm):j]))
+    stack = np.empty((2 * j, n + 1))
+    stack[:j] = values[:j]
+    phi_b, dphi_b = _values_at_extrema(gh._grid["phi_b"][3], n)
+    return _OrderStack(
+        y0=state.y0, problem=problem, funs=list(lower), n=n, values=stack,
+        derivs=derivs, phi=_phi_block(q, phi_b, dphi_b, values[0]), q=q,
+        maxdeg=max(y.degree for y in lower), full=False)
+
+
+def _resample(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the values at its n+1 extrema of the series whose
+    values at N+1 extrema (N <= n) are the rows of ``rows``: coefficients,
+    zero-padded, values, eight rows per transform so that no temporary
+    grows with the number of rows."""
+    n = out.shape[-1] - 1
+    for i in range(0, len(rows), 8):
+        out[i:i + 8] = _values_at_extrema(
+            _coeffs_from_samples(rows[i:i + 8]), n)
+    return out
+
+
+def _grow(stack: _OrderStack, state: UnperturbedState, gh: GhostFunction,
+          n: int):
+    """Move ``stack`` onto the n+1 extrema by resampling the carried rows
+    (nothing is differentiated again; phi_b'' comes from its equation), and
+    drop the ghost's rows on the old grid."""
+    j = len(stack.funs)
+    values = np.empty((len(stack.values), n + 1))
+    _resample(stack.values[:j], values[:j])
+    stack.values = values
+    stack.derivs = [_resample(d, np.empty((3, n + 1))) for d in stack.derivs]
+    dphi_b, phi_b = _resample(stack.phi[1:], np.empty((2, n + 1)))
+    stack.q = _v0_minus_e0(stack.problem, state, n)
+    stack.phi = _phi_block(stack.q, phi_b, dphi_b, values[0])
+    gh._grid.pop(stack.n, None)
+    stack.n = n
+
+
+def _input_degree(problem: PerturbationProblem, wavefuns, j: int,
+                  maxdeg: int) -> int:
+    """The degree bound D of g_j: the largest degree of y_0 .. y_(j-1)
+    (``maxdeg``) and of every P_k y_(j-k) (:meth:`_operator_degree`)."""
+    return max([maxdeg] + [problem._operator_degree(k, wavefuns[j - k].degree)
+                           for k in range(1, min(len(problem.perturbations),
+                                                 j) + 1)])
+
+
+def _order_stack(problem: PerturbationProblem, state: UnperturbedState,
+                 gh: GhostFunction, wavefuns, j: int, mm: int):
+    """(stack, D) for order j, D from :func:`_input_degree`.
+
+    The stack is the one kept on ``gh`` when it holds exactly
+    ``wavefuns[:j]`` of ``problem`` for this y0 (grown when order j needs a
+    larger grid), else a cold stack of their coefficients, kept in its
+    place.  Order j needs the smallest power of two above deg u + deg y0 +
+    D, so that V(g_j), of degree deg u + deg y0 + deg g_j + 1, is exact on
+    it.
+    """
+    stack = gh._grid.get("orders")
+    warm = (stack is not None and stack.y0 is state.y0
+            and stack.problem is problem and len(stack.funs) == j
+            and stack.funs == wavefuns[:j])
+    maxdeg = stack.maxdeg if warm else max(y.degree for y in wavefuns[:j])
+    deg = _input_degree(problem, wavefuns, j, maxdeg)
+    n = _grid_size(gh.u.degree + state.y0.degree + deg)
+    if not warm:
+        stack = _cold_stack(problem, state, gh, wavefuns[:j], mm, n)
+        gh._grid["orders"] = stack
+    elif n > stack.n:
+        _grow(stack, state, gh, n)
+    return stack, deg
 
 
 def solve_order(problem: PerturbationProblem, state: UnperturbedState,
@@ -237,31 +412,76 @@ def solve_order(problem: PerturbationProblem, state: UnperturbedState,
     """Return (E_j, y_j) given all lower orders.
 
     y_j = V(g_j) + E_j phi_b with the boundary solution phi_b = V(-y0),
-    which is solved once per ghost, and E_j fixed by y_j(b) = 0.
-    g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is sampled by
-    :meth:`PerturbationProblem._operator_samples` straight onto the grid of
-    :func:`_vp_samples`, N above the degree bound of g_j plus deg u +
-    deg y0 (V(g_j) has one degree more).  E_j comes from the coefficient
-    sums (the values at b), and y_j is truncated once.
+    which is solved once per ghost, and E_j fixed by y_j(b) = 0.  The order
+    runs on values at the N+1 extrema of one grid, carried on ``gh`` from
+    order to order (:func:`_order_stack`):
+
+    - g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is formed pointwise
+      from the carried y, y' and y'' and one product of the energies with
+      the carried values;
+    - :func:`_vp_values` gives V(g_j) and V(g_j)', so y_j and y_j' are
+      pointwise sums, and E_j comes from the values at b;
+    - y_j'' comes from the order equation, as (v0 - E0) V(g_j) + g_j +
+      E_j phi_b'';
+    - one DCT gives the coefficients of y_j; those above deg u + deg y0 +
+      D + 1, the exact degree of V(g_j) + E_j phi_b, are rounding noise
+      and are dropped before the truncation;
+    - one inverse DCT gives the values of y_j as returned, cut and
+      truncated, which the next orders use.
+
+    A warm order costs four transforms.  Lists that the ghost's stack did
+    not produce are sampled from their coefficients first.
+
+    When the truncation keeps every coefficient up to the exact degree in
+    two orders in a row, their rounding noise has reached the top of the
+    room V leaves, and each further order would add deg u + deg y0 + 1
+    degrees of noise: that raises :class:`EngineError` naming the order.
+    One such order alone does not (a spike in the last coefficients).
     """
-    phi_b, denom = _boundary_solution(state, gh)
+    _check_orders(energies, wavefuns, j)
+    mm = min(len(problem.perturbations), j)
+    stack, deg = _order_stack(problem, state, gh, wavefuns, j, mm)
+    n = stack.n
     # an overflow turns into NaN in the transforms; _truncate reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        phi_a = _vp_samples(state, gh, problem._operator_samples(
-            *_rhs_terms(problem, energies, wavefuns, j),
-            pad=gh.u.degree + state.y0.degree))
-        # phi_a(b) as the correctly rounded sum of all N+1 coefficients:
-        # the untruncated rounding tail would add noise to a plain sum
-        try:
-            e_j = -math.fsum(phi_a.tolist()) / denom
-        except (ValueError, OverflowError):  # inf - inf, or an overflow
-            e_j = math.nan
+        g = np.einsum("ij,ij->j", problem._operator_values(1, n),
+                      stack.derivs[-1])
+        for k in range(2, mm + 1):
+            g += np.einsum("ij,ij->j", problem._operator_values(k, n),
+                           stack.derivs[-k])
+        g -= np.asarray(energies[j - 1:0:-1], dtype=float) @ stack.values[1:j]
+        phi_a = _vp_values(state, gh, g)  # V(g_j), V(g_j)'
+        e_j = float(-phi_a[0, 0] / stack.phi[2, 0])
         if not math.isfinite(e_j):
             raise SpectralError("series coefficients not finite")
-        y_j = np.zeros(max(len(phi_a), len(phi_b.coeffs)))
-        y_j[:len(phi_a)] = phi_a
-        y_j[:len(phi_b.coeffs)] += phi_b.coeffs * e_j
-    return e_j, SpectralFun._adopt(problem.a, problem.b, _truncate(y_j))
+        block = stack.phi * e_j  # becomes y_j'', y_j', y_j
+        block[:0:-1] += phi_a
+        block[0] += stack.q * phi_a[0]
+        block[0] += g
+        coeffs = _coeffs_from_samples(block[2])
+        room = gh.u.degree + state.y0.degree + deg + 2
+        coeffs[room:] = 0.0
+        coeffs = _truncate(coeffs)
+    full = len(coeffs) == room
+    if full and stack.full:
+        raise EngineError(
+            f"order {j}: y_{j - 1} and y_{j} are rounding noise up to their "
+            f"exact degree (y_{j} has degree {room - 1}); the series is not "
+            "resolved from here on")
+    # carry the values of y_j as returned, cut and truncated
+    block[2] = _values_at_extrema(coeffs, n)
+    y_j = SpectralFun._adopt(problem.a, problem.b, coeffs)
+    if j == len(stack.values):
+        values = np.empty((j + max(8, j // 2), n + 1))
+        values[:j] = stack.values
+        stack.values = values
+    stack.values[j] = block[2]
+    stack.funs.append(y_j)
+    stack.derivs.append(block)
+    del stack.derivs[:-len(problem.perturbations)]
+    stack.maxdeg = max(stack.maxdeg, y_j.degree)
+    stack.full = full
+    return e_j, y_j
 
 
 def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
@@ -276,9 +496,10 @@ def compute_series(problem: PerturbationProblem, state: UnperturbedState,
     """Run the recurrence through order J with :func:`solve_order` and
     attach normalization.
 
-    The series builds one ghost, and the boundary solution V(-y0) is solved
-    once per ghost (when J >= 1), so the series costs J + 1
-    variation-of-parameters solves.
+    The series builds one ghost; the boundary solution V(-y0) is solved
+    once per ghost (when J >= 1), and every order runs warm on the values
+    that the previous one left on the ghost.  A series that sinks into its
+    rounding raises :class:`EngineError` (see :func:`solve_order`).
     """
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
@@ -289,6 +510,7 @@ def compute_series(problem: PerturbationProblem, state: UnperturbedState,
         e_j, y_j = solve_order(problem, state, gh, energies, wavefuns, j)
         energies.append(e_j)
         wavefuns.append(y_j)
+    del gh  # and the values it carries, before the normalization's grid
     norm = normalization_coeffs(state, wavefuns, J)
     return PerturbationSeries(state=state, n=state.n, energies=energies,
                               wavefuns=wavefuns, norm_coeffs=norm)

@@ -64,8 +64,7 @@ def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
     along the last axis of ``values`` (one series per row)."""
     n = values.shape[-1] - 1
     c = _dct1(values) / n
-    c[..., 0] *= 0.5
-    c[..., -1] *= 0.5
+    c[..., ::n] *= 0.5  # the columns 0 and n
     return c
 
 
@@ -73,11 +72,13 @@ def _values_at_extrema(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series in
     each row of ``coeffs``, which has at most n + 1 columns: the inverse of
     :func:`_coeffs_from_samples`, a DCT-I with the interior halved."""
+    if coeffs.shape[-1] == n + 1:
+        x = 0.5 * coeffs
+        x[..., ::n] = coeffs[..., ::n]  # the columns 0 and n
+        return _dct1(x)
     x = np.zeros(coeffs.shape[:-1] + (n + 1,))
     x[..., :coeffs.shape[-1]] = 0.5 * coeffs
     x[..., 0] = coeffs[..., 0]
-    if coeffs.shape[-1] == n + 1:
-        x[..., n] = coeffs[..., n]
     return _dct1(x)
 
 
@@ -109,7 +110,7 @@ def _integrate_rows(c: np.ndarray) -> np.ndarray:
     out[..., 1:] = c[..., :-1]
     out[..., 1] += c[..., 0]
     out[..., 1:-1] -= c[..., 2:]
-    out[..., 1:] /= 2.0 * np.arange(1, n + 1)
+    out[..., 1:] /= np.arange(2.0, 2 * n + 1, 2.0)  # 2k, k = 1..n
     out[..., 0] = out[..., 1::2].sum(-1) - out[..., 2::2].sum(-1)
     return out
 
@@ -168,8 +169,9 @@ def _truncate(coeffs: np.ndarray) -> np.ndarray:
         raise SpectralError("series coefficients not finite")
     if scale == 0.0:
         return np.zeros(1)
-    keep = np.flatnonzero(mag > TRUNCATION_TOL * scale)
-    return coeffs[: keep[-1] + 1].copy()
+    # the last coefficient above the tolerance: the first one from the end
+    keep = len(mag) - int(np.argmax(mag[::-1] > TRUNCATION_TOL * scale))
+    return coeffs[:keep].copy()
 
 
 class SpectralFun:

@@ -80,14 +80,22 @@ class PerturbationProblem:
         return self._fit("v0", self.v0)
 
     def v0_is_zero(self) -> bool:
-        xs = np.linspace(self.a, self.b, 64)
-        return bool(np.all(np.abs(ex.evaluate(self.v0, xs)) < 1e-12))
+        """Whether |v0| < 1e-12 on 64 equispaced points, cached."""
+        if "v0_is_zero" not in self._cache:
+            xs = np.linspace(self.a, self.b, 64)
+            self._cache["v0_is_zero"] = bool(
+                np.all(np.abs(ex.evaluate(self.v0, xs)) < 1e-12))
+        return self._cache["v0_is_zero"]
 
     def _operator_degree(self, k: int, deg: int) -> int:
         """Degree bound of P_k f for a series f of degree ``deg``, and of
         every coefficient of P_k: a grid of N+1 extrema with N above it
         resolves the result and every factor it samples."""
-        p2, p1, p0 = (len(c) - 1 for c in self._operator_coeffs(k))
+        key = (k, "degrees")
+        if key not in self._cache:
+            self._cache[key] = tuple(len(c) - 1
+                                     for c in self._operator_coeffs(k))
+        p2, p1, p0 = self._cache[key]
         return max(deg + max(p2 - 2, p1 - 1, p0), deg, p2, p1, p0)
 
     def _operator_coeffs(self, k: int) -> tuple:
@@ -109,13 +117,12 @@ class PerturbationProblem:
                 _rows(ps, max(map(len, ps))), n)
         return self._cache[key]
 
-    def _operator_samples(self, terms, r: np.ndarray,
-                          pad: int = 0) -> np.ndarray:
+    def _operator_samples(self, terms, r: np.ndarray) -> np.ndarray:
         """Values of sum_i P_(k_i) f_i - r at the N+1 Chebyshev extrema, for
         pairs (k, coefficients of f) in ``terms`` and a coefficient row r.
 
-        N is the smallest power of two above ``pad`` plus the degree bound
-        of the sum (:meth:`_operator_degree`).  One batched inverse DCT
+        N is the smallest power of two above the degree bound of the sum
+        (:meth:`_operator_degree`).  One batched inverse DCT
         samples f'', f' and f of every term and r, and the operator rows
         are summed pointwise with the cached p-values.  Callers run it under
         ``np.errstate(over="ignore", invalid="ignore")``: an overflow ends
@@ -128,7 +135,7 @@ class PerturbationProblem:
             deg = max(deg, self._operator_degree(k, len(c) - 1))
         rows.append(r)
         width = max(map(len, rows))
-        n = _grid_size(pad + max(deg, width - 1))
+        n = _grid_size(max(deg, width - 1))
         ps = np.concatenate([self._operator_values(k, n) for k, _ in terms])
         values = _values_at_extrema(_rows(rows, width), n)
         return np.einsum("ij,ij->j", ps, values[:-1]) - values[-1]

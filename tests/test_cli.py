@@ -625,3 +625,68 @@ def test_non_finite_series_values_are_input_errors(capsys, tmp_path,
     bad.write_text(json.dumps(_spoil(data, shape)))
     _fails(capsys, 1, f"error: series file {bad}: ", "eval", str(bad),
            "--lambda", "0.5", "--normalize")
+
+
+# ----------------------------------------------------------------------
+# negative floats, the --guess help and the order cap
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,reference", [
+    (("oracle", "--problem", "{m1}", "--lambda", "-1e-3"),
+     ("oracle", "--problem", "{m1}", "--lambda", "-0.001")),
+    (("oracle", "--problem", "{m1}", "--guess", "-1e1"),
+     ("oracle", "--problem", "{m1}", "--guess", "-10.0")),
+    (("validate", "--problem", "{m1}", "--amplitude", "-1.5e0"),
+     ("validate", "--problem", "{m1}", "--amplitude", "-1.5")),
+], ids=["lambda", "guess", "amplitude"])
+def test_negative_exponent_form_floats_are_flag_values(capsys, model1_file,
+                                                       argv, reference):
+    code, out, err = run(capsys, *(a.format(m1=model1_file) for a in argv))
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(
+        capsys, *(a.format(m1=model1_file) for a in reference))
+
+
+def test_a_flag_is_not_taken_for_a_float_value(capsys, model1_file):
+    code, out, err = run(capsys, "oracle", "--problem", model1_file,
+                         "--lambda", "--guess", "3")
+    assert code == 1
+    assert err == "error: argument --lambda: expected one argument\n"
+    assert out == ""
+
+
+def test_guess_help_states_the_default_order(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["oracle", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--guess GUESS eigenvalue guess (default: the summed --series, "
+            "else the problem file's E0, else (n pi / L)^2)") in text
+    assert "unperturbed E0" not in text
+
+
+def _cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "pertbvp.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_order_100_ends_cleanly_on_both_demos():
+    done = _cli("solve", "--problem", str(DEMOS / "model1.prob"),
+                "--order", "100")
+    assert done.returncode == 2
+    assert done.stderr.startswith("computation failed: order ")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    done = _cli("solve", "--problem", str(DEMOS / "model3.prob"),
+                "--order", "100")
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 1 + 101
+
+
+def test_order_above_the_cap_is_usage_error(capsys, model3_file):
+    code, out, err = run(capsys, "solve", "--problem", model3_file,
+                         "--order", "100000")
+    assert code == 1
+    assert err == "error: argument --order: must be <= 1000, got 100000\n"
+    assert out == ""

@@ -229,10 +229,10 @@ def test_compute_series_order_zero(m1):
 
 @pytest.mark.parametrize("J", [0, 1, 5, 12])
 def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
-    # _vp runs only for the boundary solution; every order feeds its g_j
-    # samples to the kernel directly
+    # _vp_samples runs only for the boundary solution; it and every order
+    # make one pass of the value kernel
     calls, kernel_calls = [], []
-    vp, kernel = engine._vp, engine._vp_samples
+    vp, kernel = engine._vp_samples, engine._vp_values
 
     def counted(*args):
         calls.append(args[2])
@@ -242,8 +242,8 @@ def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
         kernel_calls.append(len(args[2]))
         return kernel(*args)
 
-    monkeypatch.setattr(engine, "_vp", counted)
-    monkeypatch.setattr(engine, "_vp_samples", counted_kernel)
+    monkeypatch.setattr(engine, "_vp_samples", counted)
+    monkeypatch.setattr(engine, "_vp_values", counted_kernel)
     compute_series(m3, analytic_sine_state(m3, 2), J)
     assert len(calls) == (1 if J >= 1 else 0)
     assert len(kernel_calls) == (J + 1 if J >= 1 else 0)
@@ -308,8 +308,8 @@ def test_operator_callers_multiply_no_series(m3, monkeypatch):
 def test_degenerate_boundary_equation_only_when_orders_requested(
         m1, monkeypatch):
     st = analytic_sine_state(m1, 1)
-    monkeypatch.setattr(engine, "_vp", lambda state, gh, r:
-                        SpectralFun.constant(0.0, m1.domain))
+    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, r:
+                        np.zeros((2, len(r))))
     assert compute_series(m1, st, 0).order == 0
     with pytest.raises(EngineError, match="boundary equation degenerate"):
         compute_series(m1, st, 1)
@@ -319,13 +319,13 @@ def test_degenerate_boundary_equation_only_when_orders_requested(
 
 def test_order_by_order_solves_boundary_once_per_ghost(m3, monkeypatch):
     calls = []
-    vp = engine._vp
+    vp = engine._vp_samples  # the boundary solution's VP pass
 
     def counted(*args):
         calls.append(args[2])
         return vp(*args)
 
-    monkeypatch.setattr(engine, "_vp", counted)
+    monkeypatch.setattr(engine, "_vp_samples", counted)
     st = analytic_sine_state(m3, 3)
     gh = ghost(st, m3)
     energies, wavefuns = [st.E0], [st.y0]

@@ -2,6 +2,7 @@
 code they replace, which is written out here as the reference."""
 
 import math
+import time
 import weakref
 
 import numpy as np
@@ -50,11 +51,23 @@ def _plain_vp(state, gh, r):
         cheb.chebmul(u, int_y0), cheb.chebmul(y0, int_u))))
 
 
-def _plain_vp_samples(state, gh, r):
-    """:func:`_plain_vp` in the form of the sample-level kernel: the
-    coefficients of V(r) from the values of r at the Chebyshev extrema."""
-    r = SpectralFun(state.y0.domain, _coeffs_from_samples(r))
-    return _plain_vp(state, gh, r).coeffs
+def _plain_vp_values(state, gh, r):
+    """:func:`_plain_vp` in the form of the value-level kernel: the values
+    of V(r) and of V(r)' = u' int y0 r - y0' int u r at the Chebyshev
+    extrema of the samples r, from products and integrals in coefficient
+    space with W = 1, evaluated with ``chebval``."""
+    n = len(r) - 1
+    rc = _coeffs_from_samples(r)
+    y0, u, dy0, du = (f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du))
+    scl = 0.5 * (state.y0.b - state.y0.a)
+    int_y0 = cheb.chebint(cheb.chebmul(y0, rc), lbnd=-1, scl=scl)
+    int_u = cheb.chebint(cheb.chebmul(u, rc), lbnd=-1, scl=scl)
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    return np.array([
+        cheb.chebval(t, cheb.chebsub(cheb.chebmul(u, int_y0),
+                                     cheb.chebmul(y0, int_u))),
+        cheb.chebval(t, cheb.chebsub(cheb.chebmul(du, int_y0),
+                                     cheb.chebmul(dy0, int_u)))])
 
 
 def _chain(problem, k, f):
@@ -279,8 +292,7 @@ def test_dividing_by_the_measured_wronskian_gains_digits(m1, monkeypatch):
     grid = _model1_digits(m1, 10)
     # every VP pass, the boundary solution's and each order's, becomes
     # the four-product map with W = 1
-    monkeypatch.setattr(engine, "_vp", _plain_vp)
-    monkeypatch.setattr(engine, "_vp_samples", _plain_vp_samples)
+    monkeypatch.setattr(engine, "_vp_values", _plain_vp_values)
     plain = _model1_digits(m1, 10)
     assert grid >= plain + 0.5
 
@@ -341,13 +353,13 @@ def test_order_step_grid_is_above_the_exact_degree(name, m1, m3, mp,
                                                    monkeypatch):
     prob, st = _case(name, m1, m3, mp)
     sizes = []
-    kernel = engine._vp_samples
+    kernel = engine._vp_values
 
     def spy(state, gh, r):
         sizes.append(len(r) - 1)
         return kernel(state, gh, r)
 
-    monkeypatch.setattr(engine, "_vp_samples", spy)
+    monkeypatch.setattr(engine, "_vp_values", spy)
     gh = ghost(st, prob)
     ser = compute_series(prob, st, 8)
     assert len(sizes) == 9  # the boundary solution, then orders 1..8
@@ -397,8 +409,8 @@ def test_order_step_reports_coefficients_that_are_not_finite(
     st = pb.analytic_sine_state(m3, 1)
     gh = ghost(st, m3)
     engine._boundary_solution(st, gh)  # kept on gh: the patch hits order 1
-    monkeypatch.setattr(engine, "_vp_samples",
-                        lambda state, gh, r: np.array(values))
+    monkeypatch.setattr(engine, "_vp_values",
+                        lambda state, gh, r: np.resize(values, (2, len(r))))
     with pytest.raises(funcspace.SpectralError, match="not finite"):
         engine.solve_order(m3, st, gh, [st.E0], [st.y0], 1)
 
@@ -425,6 +437,125 @@ def test_ten_more_orders_cost_at_most_four_transforms_each(make, n,
     calls.clear()
     compute_series(prob, st, 20)
     assert len(calls) - ten <= 40
+
+
+# ----------------------------------------------------------------------
+# the value-space order step
+# ----------------------------------------------------------------------
+
+def test_value_space_orders_hold_model1_deep_wavefunctions(m1):
+    # y_j' from the VP formula and y_j'' from the order equation: no
+    # coefficient derivative feeds the drift at j >= 30
+    ser = compute_series(m1, pb.analytic_sine_state(m1, 3), 40)
+    worst = 0.0
+    for j in range(1, 41):
+        ref = model1_series_exact(3, j)[1](XS)
+        err = np.max(np.abs(ser.wavefuns[j](XS) - ref))
+        worst = max(worst, err / np.max(np.abs(ref)))
+    assert worst <= 3e-5
+
+
+@pytest.mark.parametrize("make,n", [(model3_problem, 2), (model1_problem, 3)],
+                         ids=["model3", "model1"])
+def test_a_warm_order_makes_four_transforms_and_no_derivative(
+        make, n, monkeypatch):
+    # the VP kernel's 2-row DCT and inverse DCT, the DCT of y_j and the
+    # inverse DCT of y_j as returned (cut and truncated)
+    prob = make()
+    st = pb.analytic_sine_state(prob, n)
+    gh = ghost(st, prob)
+    energies, wavefuns = [st.E0], [st.y0]
+    for j in range(1, 11):
+        e_j, y_j = engine.solve_order(prob, st, gh, energies, wavefuns, j)
+        energies.append(e_j)
+        wavefuns.append(y_j)
+    grid = gh._grid["orders"].n
+    calls = []
+    dct = funcspace._dct1
+
+    def counted(x):
+        calls.append(x.shape)
+        return dct(x)
+
+    monkeypatch.setattr(funcspace, "_dct1", counted)
+    monkeypatch.setattr(funcspace, "_derivative", _boom)
+    engine.solve_order(prob, st, gh, energies, wavefuns, 11)
+    assert gh._grid["orders"].n == grid  # no resampling in this order
+    assert calls == [(2, grid + 1), (2, grid + 1), (grid + 1,), (grid + 1,)]
+
+
+@pytest.mark.parametrize("name", ["m1", "m3", "closed"])
+def test_cold_orders_agree_with_warm_ones(name, m1, m3, mp):
+    # a list the ghost did not produce is sampled from its coefficients,
+    # with coefficient derivatives, instead of the carried values
+    prob, st = _case(name, m1, m3, mp)
+    gh = ghost(st, prob)
+    energies, wavefuns = [st.E0], [st.y0]
+    for j in range(1, 9):  # each call continues the ghost's stack
+        e_j, y_j = engine.solve_order(prob, st, gh, energies, wavefuns, j)
+        energies.append(e_j)
+        wavefuns.append(y_j)
+    xs = np.linspace(prob.a, prob.b, 257)
+    for j in range(1, 9):
+        copies = [st.y0] + [SpectralFun(y.domain, y.coeffs)
+                            for y in wavefuns[1:j]]
+        e_cold, y_cold = engine.solve_order(prob, st, gh, energies[:j],
+                                            copies, j)
+        assert abs(e_cold - energies[j]) <= 1e-12 * max(abs(energies[j]),
+                                                       abs(st.E0))
+        ref = wavefuns[j](xs)
+        assert np.max(np.abs(y_cold(xs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rounding_noise_ends_the_series(m1):
+    # model 1 at n = 1: the true y_j fall like 1 / (j! 2^j) while the
+    # rounding carried from the lower orders does not; from j ~ 50 y_j is
+    # noise up to its exact degree, and each more order would add
+    # deg u + deg y0 + 1 degrees of it
+    st = pb.analytic_sine_state(m1, 1)
+    start = time.perf_counter()
+    with pytest.raises(engine.EngineError, match=r"^order \d+: y_\d+ and "):
+        compute_series(m1, st, 100)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_one_order_up_to_its_exact_degree_does_not_end_the_series(m3):
+    # model 3 at n = 1 keeps every coefficient of a lone order now and then
+    # (a spike in the last coefficients) and runs on
+    st = pb.analytic_sine_state(m3, 1)
+    gh = ghost(st, m3)
+    energies, wavefuns, full = [st.E0], [st.y0], []
+    for j in range(1, 201):
+        e_j, y_j = engine.solve_order(m3, st, gh, energies, wavefuns, j)
+        energies.append(e_j)
+        wavefuns.append(y_j)
+        full.append(gh._grid["orders"].full)
+    assert any(full) and not any(a and b for a, b in zip(full, full[1:]))
+
+
+def test_coefficients_above_the_exact_degree_are_dropped(m1, mp):
+    # V(g_j) + E_j phi_b has degree deg u + deg y0 + D + 1 at most, D the
+    # degree bound of g_j; lower orders of random coefficients fill the
+    # room up to it with rounding noise, and nothing above it survives
+    rng = np.random.default_rng(26)
+    st = pb.analytic_sine_state(m1, 1)
+    gh = ghost(st, m1)
+    for deg in (5, 30, 70):
+        ys = [st.y0] + [SpectralFun(mp.domain, rng.standard_normal(deg + 1))
+                        for _ in range(2)]
+        _, y_j = engine.solve_order(mp, st, gh, [st.E0, 0.7, -1.3], ys, 3)
+        bound = engine._input_degree(mp, ys, 3, max(y.degree for y in ys))
+        assert y_j.degree <= gh.u.degree + st.y0.degree + bound + 1
+
+
+def test_high_degree_couplings_are_not_taken_for_noise():
+    # a coupling of higher degree than y0 raises the degree of every order
+    # by its own: the noise test counts it in D
+    prob = pb.load_problem("domain = 0 1\nv0 = 0\nperturbation.1.p2 = 0\n"
+                           "perturbation.1.p1 = 0\n"
+                           "perturbation.1.p0 = exp(-200*(x-0.3)^2)\n")
+    ser = compute_series(prob, pb.analytic_sine_state(prob, 1), 30)
+    assert ser.order == 30 and all(map(math.isfinite, ser.energies))
 
 
 # ----------------------------------------------------------------------

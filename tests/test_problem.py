@@ -179,6 +179,25 @@ def test_sine_state_requires_zero_v0():
         analytic_sine_state(load_problem(text), 1)
 
 
+def test_v0_is_sampled_once_per_problem(monkeypatch):
+    # the sine state and the ghost both ask; the answer is cached
+    calls = []
+    evaluate = ex.evaluate
+
+    def counted(e, x):
+        calls.append(e)
+        return evaluate(e, x)
+
+    for text, zero in ((model1_config(), True),
+                       (model1_config().replace("v0 = 0", "v0 = x"), False)):
+        prob = load_problem(text)
+        monkeypatch.setattr(ex, "evaluate", counted)
+        assert [prob.v0_is_zero() for _ in range(3)] == [zero] * 3
+        monkeypatch.setattr(ex, "evaluate", evaluate)
+        assert calls == [prob.v0]
+        calls.clear()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_state_invariants(n):
     prob = load_problem(model1_config())
