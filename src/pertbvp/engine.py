@@ -12,10 +12,10 @@ which is affine in E_j.
 
 The recurrence needs y_j, y_j' and y_j'' only as values on the grid where
 V integrates, so it runs there (after Greengard, SIAM J. Numer. Anal. 28,
-1991): the ghost carries the values of every lower order as returned
-(cut and truncated), and y', y'' of the last m, from one order to the
-next.  The boundary solution V(-y0) is
-computed once per ghost.  Each order forms g_j pointwise, and
+1991).  One ``_Recurrence`` per series owns what is carried from one
+order to the next: the values of every lower order as returned (cut and
+truncated), y', y'' of the last m, and the boundary solution V(-y0),
+solved once per recurrence.  Each order forms g_j pointwise, and
 :func:`_vp_values` gives V(g_j) and its derivative
 
     V(r)'(x) = u'(x) * int_a^x y0 r  -  y0'(x) * int_a^x u r
@@ -30,7 +30,7 @@ on their own alias-free grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,19 +67,12 @@ class GhostFunction:
     """Second unperturbed solution with W(u, y0) = u' y0 - y0' u = 1.
 
     ``wronskian`` is the measured W: the mean of the samples that
-    :func:`ghost` checks (1 for a ghost built by hand).  ``_grid`` holds the
-    values of y0, u, y0' and u' on the Chebyshev grids of the VP map, per
-    grid size; under ``"phi_b"`` the boundary solution V(-y0), solved once
-    per ghost; and under ``"orders"`` the values that :func:`solve_order`
-    carries from one order to the next (:class:`_OrderStack`).  Each entry
-    is kept with the y0 it was computed for.
+    :func:`ghost` checks (1 for a ghost built by hand).
     """
 
     u: SpectralFun
     du: SpectralFun
     wronskian: float = 1.0
-    _grid: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
 
 
 @dataclass
@@ -129,13 +122,16 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     :class:`EngineError`.  Either way the Wronskian is sampled on the
     Chebyshev grid of :func:`_wronskian_samples`: a defect above 1e-10
     raises :class:`EngineError`, and the samples' mean is kept as
-    ``wronskian``, by which :func:`_vp_values` divides.
+    ``wronskian``, by which :func:`_vp_values` divides.  A y0'(a) within
+    1e-12 of the sup of y0' on the Chebyshev extrema is degenerate.
     """
     a, b = problem.domain
     # y0'(a) by Clenshaw on Python floats: bit for bit as chebval gives it
     dc = state.dy0.coeffs.tolist()
     d0 = dc[0] if len(dc) == 1 else _clenshaw_at_minus_one(dc)
-    if abs(d0) < 1e-12:
+    sup = np.max(np.abs(_values_at_extrema(state.dy0.coeffs,
+                                           _grid_size(len(dc)))))
+    if abs(d0) <= 1e-12 * sup:
         raise EngineError("degenerate state: y0'(a) vanishes")
 
     if problem.v0_is_zero():
@@ -184,23 +180,18 @@ def order_rhs(problem: PerturbationProblem, energies, wavefuns,
     return problem._operator_fun(*_rhs_terms(problem, energies, wavefuns, j))
 
 
-def _ghost_grid(gh: GhostFunction, state: UnperturbedState,
+def _ghost_rows(state: UnperturbedState, gh: GhostFunction,
                 n: int) -> np.ndarray:
-    """Rows (y0, u, y0', u') of values at the n+1 extrema, cached on ``gh``
-    per n for this y0."""
-    hit = gh._grid.get(n)
-    if hit is None or hit[0] is not state.y0:
-        funs = [f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du)]
-        hit = (state.y0, _values_at_extrema(_rows(funs, max(map(len, funs))),
-                                            n))
-        gh._grid[n] = hit
-    return hit[1]
+    """Rows (y0, u, y0', u') of values at the n+1 extrema."""
+    funs = [f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du)]
+    return _values_at_extrema(_rows(funs, max(map(len, funs))), n)
 
 
-def _vp_values(state: UnperturbedState, gh: GhostFunction,
+def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
                r: np.ndarray) -> np.ndarray:
     """Rows (V(r), V(r)') of values at the N+1 Chebyshev extrema from the
-    values ``r`` of r there, with
+    values ``r`` of r there and the ghost rows ``rows`` of
+    :func:`_ghost_rows` on the same grid, with
 
         V(r)' = (u' int_a^x y0 r - y0' int_a^x u r) / W,
 
@@ -215,22 +206,11 @@ def _vp_values(state: UnperturbedState, gh: GhostFunction,
     in the transforms, which ``_truncate`` reports.
     """
     a, b = state.y0.domain
-    n = len(r) - 1
-    ghost_rows = _ghost_grid(gh, state, n)  # y0, u, y0', u'
-    ints = _integrate_rows(_coeffs_from_samples(ghost_rows[:2] * r))
-    int_y0, int_u = _values_at_extrema(ints, n)
-    out = ghost_rows[1::2] * int_y0 - ghost_rows[0::2] * int_u
+    ints = _integrate_rows(_coeffs_from_samples(rows[:2] * r))
+    int_y0, int_u = _values_at_extrema(ints, len(r) - 1)
+    out = rows[1::2] * int_y0 - rows[0::2] * int_u
     out *= 0.5 * (b - a) / gh.wronskian
     return out
-
-
-def _vp_samples(state: UnperturbedState, gh: GhostFunction,
-                r: np.ndarray) -> np.ndarray:
-    """Coefficients of the rows (V(r), V(r)') of :func:`_vp_values`,
-    untruncated."""
-    # an overflow turns into NaN in the transforms; _truncate reports it
-    with np.errstate(invalid="ignore"):
-        return _coeffs_from_samples(_vp_values(state, gh, r))
 
 
 def _vp(state: UnperturbedState, gh: GhostFunction,
@@ -242,105 +222,29 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
     n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
                    + len(r.coeffs) - 2)
     with np.errstate(invalid="ignore"):
-        values = _vp_values(state, gh, _values_at_extrema(r.coeffs, n))[0]
+        values = _vp_values(state, gh, _ghost_rows(state, gh, n),
+                            _values_at_extrema(r.coeffs, n))[0]
         return SpectralFun._adopt(r.a, r.b,
                                   _truncate(_coeffs_from_samples(values)))
 
 
-def _boundary_solution(state: UnperturbedState, gh: GhostFunction):
-    """(phi_b, phi_b(b)) with phi_b = V(-y0): the E_j-part of every order,
-    solved on first use and kept on ``gh`` for this y0.
-
-    The entry on ``gh`` also keeps the untruncated coefficients of phi_b
-    and phi_b' from :func:`_vp_samples`, on the smallest grid above the
-    degree of phi_b; :func:`solve_order` samples them onto its own grid.
-    Raises :class:`EngineError` when phi_b(b) vanishes, because then the
-    boundary condition y_j(b) = 0 cannot fix E_j.
-    """
-    hit = gh._grid.get("phi_b")
-    if hit is None or hit[0] is not state.y0:
-        n = _grid_size(gh.u.degree + 2 * state.y0.degree)
-        rows = _vp_samples(state, gh, -_ghost_grid(gh, state, n)[0])
-        denom = float(rows[0].sum())  # phi_b(b): T_k(1) = 1
-        if abs(denom) < 1e-12:
-            raise EngineError(
-                "boundary equation degenerate (u(b) ~ 0): invalid state")
-        phi_b = SpectralFun._adopt(state.y0.a, state.y0.b,
-                                   _truncate(rows[0]))
-        hit = (state.y0, phi_b, denom, rows)
-        gh._grid["phi_b"] = hit
-    return hit[1:3]
-
-
-class _OrderStack:
-    """What :func:`solve_order` carries on a ghost from one order to the
-    next: values on the N+1 extrema of its grid, for the orders ``funs``
-    (y_0 .. y_(j-1)) of ``problem`` and the state whose y0 is ``y0``.
-
-    ``values`` holds y_0 .. y_(j-1) in its first j rows (the rest is spare
-    room), ``derivs`` a block (y'', y', y) for each of the last m orders,
-    ``phi`` the block (phi_b'', phi_b', phi_b) and ``q`` the values of
-    v0 - E0.  ``maxdeg`` is the largest degree in ``funs``, and ``full``
-    tells whether the last order of a warm run kept every coefficient up to
-    its exact degree (see :func:`solve_order`).  (A plain class: a
-    dataclass would cost its code generation at every import.)
-    """
-
-    __slots__ = ("y0", "problem", "funs", "n", "values", "derivs", "phi",
-                 "q", "maxdeg", "full")
-
-    def __init__(self, **fields):
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
-def _v0_minus_e0(problem: PerturbationProblem, state: UnperturbedState,
-                 n: int) -> np.ndarray:
-    """v0 - E0 at the n+1 extrema (without fitting v0 when it is zero)."""
-    if problem.v0_is_zero():
-        return np.full(n + 1, -state.E0)
-    return _values_at_extrema(problem.v0_fun.coeffs, n) - state.E0
-
-
-def _phi_block(q: np.ndarray, phi_b: np.ndarray, dphi_b: np.ndarray,
-               y0: np.ndarray) -> np.ndarray:
-    """The block (phi_b'', phi_b', phi_b), with phi_b'' = q phi_b - y0 from
-    the equation phi_b = V(-y0) solves."""
-    return np.stack((q * phi_b - y0, dphi_b, phi_b))
-
-
-def _cold_stack(problem: PerturbationProblem, state: UnperturbedState,
-                gh: GhostFunction, lower: list, mm: int,
-                n: int) -> _OrderStack:
-    """The stack of the orders ``lower`` = y_0 .. y_(j-1), sampled on the
-    n+1 extrema from their coefficients in one batched inverse DCT.
-
-    y_k' and y_k'' of the last ``mm`` orders are differentiated in
-    coefficient form, except y_0: y_0' is the state's dy0 and
-    y_0'' = (v0 - E0) y_0 comes from the unperturbed equation.
-    """
-    _boundary_solution(state, gh)
-    j = len(lower)
-    scl = 2.0 / (problem.b - problem.a)
-    rows = [y.coeffs for y in lower]
-    for y in lower[max(1, j - mm):]:
-        rows.extend(_derivatives(y.coeffs, scl)[:2])
-    values = _values_at_extrema(_rows(rows, max(map(len, rows))), n)
-    q = _v0_minus_e0(problem, state, n)
-    derivs = []
-    if j <= mm:
-        derivs.append(np.stack((q * values[0],
-                                _ghost_grid(gh, state, n)[2], values[0])))
-    derivs.extend(np.stack((d2, d1, y))
-                  for d2, d1, y in zip(values[j::2], values[j + 1::2],
-                                       values[max(1, j - mm):j]))
-    stack = np.empty((2 * j, n + 1))
-    stack[:j] = values[:j]
-    phi_b, dphi_b = _values_at_extrema(gh._grid["phi_b"][3], n)
-    return _OrderStack(
-        y0=state.y0, problem=problem, funs=list(lower), n=n, values=stack,
-        derivs=derivs, phi=_phi_block(q, phi_b, dphi_b, values[0]), q=q,
-        maxdeg=max(y.degree for y in lower), full=False)
+def _boundary_solution(state: UnperturbedState,
+                       gh: GhostFunction) -> np.ndarray:
+    """Coefficients of the rows (phi_b, phi_b') with phi_b = V(-y0), the
+    E_j-part of every order, untruncated, on the smallest grid above the
+    degree of phi_b.  Raises :class:`EngineError` when phi_b(b) vanishes
+    against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j."""
+    n = _grid_size(gh.u.degree + 2 * state.y0.degree)
+    rows = _ghost_rows(state, gh, n)
+    # an overflow turns into NaN in the transforms; _truncate reports it
+    with np.errstate(invalid="ignore"):
+        values = _vp_values(state, gh, rows, -rows[0])
+        coeffs = _coeffs_from_samples(values)
+    # phi_b(b): T_k(1) = 1
+    if abs(coeffs[0].sum()) <= 1e-12 * np.max(np.abs(values[0])):
+        raise EngineError(
+            "boundary equation degenerate (u(b) ~ 0): invalid state")
+    return coeffs
 
 
 def _resample(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -355,23 +259,6 @@ def _resample(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow(stack: _OrderStack, state: UnperturbedState, gh: GhostFunction,
-          n: int):
-    """Move ``stack`` onto the n+1 extrema by resampling the carried rows
-    (nothing is differentiated again; phi_b'' comes from its equation), and
-    drop the ghost's rows on the old grid."""
-    j = len(stack.funs)
-    values = np.empty((len(stack.values), n + 1))
-    _resample(stack.values[:j], values[:j])
-    stack.values = values
-    stack.derivs = [_resample(d, np.empty((3, n + 1))) for d in stack.derivs]
-    dphi_b, phi_b = _resample(stack.phi[1:], np.empty((2, n + 1)))
-    stack.q = _v0_minus_e0(stack.problem, state, n)
-    stack.phi = _phi_block(stack.q, phi_b, dphi_b, values[0])
-    gh._grid.pop(stack.n, None)
-    stack.n = n
-
-
 def _input_degree(problem: PerturbationProblem, wavefuns, j: int,
                   maxdeg: int) -> int:
     """The degree bound D of g_j: the largest degree of y_0 .. y_(j-1)
@@ -381,107 +268,182 @@ def _input_degree(problem: PerturbationProblem, wavefuns, j: int,
                                                  j) + 1)])
 
 
-def _order_stack(problem: PerturbationProblem, state: UnperturbedState,
-                 gh: GhostFunction, wavefuns, j: int, mm: int):
-    """(stack, D) for order j, D from :func:`_input_degree`.
+class _Recurrence:
+    """The recurrence of one state from the orders it is given, E_0 ..
+    E_(j-1) in ``energies`` and y_0 .. y_(j-1) in ``wavefuns``: each
+    :meth:`step` appends (E_j, y_j) to both lists.
 
-    The stack is the one kept on ``gh`` when it holds exactly
-    ``wavefuns[:j]`` of ``problem`` for this y0 (grown when order j needs a
-    larger grid), else a cold stack of their coefficients, kept in its
-    place.  Order j needs the smallest power of two above deg u + deg y0 +
-    D, so that V(g_j), of degree deg u + deg y0 + deg g_j + 1, is exact on
-    it.
+    It carries values on the N+1 extrema of one grid (``n``, 0 before the
+    first step): y_0 .. y_(j-1) in the first j rows of ``values`` (the rest
+    is spare room), a block (y'', y', y) for each of the last m orders in
+    ``derivs``, the block (phi_b'', phi_b', phi_b) in ``phi`` and max|phi_b|
+    in ``phi_sup``, v0 - E0 in ``q`` and the ghost rows of
+    :func:`_ghost_rows` in ``rows``.  ``maxdeg`` is the largest degree of
+    the orders, and ``full`` tells whether the last step kept every
+    coefficient up to its exact degree.  (A plain class: a dataclass
+    costs its code generation at import.)
     """
-    stack = gh._grid.get("orders")
-    warm = (stack is not None and stack.y0 is state.y0
-            and stack.problem is problem and len(stack.funs) == j
-            and stack.funs == wavefuns[:j])
-    maxdeg = stack.maxdeg if warm else max(y.degree for y in wavefuns[:j])
-    deg = _input_degree(problem, wavefuns, j, maxdeg)
-    n = _grid_size(gh.u.degree + state.y0.degree + deg)
-    if not warm:
-        stack = _cold_stack(problem, state, gh, wavefuns[:j], mm, n)
-        gh._grid["orders"] = stack
-    elif n > stack.n:
-        _grow(stack, state, gh, n)
-    return stack, deg
+
+    __slots__ = ("problem", "state", "gh", "energies", "wavefuns", "n",
+                 "values", "derivs", "phi", "phi_sup", "q", "rows", "maxdeg",
+                 "full")
+
+    def __init__(self, problem: PerturbationProblem, state: UnperturbedState,
+                 gh: GhostFunction, energies, wavefuns):
+        self.problem, self.state, self.gh = problem, state, gh
+        self.energies, self.wavefuns = list(energies), list(wavefuns)
+        self.maxdeg = max(y.degree for y in wavefuns)
+        self.n, self.full = 0, False
+
+    def _regrid(self, n: int, dphi_b: np.ndarray, phi_b: np.ndarray):
+        """Set the grid to the n+1 extrema, with the ghost rows and v0 - E0
+        there (without fitting v0 when it is zero), and the phi_b block,
+        phi_b'' = q phi_b - y0 from the equation phi_b = V(-y0) solves."""
+        problem, e0 = self.problem, self.state.E0
+        self.n, self.rows = n, _ghost_rows(self.state, self.gh, n)
+        if problem.v0_is_zero():
+            self.q = np.full(n + 1, -e0)
+        else:
+            self.q = _values_at_extrema(problem.v0_fun.coeffs, n) - e0
+        self.phi = np.stack((self.q * phi_b - self.values[0], dphi_b, phi_b))
+        self.phi_sup = np.abs(phi_b).max()
+
+    def _sample(self, n: int, mm: int):
+        """Put the given orders on the n+1 extrema, sampled from their
+        coefficients in one batched inverse DCT, and solve the boundary.
+
+        y_k' and y_k'' of the last ``mm`` orders are differentiated in
+        coefficient form, except y_0: y_0' is the state's dy0 and
+        y_0'' = (v0 - E0) y_0 comes from the unperturbed equation.
+        """
+        phi_b, dphi_b = _values_at_extrema(
+            _boundary_solution(self.state, self.gh), n)
+        lower = self.wavefuns
+        j = len(lower)
+        scl = 2.0 / (self.problem.b - self.problem.a)
+        rows = [y.coeffs for y in lower]
+        for y in lower[max(1, j - mm):]:
+            rows.extend(_derivatives(y.coeffs, scl)[:2])
+        values = _values_at_extrema(_rows(rows, max(map(len, rows))), n)
+        self.values = np.empty((2 * j, n + 1))
+        self.values[:j] = values[:j]
+        self._regrid(n, dphi_b, phi_b)
+        self.derivs = [np.stack(block) for block in zip(
+            values[j::2], values[j + 1::2], values[max(1, j - mm):j])]
+        if j <= mm:
+            self.derivs.insert(0, np.stack((self.q * values[0], self.rows[2],
+                                            values[0])))
+
+    def _grow(self, n: int):
+        """Move onto the n+1 extrema by resampling the carried rows (nothing
+        is differentiated again; phi_b'' comes from its equation)."""
+        j = len(self.wavefuns)
+        values = np.empty((len(self.values), n + 1))
+        _resample(self.values[:j], values[:j])
+        self.values = values
+        self.derivs = [_resample(d, np.empty((3, n + 1))) for d in self.derivs]
+        self._regrid(n, *_resample(self.phi[1:], np.empty((2, n + 1))))
+
+    def step(self):
+        """Append and return (E_j, y_j), j the number of orders held.
+
+        y_j = V(g_j) + E_j phi_b with the boundary solution phi_b = V(-y0),
+        and E_j fixed by y_j(b) = 0.  The grid is the smallest power of two
+        above deg u + deg y0 + D, D from :func:`_input_degree`, so that
+        V(g_j), of degree deg u + deg y0 + deg g_j + 1, is exact on it.  The
+        first step samples the given orders from their coefficients and
+        solves the boundary (:meth:`_sample`); a step that needs a larger
+        grid resamples the carried rows (:meth:`_grow`).  Then:
+
+        - g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is formed pointwise
+          from the carried y, y' and y'' and one product of the energies
+          with the carried values;
+        - :func:`_vp_values` gives V(g_j) and V(g_j)', so y_j and y_j' are
+          pointwise sums, and E_j comes from the values at b;
+        - y_j'' comes from the order equation, as (v0 - E0) V(g_j) + g_j +
+          E_j phi_b'';
+        - one DCT gives the coefficients of y_j; those above deg u + deg y0
+          + D + 1, the exact degree of V(g_j) + E_j phi_b, are rounding
+          noise and are dropped before the truncation;
+        - one inverse DCT gives the values of y_j as returned, cut and
+          truncated, which the next orders use: four transforms in all.
+
+        A y_j within 1e-13 of E_j phi_b (then as large as V(g_j)) is an order
+        that vanishes exactly: y_j, y_j' and y_j'' are 0.  When the
+        truncation keeps every coefficient up to the exact degree in two
+        orders in a row, their rounding noise has reached the top of the
+        room V leaves, and each further order would add deg u + deg y0 + 1
+        degrees of noise: that raises :class:`EngineError` naming the
+        order.  One such order alone does not (a spike in the last
+        coefficients).
+        """
+        problem, state, gh = self.problem, self.state, self.gh
+        j = len(self.wavefuns)
+        mm = min(len(problem.perturbations), j)
+        deg = _input_degree(problem, self.wavefuns, j, self.maxdeg)
+        n = _grid_size(gh.u.degree + state.y0.degree + deg)
+        if not self.n:
+            self._sample(n, mm)
+        elif n > self.n:
+            self._grow(n)
+        n = self.n
+        # an overflow turns into NaN in the transforms; _truncate reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.einsum("ij,ij->j", problem._operator_values(1, n),
+                          self.derivs[-1])
+            for k in range(2, mm + 1):
+                g += np.einsum("ij,ij->j", problem._operator_values(k, n),
+                               self.derivs[-k])
+            g -= (np.asarray(self.energies[j - 1:0:-1], dtype=float)
+                  @ self.values[1:j])
+            phi_a = _vp_values(state, gh, self.rows, g)  # V(g_j), V(g_j)'
+            e_j = float(-phi_a[0, 0] / self.phi[2, 0])
+            if not math.isfinite(e_j):
+                raise SpectralError("series coefficients not finite")
+            block = self.phi * e_j  # becomes y_j'', y_j', y_j
+            block[:0:-1] += phi_a
+            block[0] += self.q * phi_a[0]
+            block[0] += g
+            noise = 1e-13 * abs(e_j) * self.phi_sup
+            if np.abs(block[2]).max() <= noise < math.inf:
+                block[:] = 0.0  # an order that vanishes exactly
+            coeffs = _coeffs_from_samples(block[2])
+            room = gh.u.degree + state.y0.degree + deg + 2
+            coeffs[room:] = 0.0
+            coeffs = _truncate(coeffs)
+        full = len(coeffs) == room
+        if full and self.full:
+            raise EngineError(
+                f"order {j}: y_{j - 1} and y_{j} are rounding noise up to "
+                f"their exact degree (y_{j} has degree {room - 1}); the "
+                "series is not resolved from here on")
+        # carry the values of y_j as returned, cut and truncated
+        block[2] = _values_at_extrema(coeffs, n)
+        y_j = SpectralFun._adopt(problem.a, problem.b, coeffs)
+        if j == len(self.values):
+            values = np.empty((j + max(8, j // 2), n + 1))
+            values[:j] = self.values
+            self.values = values
+        self.values[j] = block[2]
+        self.energies.append(e_j)
+        self.wavefuns.append(y_j)
+        self.derivs.append(block)
+        del self.derivs[:-len(problem.perturbations)]
+        self.maxdeg = max(self.maxdeg, y_j.degree)
+        self.full = full
+        return e_j, y_j
 
 
 def solve_order(problem: PerturbationProblem, state: UnperturbedState,
                 gh: GhostFunction, energies, wavefuns, j: int):
-    """Return (E_j, y_j) given all lower orders.
-
-    y_j = V(g_j) + E_j phi_b with the boundary solution phi_b = V(-y0),
-    which is solved once per ghost, and E_j fixed by y_j(b) = 0.  The order
-    runs on values at the N+1 extrema of one grid, carried on ``gh`` from
-    order to order (:func:`_order_stack`):
-
-    - g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is formed pointwise
-      from the carried y, y' and y'' and one product of the energies with
-      the carried values;
-    - :func:`_vp_values` gives V(g_j) and V(g_j)', so y_j and y_j' are
-      pointwise sums, and E_j comes from the values at b;
-    - y_j'' comes from the order equation, as (v0 - E0) V(g_j) + g_j +
-      E_j phi_b'';
-    - one DCT gives the coefficients of y_j; those above deg u + deg y0 +
-      D + 1, the exact degree of V(g_j) + E_j phi_b, are rounding noise
-      and are dropped before the truncation;
-    - one inverse DCT gives the values of y_j as returned, cut and
-      truncated, which the next orders use.
-
-    A warm order costs four transforms.  Lists that the ghost's stack did
-    not produce are sampled from their coefficients first.
-
-    When the truncation keeps every coefficient up to the exact degree in
-    two orders in a row, their rounding noise has reached the top of the
-    room V leaves, and each further order would add deg u + deg y0 + 1
-    degrees of noise: that raises :class:`EngineError` naming the order.
-    One such order alone does not (a spike in the last coefficients).
-    """
+    """Return (E_j, y_j) given all lower orders: one step of a
+    :class:`_Recurrence` on ``energies[:j]`` and ``wavefuns[:j]``, which
+    samples y_0 .. y_(j-1) from their coefficients.  Nothing is carried
+    from one call to the next, so a chain of calls solves the boundary at
+    each order, and the stop on two full orders in a row (see
+    :meth:`_Recurrence.step`) acts only in :func:`compute_series`."""
     _check_orders(energies, wavefuns, j)
-    mm = min(len(problem.perturbations), j)
-    stack, deg = _order_stack(problem, state, gh, wavefuns, j, mm)
-    n = stack.n
-    # an overflow turns into NaN in the transforms; _truncate reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.einsum("ij,ij->j", problem._operator_values(1, n),
-                      stack.derivs[-1])
-        for k in range(2, mm + 1):
-            g += np.einsum("ij,ij->j", problem._operator_values(k, n),
-                           stack.derivs[-k])
-        g -= np.asarray(energies[j - 1:0:-1], dtype=float) @ stack.values[1:j]
-        phi_a = _vp_values(state, gh, g)  # V(g_j), V(g_j)'
-        e_j = float(-phi_a[0, 0] / stack.phi[2, 0])
-        if not math.isfinite(e_j):
-            raise SpectralError("series coefficients not finite")
-        block = stack.phi * e_j  # becomes y_j'', y_j', y_j
-        block[:0:-1] += phi_a
-        block[0] += stack.q * phi_a[0]
-        block[0] += g
-        coeffs = _coeffs_from_samples(block[2])
-        room = gh.u.degree + state.y0.degree + deg + 2
-        coeffs[room:] = 0.0
-        coeffs = _truncate(coeffs)
-    full = len(coeffs) == room
-    if full and stack.full:
-        raise EngineError(
-            f"order {j}: y_{j - 1} and y_{j} are rounding noise up to their "
-            f"exact degree (y_{j} has degree {room - 1}); the series is not "
-            "resolved from here on")
-    # carry the values of y_j as returned, cut and truncated
-    block[2] = _values_at_extrema(coeffs, n)
-    y_j = SpectralFun._adopt(problem.a, problem.b, coeffs)
-    if j == len(stack.values):
-        values = np.empty((j + max(8, j // 2), n + 1))
-        values[:j] = stack.values
-        stack.values = values
-    stack.values[j] = block[2]
-    stack.funs.append(y_j)
-    stack.derivs.append(block)
-    del stack.derivs[:-len(problem.perturbations)]
-    stack.maxdeg = max(stack.maxdeg, y_j.degree)
-    stack.full = full
-    return e_j, y_j
+    return _Recurrence(problem, state, gh, energies[:j], wavefuns[:j]).step()
 
 
 def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
@@ -493,24 +455,22 @@ def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
 
 def compute_series(problem: PerturbationProblem, state: UnperturbedState,
                    J: int) -> PerturbationSeries:
-    """Run the recurrence through order J with :func:`solve_order` and
-    attach normalization.
+    """Run the recurrence through order J and attach normalization.
 
-    The series builds one ghost; the boundary solution V(-y0) is solved
-    once per ghost (when J >= 1), and every order runs warm on the values
-    that the previous one left on the ghost.  A series that sinks into its
-    rounding raises :class:`EngineError` (see :func:`solve_order`).
+    The series builds one ghost and one :class:`_Recurrence`, stepped J
+    times: the boundary solution V(-y0) is solved once (when J >= 1), and
+    every order runs on the values that the previous one left.  A series
+    that sinks into its rounding raises :class:`EngineError` (see
+    :meth:`_Recurrence.step`).
     """
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
-    gh = ghost(state, problem)
-    energies = [state.E0]
-    wavefuns = [state.y0]
-    for j in range(1, J + 1):
-        e_j, y_j = solve_order(problem, state, gh, energies, wavefuns, j)
-        energies.append(e_j)
-        wavefuns.append(y_j)
-    del gh  # and the values it carries, before the normalization's grid
+    rec = _Recurrence(problem, state, ghost(state, problem), [state.E0],
+                      [state.y0])
+    for _ in range(J):
+        rec.step()
+    energies, wavefuns = rec.energies, rec.wavefuns
+    del rec  # and the values it carries, before the normalization's grid
     norm = normalization_coeffs(state, wavefuns, J)
     return PerturbationSeries(state=state, n=state.n, energies=energies,
                               wavefuns=wavefuns, norm_coeffs=norm)

@@ -68,6 +68,20 @@ def test_solve_model1_excited(capsys, model1_file):
         assert abs(energies[j]) <= 1e-8
 
 
+def test_solve_constant_p0_vanishing_orders(capsys, tmp_path):
+    # y_1 = V(g_1) + E_1 phi_b cancels to rounding: the orders vanish
+    # exactly, E = E0 + 3 lam, and are not taken for rounding noise
+    prob = tmp_path / "shift.prob"
+    prob.write_text("domain = 0 1\nv0 = 0\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 0\nperturbation.1.p0 = 3\n")
+    code, out, _ = run(capsys, "solve", "--problem", str(prob),
+                       "--order", "2")
+    assert code == 0
+    energies = [float(r.split()[1]) for r in out.strip().splitlines()[1:]]
+    assert energies[1] == pytest.approx(3.0, rel=1e-13)
+    assert energies[2] == 0.0
+
+
 def test_solve_negative_order_is_usage_error(capsys, model1_file):
     code, _, err = run(capsys, "solve", "--problem", model1_file,
                        "--order", "-1")

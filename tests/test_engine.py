@@ -229,20 +229,20 @@ def test_compute_series_order_zero(m1):
 
 @pytest.mark.parametrize("J", [0, 1, 5, 12])
 def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
-    # _vp_samples runs only for the boundary solution; it and every order
-    # make one pass of the value kernel
+    # the boundary solution and every order make one pass of the value
+    # kernel each
     calls, kernel_calls = [], []
-    vp, kernel = engine._vp_samples, engine._vp_values
+    boundary, kernel = engine._boundary_solution, engine._vp_values
 
     def counted(*args):
-        calls.append(args[2])
-        return vp(*args)
+        calls.append(args)
+        return boundary(*args)
 
     def counted_kernel(*args):
-        kernel_calls.append(len(args[2]))
+        kernel_calls.append(len(args[3]))
         return kernel(*args)
 
-    monkeypatch.setattr(engine, "_vp_samples", counted)
+    monkeypatch.setattr(engine, "_boundary_solution", counted)
     monkeypatch.setattr(engine, "_vp_values", counted_kernel)
     compute_series(m3, analytic_sine_state(m3, 2), J)
     assert len(calls) == (1 if J >= 1 else 0)
@@ -251,18 +251,27 @@ def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
 
 @pytest.mark.parametrize("model,n,J", [("m1", 3, 12), ("m3", 2, 10)])
 def test_compute_series_equals_order_by_order_solves(model, n, J, m1, m3):
+    # bit for bit the steps of one recurrence; a chain of solve_order
+    # calls, each sampling the lower orders from their coefficients, agrees
+    # to rounding, which grows as model 1's y_j fall to 1e-13 at j = 12
     prob = m1 if model == "m1" else m3
     st = analytic_sine_state(prob, n)
     gh = ghost(st, prob)
+    rec = engine._Recurrence(prob, st, gh, [st.E0], [st.y0])
+    for _ in range(J):
+        rec.step()
+    ser = compute_series(prob, st, J)
+    assert ser.energies == rec.energies
+    for got, ref in zip(ser.wavefuns, rec.wavefuns):
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
     energies, wavefuns = [st.E0], [st.y0]
     for j in range(1, J + 1):
         e_j, y_j = solve_order(prob, st, gh, energies, wavefuns, j)
+        assert abs(e_j - ser.energies[j]) <= 1e-12 * st.E0
+        scale = np.max(np.abs(ser.wavefuns[j](XS)))
+        assert np.max(np.abs(y_j(XS) - ser.wavefuns[j](XS))) <= 1e-11 * scale
         energies.append(e_j)
         wavefuns.append(y_j)
-    ser = compute_series(prob, st, J)
-    assert ser.energies == energies
-    for got, ref in zip(ser.wavefuns, wavefuns):
-        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("model,n,J", [("m3", 3, 8), ("m1", 3, 12)])
@@ -308,7 +317,7 @@ def test_operator_callers_multiply_no_series(m3, monkeypatch):
 def test_degenerate_boundary_equation_only_when_orders_requested(
         m1, monkeypatch):
     st = analytic_sine_state(m1, 1)
-    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, r:
+    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, rows, r:
                         np.zeros((2, len(r))))
     assert compute_series(m1, st, 0).order == 0
     with pytest.raises(EngineError, match="boundary equation degenerate"):
@@ -317,38 +326,43 @@ def test_degenerate_boundary_equation_only_when_orders_requested(
         solve_order(m1, st, ghost(st, m1), [st.E0], [st.y0], 1)
 
 
-def test_order_by_order_solves_boundary_once_per_ghost(m3, monkeypatch):
+def test_boundary_is_solved_once_per_recurrence(m3, monkeypatch):
     calls = []
-    vp = engine._vp_samples  # the boundary solution's VP pass
+    boundary = engine._boundary_solution
 
     def counted(*args):
-        calls.append(args[2])
-        return vp(*args)
+        calls.append(args)
+        return boundary(*args)
 
-    monkeypatch.setattr(engine, "_vp_samples", counted)
+    monkeypatch.setattr(engine, "_boundary_solution", counted)
     st = analytic_sine_state(m3, 3)
-    gh = ghost(st, m3)
-    energies, wavefuns = [st.E0], [st.y0]
-    for j in range(1, 9):
-        e_j, y_j = solve_order(m3, st, gh, energies, wavefuns, j)
-        energies.append(e_j)
-        wavefuns.append(y_j)
-    assert len(calls) == 1
+    rec = engine._Recurrence(m3, st, ghost(st, m3), [st.E0], [st.y0])
+    for _ in range(8):
+        rec.step()
+    assert len(calls) == 1 and rec.wavefuns[8].degree > 0
+    # solve_order is one step of a recurrence of its own
+    solve_order(m3, st, rec.gh, rec.energies, rec.wavefuns, 8)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("J", [0, 1, 7])
-def test_compute_series_runs_solve_order_for_every_order(J, m3,
-                                                         monkeypatch):
+def test_compute_series_and_solve_order_run_recurrence_steps(J, m3,
+                                                             monkeypatch):
     orders = []
-    step = engine.solve_order
+    step = engine._Recurrence.step
 
-    def counted(problem, state, gh, energies, wavefuns, j):
-        orders.append(j)
-        return step(problem, state, gh, energies, wavefuns, j)
+    def counted(rec):
+        orders.append(len(rec.wavefuns))
+        return step(rec)
 
-    monkeypatch.setattr(engine, "solve_order", counted)
-    compute_series(m3, analytic_sine_state(m3, 2), J)
+    monkeypatch.setattr(engine._Recurrence, "step", counted)
+    st = analytic_sine_state(m3, 2)
+    ser = compute_series(m3, st, J)
     assert orders == list(range(1, J + 1))
+    if J:
+        orders.clear()
+        solve_order(m3, st, ghost(st, m3), ser.energies, ser.wavefuns, J)
+        assert orders == [J]
 
 
 @pytest.mark.parametrize("j,energies,wavefuns",

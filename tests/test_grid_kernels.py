@@ -51,11 +51,12 @@ def _plain_vp(state, gh, r):
         cheb.chebmul(u, int_y0), cheb.chebmul(y0, int_u))))
 
 
-def _plain_vp_values(state, gh, r):
+def _plain_vp_values(state, gh, rows, r):
     """:func:`_plain_vp` in the form of the value-level kernel: the values
     of V(r) and of V(r)' = u' int y0 r - y0' int u r at the Chebyshev
     extrema of the samples r, from products and integrals in coefficient
-    space with W = 1, evaluated with ``chebval``."""
+    space with W = 1, evaluated with ``chebval`` (the ghost rows go
+    unused)."""
     n = len(r) - 1
     rc = _coeffs_from_samples(r)
     y0, u, dy0, du = (f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du))
@@ -86,6 +87,13 @@ def _chain(problem, k, f):
 
 def _sup(f):
     return float(np.max(np.abs(f(XS))))
+
+
+def _boundary(st, gh):
+    """(phi_b, phi_b(b)) from the coefficients of the boundary solution."""
+    rows = engine._boundary_solution(st, gh)
+    return (SpectralFun._adopt(st.y0.a, st.y0.b, _truncate(rows[0])),
+            float(rows[0].sum()))
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +341,7 @@ def _case(name, m1, m3, mp):
 def test_order_step_matches_vp_of_order_rhs(name, m1, m3, mp):
     prob, st = _case(name, m1, m3, mp)
     gh = ghost(st, prob)
-    phi_b, denom = engine._boundary_solution(st, gh)
+    phi_b, denom = _boundary(st, gh)
     ser = compute_series(prob, st, 8)
     xs = np.linspace(prob.a, prob.b, 257)
     for j in range(1, 9):
@@ -355,9 +363,9 @@ def test_order_step_grid_is_above_the_exact_degree(name, m1, m3, mp,
     sizes = []
     kernel = engine._vp_values
 
-    def spy(state, gh, r):
+    def spy(state, gh, rows, r):
         sizes.append(len(r) - 1)
-        return kernel(state, gh, r)
+        return kernel(state, gh, rows, r)
 
     monkeypatch.setattr(engine, "_vp_values", spy)
     gh = ghost(st, prob)
@@ -382,7 +390,7 @@ def test_order_step_is_alias_free_at_every_degree(m1, mp):
     rng = np.random.default_rng(25)
     st = pb.analytic_sine_state(m1, 1)
     gh = ghost(st, m1)
-    phi_b, denom = engine._boundary_solution(st, gh)
+    phi_b, denom = _boundary(st, gh)
     for deg in range(0, 80, 3):
         ys = [st.y0] + [SpectralFun(mp.domain, rng.standard_normal(deg + 1))
                         for _ in range(2)]
@@ -408,9 +416,10 @@ def test_order_step_reports_coefficients_that_are_not_finite(
         m3, monkeypatch, values):
     st = pb.analytic_sine_state(m3, 1)
     gh = ghost(st, m3)
-    engine._boundary_solution(st, gh)  # kept on gh: the patch hits order 1
-    monkeypatch.setattr(engine, "_vp_values",
-                        lambda state, gh, r: np.resize(values, (2, len(r))))
+    rows = engine._boundary_solution(st, gh)  # the patch hits order 1 only
+    monkeypatch.setattr(engine, "_boundary_solution", lambda state, gh: rows)
+    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, rows, r:
+                        np.resize(values, (2, len(r))))
     with pytest.raises(funcspace.SpectralError, match="not finite"):
         engine.solve_order(m3, st, gh, [st.E0], [st.y0], 1)
 
@@ -463,13 +472,10 @@ def test_a_warm_order_makes_four_transforms_and_no_derivative(
     # inverse DCT of y_j as returned (cut and truncated)
     prob = make()
     st = pb.analytic_sine_state(prob, n)
-    gh = ghost(st, prob)
-    energies, wavefuns = [st.E0], [st.y0]
-    for j in range(1, 11):
-        e_j, y_j = engine.solve_order(prob, st, gh, energies, wavefuns, j)
-        energies.append(e_j)
-        wavefuns.append(y_j)
-    grid = gh._grid["orders"].n
+    rec = engine._Recurrence(prob, st, ghost(st, prob), [st.E0], [st.y0])
+    for _ in range(10):
+        rec.step()
+    grid = rec.n
     calls = []
     dct = funcspace._dct1
 
@@ -479,28 +485,23 @@ def test_a_warm_order_makes_four_transforms_and_no_derivative(
 
     monkeypatch.setattr(funcspace, "_dct1", counted)
     monkeypatch.setattr(funcspace, "_derivative", _boom)
-    engine.solve_order(prob, st, gh, energies, wavefuns, 11)
-    assert gh._grid["orders"].n == grid  # no resampling in this order
+    rec.step()
+    assert rec.n == grid  # no resampling in this order
     assert calls == [(2, grid + 1), (2, grid + 1), (grid + 1,), (grid + 1,)]
 
 
 @pytest.mark.parametrize("name", ["m1", "m3", "closed"])
 def test_cold_orders_agree_with_warm_ones(name, m1, m3, mp):
-    # a list the ghost did not produce is sampled from its coefficients,
-    # with coefficient derivatives, instead of the carried values
+    # solve_order samples the lower orders from their coefficients, with
+    # coefficient derivatives, where compute_series carries their values
     prob, st = _case(name, m1, m3, mp)
     gh = ghost(st, prob)
-    energies, wavefuns = [st.E0], [st.y0]
-    for j in range(1, 9):  # each call continues the ghost's stack
-        e_j, y_j = engine.solve_order(prob, st, gh, energies, wavefuns, j)
-        energies.append(e_j)
-        wavefuns.append(y_j)
+    ser = compute_series(prob, st, 8)
+    energies, wavefuns = ser.energies, ser.wavefuns
     xs = np.linspace(prob.a, prob.b, 257)
     for j in range(1, 9):
-        copies = [st.y0] + [SpectralFun(y.domain, y.coeffs)
-                            for y in wavefuns[1:j]]
-        e_cold, y_cold = engine.solve_order(prob, st, gh, energies[:j],
-                                            copies, j)
+        e_cold, y_cold = engine.solve_order(prob, st, gh, energies, wavefuns,
+                                            j)
         assert abs(e_cold - energies[j]) <= 1e-12 * max(abs(energies[j]),
                                                        abs(st.E0))
         ref = wavefuns[j](xs)
@@ -523,13 +524,11 @@ def test_one_order_up_to_its_exact_degree_does_not_end_the_series(m3):
     # model 3 at n = 1 keeps every coefficient of a lone order now and then
     # (a spike in the last coefficients) and runs on
     st = pb.analytic_sine_state(m3, 1)
-    gh = ghost(st, m3)
-    energies, wavefuns, full = [st.E0], [st.y0], []
-    for j in range(1, 201):
-        e_j, y_j = engine.solve_order(m3, st, gh, energies, wavefuns, j)
-        energies.append(e_j)
-        wavefuns.append(y_j)
-        full.append(gh._grid["orders"].full)
+    rec = engine._Recurrence(m3, st, ghost(st, m3), [st.E0], [st.y0])
+    full = []
+    for _ in range(200):
+        rec.step()
+        full.append(rec.full)
     assert any(full) and not any(a and b for a, b in zip(full, full[1:]))
 
 
