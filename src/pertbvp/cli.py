@@ -33,8 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-#: the highest ``--order``: ``solve`` on the model-3 demo takes ~2.7 s and
-#: ~94 MB peak RSS at order 1000 (~0.4 s and ~32 MB at order 100)
+#: the highest ``--order``: ``solve`` on the model-3 demo takes ~1.6 s, ~92 MB
+#: peak RSS at order 1000 (~0.2 s, ~32 MB at order 100; 2-core VM)
 MAX_ORDER = 1000
 
 
@@ -179,9 +179,10 @@ def cmd_eval(args) -> int:
     lam = args.lam if args.lam is not None else 0.0
     upto = _upto(args, series)
     print(f"{'order':>5} {'E(lambda)':>24}")
+    terms = []  # E_j lam^j; the sum() of engine.sum_series, so its bits
     for j in range(upto + 1):
-        energy, _ = engine.sum_series(series, lam, j)
-        print(f"{j:>5} {energy:>24.16e}")
+        terms.append(series.energies[j] * lam ** j)
+        print(f"{j:>5} {sum(terms):>24.16e}")
     if args.normalize:
         _, y = engine.sum_series(series, lam, upto, normalize=True)
         points = args.grid if args.grid is not None else 11

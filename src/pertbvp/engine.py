@@ -22,7 +22,8 @@ solved once per recurrence.  Each order forms g_j pointwise, and
 
 in one integration pass; y_j'' comes from the order equation itself.  An
 order is four transforms and no coefficient derivative.  The grid only
-grows: when an order needs more degrees the carried rows are resampled.
+grows: an order that needs more degrees resamples each carried block in
+one batched pass.  The Wronskian check reuses the ghost rows of the VP map.
 :func:`order_rhs` and :func:`residual` run the problem's operator kernel
 on their own alias-free grid.
 """
@@ -30,7 +31,7 @@ on their own alias-free grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class EngineError(Exception):
 class GhostFunction:
     """Second unperturbed solution with W(u, y0) = u' y0 - y0' u = 1.
 
-    ``wronskian`` is the measured W: the mean of the samples that
+    ``wronskian`` is the measured W: the mean of the values that
     :func:`ghost` checks (1 for a ghost built by hand).
     """
 
@@ -94,19 +95,8 @@ class PerturbationSeries:
         return len(self.energies) - 1
 
 
-def _wronskian_samples(gh: GhostFunction,
-                       state: UnperturbedState) -> np.ndarray:
-    """W = u' y0 - y0' u at the N+1 Chebyshev extrema, N >= 64 and above
-    every degree, from one batched transform of u, u', y0, y0'."""
-    funs = [f.coeffs for f in (gh.u, gh.du, state.y0, state.dy0)]
-    width = max(len(c) for c in funs)
-    n = max(64, _grid_size(width - 1))
-    u, du, y0, dy0 = _values_at_extrema(_rows(funs, width), n)
-    return du * y0 - dy0 * u
-
-
 def _wronskian_defect(samples: np.ndarray) -> float:
-    """max |W - 1| over the samples of :func:`_wronskian_samples`."""
+    """max |W - 1| over the values of W that :func:`ghost` checks."""
     return float(np.max(np.abs(samples - 1.0)))
 
 
@@ -119,9 +109,10 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     Chebyshev initial-value solve of the equation in integral form
     (:func:`~pertbvp.funcspace.solve_linear_ivp`), with an adaptive degree
     and the same tail rule; an unresolved solve raises
-    :class:`EngineError`.  Either way the Wronskian is sampled on the
-    Chebyshev grid of :func:`_wronskian_samples`: a defect above 1e-10
-    raises :class:`EngineError`, and the samples' mean is kept as
+    :class:`EngineError`.  Either way W = u' y0 - y0' u is formed from
+    the rows of :func:`_ghost_rows` on the N+1 Chebyshev extrema, N >= 64
+    and above every degree: a defect above 1e-10 raises
+    :class:`EngineError`, and the mean of W there is kept as
     ``wronskian``, by which :func:`_vp_values` divides.  A y0'(a) within
     1e-12 of the sup of y0' on the Chebyshev extrema is degenerate.
     """
@@ -146,12 +137,14 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
         except UnresolvedError as exc:
             raise EngineError(f"ghost solve failed: {exc}") from exc
 
-    gh = GhostFunction(u=u, du=u.derivative())
-    samples = _wronskian_samples(gh, state)
+    du = u.derivative()
+    y0v, uv, dy0v, duv = _ghost_rows(
+        state, u, du, max(64, _grid_size(max(u.degree, state.y0.degree))))
+    samples = duv * y0v - dy0v * uv
     defect = _wronskian_defect(samples)
     if defect > 1e-10:
         raise EngineError(f"Wronskian defect {defect:.3e} exceeds 1e-10")
-    return replace(gh, wronskian=float(np.mean(samples)))
+    return GhostFunction(u, du, float(np.mean(samples)))
 
 
 def _check_orders(energies, wavefuns, j: int):
@@ -180,11 +173,11 @@ def order_rhs(problem: PerturbationProblem, energies, wavefuns,
     return problem._operator_fun(*_rhs_terms(problem, energies, wavefuns, j))
 
 
-def _ghost_rows(state: UnperturbedState, gh: GhostFunction,
+def _ghost_rows(state: UnperturbedState, u: SpectralFun, du: SpectralFun,
                 n: int) -> np.ndarray:
     """Rows (y0, u, y0', u') of values at the n+1 extrema."""
-    funs = [f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du)]
-    return _values_at_extrema(_rows(funs, max(map(len, funs))), n)
+    return _values_at_extrema(
+        [f.coeffs for f in (state.y0, u, state.dy0, du)], n)
 
 
 def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
@@ -222,7 +215,7 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
     n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
                    + len(r.coeffs) - 2)
     with np.errstate(invalid="ignore"):
-        values = _vp_values(state, gh, _ghost_rows(state, gh, n),
+        values = _vp_values(state, gh, _ghost_rows(state, gh.u, gh.du, n),
                             _values_at_extrema(r.coeffs, n))[0]
         return SpectralFun._adopt(r.a, r.b,
                                   _truncate(_coeffs_from_samples(values)))
@@ -235,7 +228,7 @@ def _boundary_solution(state: UnperturbedState,
     degree of phi_b.  Raises :class:`EngineError` when phi_b(b) vanishes
     against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j."""
     n = _grid_size(gh.u.degree + 2 * state.y0.degree)
-    rows = _ghost_rows(state, gh, n)
+    rows = _ghost_rows(state, gh.u, gh.du, n)
     # an overflow turns into NaN in the transforms; _truncate reports it
     with np.errstate(invalid="ignore"):
         values = _vp_values(state, gh, rows, -rows[0])
@@ -245,18 +238,6 @@ def _boundary_solution(state: UnperturbedState,
         raise EngineError(
             "boundary equation degenerate (u(b) ~ 0): invalid state")
     return coeffs
-
-
-def _resample(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the values at its n+1 extrema of the series whose
-    values at N+1 extrema (N <= n) are the rows of ``rows``: coefficients,
-    zero-padded, values, eight rows per transform so that no temporary
-    grows with the number of rows."""
-    n = out.shape[-1] - 1
-    for i in range(0, len(rows), 8):
-        out[i:i + 8] = _values_at_extrema(
-            _coeffs_from_samples(rows[i:i + 8]), n)
-    return out
 
 
 def _input_degree(problem: PerturbationProblem, wavefuns, j: int,
@@ -297,14 +278,11 @@ class _Recurrence:
 
     def _regrid(self, n: int, dphi_b: np.ndarray, phi_b: np.ndarray):
         """Set the grid to the n+1 extrema, with the ghost rows and v0 - E0
-        there (without fitting v0 when it is zero), and the phi_b block,
-        phi_b'' = q phi_b - y0 from the equation phi_b = V(-y0) solves."""
-        problem, e0 = self.problem, self.state.E0
-        self.n, self.rows = n, _ghost_rows(self.state, self.gh, n)
-        if problem.v0_is_zero():
-            self.q = np.full(n + 1, -e0)
-        else:
-            self.q = _values_at_extrema(problem.v0_fun.coeffs, n) - e0
+        there, and the phi_b block, phi_b'' = q phi_b - y0 from the
+        equation phi_b = V(-y0) solves."""
+        state, gh = self.state, self.gh
+        self.n, self.rows = n, _ghost_rows(state, gh.u, gh.du, n)
+        self.q = _values_at_extrema(self.problem.v0_fun.coeffs, n) - state.E0
         self.phi = np.stack((self.q * phi_b - self.values[0], dphi_b, phi_b))
         self.phi_sup = np.abs(phi_b).max()
 
@@ -324,7 +302,7 @@ class _Recurrence:
         rows = [y.coeffs for y in lower]
         for y in lower[max(1, j - mm):]:
             rows.extend(_derivatives(y.coeffs, scl)[:2])
-        values = _values_at_extrema(_rows(rows, max(map(len, rows))), n)
+        values = _values_at_extrema(rows, n)
         self.values = np.empty((2 * j, n + 1))
         self.values[:j] = values[:j]
         self._regrid(n, dphi_b, phi_b)
@@ -335,14 +313,18 @@ class _Recurrence:
                                             values[0])))
 
     def _grow(self, n: int):
-        """Move onto the n+1 extrema by resampling the carried rows (nothing
-        is differentiated again; phi_b'' comes from its equation)."""
+        """Move onto the n+1 extrema by resampling the carried rows, one
+        batched transform each way per block (nothing is differentiated
+        again; phi_b'' comes from its equation)."""
+        def resample(rows):
+            return _values_at_extrema(_coeffs_from_samples(rows), n)
+
         j = len(self.wavefuns)
         values = np.empty((len(self.values), n + 1))
-        _resample(self.values[:j], values[:j])
+        values[:j] = resample(self.values[:j])
         self.values = values
-        self.derivs = [_resample(d, np.empty((3, n + 1))) for d in self.derivs]
-        self._regrid(n, *_resample(self.phi[1:], np.empty((2, n + 1))))
+        self.derivs = [resample(d) for d in self.derivs]
+        self._regrid(n, *resample(self.phi[1:]))
 
     def step(self):
         """Append and return (E_j, y_j), j the number of orders held.
@@ -509,9 +491,8 @@ def normalization_coeffs(state: UnperturbedState, wavefuns, J: int) -> list:
     """
     ys = wavefuns[:J + 1]
     a, b = ys[0].domain
-    width = max(len(y.coeffs) for y in ys)
-    n = max(2 * (width - 1), 2)
-    values = _values_at_extrema(_rows([y.coeffs for y in ys], width), n)
+    n = max(2 * max(y.degree for y in ys), 2)
+    values = _values_at_extrema([y.coeffs for y in ys], n)
     gram = (values * (0.5 * (b - a) * _clenshaw_curtis_weights(n))) @ values.T
     order = np.add.outer(np.arange(len(ys)), np.arange(len(ys)))
     s = np.bincount(order.ravel(), weights=gram.ravel())[:J + 1].tolist()

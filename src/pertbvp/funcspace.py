@@ -10,8 +10,10 @@ The grid helpers below move batches of series between coefficients and
 values at the N+1 Chebyshev extrema, one DCT-I (a real FFT) per batch.  With
 N from :func:`_grid_size` a pointwise product on that grid is the exact
 product series up to rounding.  There is one route for each operation:
-every product (``SpectralFun.__mul__`` and the kernels of the order
-recurrence) is a pointwise product on that grid, and every integral
+every sampling of coefficients on that grid is :func:`_values_at_extrema`,
+which takes any batch of series, ragged or not; every product
+(``SpectralFun.__mul__`` and the kernels of the order recurrence) is a
+pointwise product on that grid; and every integral
 (``cumulative_integral``, the VP map, the operator of
 :func:`solve_linear_ivp`) is :func:`_integrate_rows` in coefficient space.
 """
@@ -68,26 +70,6 @@ def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
     return c
 
 
-def _values_at_extrema(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series in
-    each row of ``coeffs``, which has at most n + 1 columns: the inverse of
-    :func:`_coeffs_from_samples`, a DCT-I with the interior halved."""
-    if coeffs.shape[-1] == n + 1:
-        x = 0.5 * coeffs
-        x[..., ::n] = coeffs[..., ::n]  # the columns 0 and n
-        return _dct1(x)
-    x = np.zeros(coeffs.shape[:-1] + (n + 1,))
-    x[..., :coeffs.shape[-1]] = 0.5 * coeffs
-    x[..., 0] = coeffs[..., 0]
-    return _dct1(x)
-
-
-def _grid_size(degree: int) -> int:
-    """The smallest power of two above ``degree``: on the N+1 extrema for
-    this N, samples determine a series of that degree exactly."""
-    return 1 << int(degree).bit_length()
-
-
 def _rows(series, width: int) -> np.ndarray:
     """The coefficient arrays in ``series`` as the rows of one array,
     zero-padded to ``width`` columns."""
@@ -95,6 +77,24 @@ def _rows(series, width: int) -> np.ndarray:
     for row, c in zip(out, series):
         row[:len(c)] = c
     return out
+
+
+def _values_at_extrema(coeffs, n: int) -> np.ndarray:
+    """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series
+    ``coeffs`` (1-d), or of each series in ``coeffs`` (the rows of a 2-d
+    array, or a list of 1-d arrays of any lengths up to n + 1), one row of
+    values per series: the inverse of :func:`_coeffs_from_samples`, a
+    DCT-I of the zero-padded coefficients with the interior halved."""
+    single = np.ndim(coeffs[0]) == 0
+    x = _rows([coeffs] if single else coeffs, n + 1)
+    x[:, 1:n] *= 0.5
+    return _dct1(x[0] if single else x)
+
+
+def _grid_size(degree: int) -> int:
+    """The smallest power of two above ``degree``: on the N+1 extrema for
+    this N, samples determine a series of that degree exactly."""
+    return 1 << int(degree).bit_length()
 
 
 def _integrate_rows(c: np.ndarray) -> np.ndarray:
@@ -324,8 +324,7 @@ class SpectralFun:
             n = _grid_size(len(c1) + len(c2) - 2)
             # an overflow turns into inf or NaN; _truncate reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                f, g = _values_at_extrema(
-                    _rows((c1, c2), max(len(c1), len(c2))), n)
+                f, g = _values_at_extrema([c1, c2], n)
                 prod = _coeffs_from_samples(f * g)
             return SpectralFun._adopt(self.a, self.b, _truncate(prod))
         return SpectralFun._adopt(self.a, self.b, self.coeffs * float(other))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .funcspace import (SpectralFun, _coeffs_from_samples, _derivatives,
-                        _grid_size, _rows, _truncate, _values_at_extrema)
+                        _grid_size, _truncate, _values_at_extrema)
 
 __all__ = [
     "LinearOperator",
@@ -80,12 +80,10 @@ class PerturbationProblem:
         return self._fit("v0", self.v0)
 
     def v0_is_zero(self) -> bool:
-        """Whether |v0| < 1e-12 on 64 equispaced points, cached."""
-        if "v0_is_zero" not in self._cache:
-            xs = np.linspace(self.a, self.b, 64)
-            self._cache["v0_is_zero"] = bool(
-                np.all(np.abs(ex.evaluate(self.v0, xs)) < 1e-12))
-        return self._cache["v0_is_zero"]
+        """Whether v0 is identically zero: its fit :attr:`v0_fun` is the
+        zero series, as for ``0`` or ``x - x``; a v0 that is not zero,
+        however small, is not."""
+        return not self.v0_fun.coeffs.any()
 
     def _operator_degree(self, k: int, deg: int) -> int:
         """Degree bound of P_k f for a series f of degree ``deg``, and of
@@ -112,9 +110,8 @@ class PerturbationProblem:
         extrema, cached per n."""
         key = (k, "grid", n)
         if key not in self._cache:
-            ps = self._operator_coeffs(k)
             self._cache[key] = _values_at_extrema(
-                _rows(ps, max(map(len, ps))), n)
+                self._operator_coeffs(k), n)
         return self._cache[key]
 
     def _operator_samples(self, terms, r: np.ndarray) -> np.ndarray:
@@ -134,10 +131,9 @@ class PerturbationProblem:
             rows.extend(_derivatives(c, scl))
             deg = max(deg, self._operator_degree(k, len(c) - 1))
         rows.append(r)
-        width = max(map(len, rows))
-        n = _grid_size(max(deg, width - 1))
+        n = _grid_size(max(deg, max(map(len, rows)) - 1))
         ps = np.concatenate([self._operator_values(k, n) for k, _ in terms])
-        values = _values_at_extrema(_rows(rows, width), n)
+        values = _values_at_extrema(rows, n)
         return np.einsum("ij,ij->j", ps, values[:-1]) - values[-1]
 
     def _operator_fun(self, terms, r: np.ndarray) -> SpectralFun:
@@ -318,10 +314,12 @@ def state_verdict(problem: PerturbationProblem,
                   state: UnperturbedState) -> tuple:
     """Return (ok, residual, |y0(a)|, |y0(b)|) from :func:`validate_state`.
 
-    ``ok`` holds when the residual is at most ``1e-9 max(1, sup |y0''|)``
-    and both boundary values of the unit-L2 ``y0`` are at most ``1e-10``.
+    ``ok`` holds when the residual is at most ``1e-9 sup |y0''|`` and both
+    boundary values are at most ``1e-10 sup |y0|``: bounds that scale with
+    the state, whatever the length of the interval.
     """
     res, left, right = validate_state(problem, state)
-    bound = 1e-9 * max(1.0, state.dy0.derivative().sup_norm())
-    ok = res <= bound and left <= 1e-10 and right <= 1e-10
+    edge = 1e-10 * state.y0.sup_norm()
+    ok = (res <= 1e-9 * state.dy0.derivative().sup_norm()
+          and left <= edge and right <= edge)
     return ok, res, left, right

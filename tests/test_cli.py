@@ -281,6 +281,30 @@ def test_validate_ok(capsys, model1_file):
     assert "state OK" in out
 
 
+def test_validate_accepts_the_sine_state_on_a_short_interval(capsys,
+                                                            tmp_path):
+    # |y0(a)| = 7.6e-10 at L = 1e-11: rounding of sup |y0| = 4.5e5
+    prob = tmp_path / "short.prob"
+    prob.write_text("domain = 0 1e-11\nv0 = 0\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 0\nperturbation.1.p0 = 3\n")
+    code, out, _ = run(capsys, "validate", "--problem", str(prob))
+    assert code == 0
+    assert out.endswith("state OK\n")
+
+
+def test_a_tiny_v0_is_not_dropped(capsys, tmp_path):
+    # v0 = 1e-13 on a long interval is far above the free E0 = 9.87e-18
+    prob = tmp_path / "tiny.prob"
+    prob.write_text("domain = 0 1e9\nv0 = 1e-13\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 0\nperturbation.1.p0 = 3\n")
+    code, out, err = run(capsys, "solve", "--problem", str(prob),
+                         "--order", "1")
+    assert code == 2
+    assert err == ("computation failed: analytic sine state requires v0 "
+                   "identically zero\n")
+    assert out == ""
+
+
 def test_shipped_sample_problems(capsys):
     for name in ("model1.prob", "model3.prob"):
         path = DEMOS / name
@@ -391,6 +415,21 @@ def test_eval_normalize_prints_the_normalized_sum(capsys, model3_series):
     _, y = engine.sum_series(_series(model3_series), 0.5, 3, normalize=True)
     assert list(xs) == list(np.linspace(0.0, 1.0, 7))
     assert list(ys) == list(y(np.array(xs)))
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("not expected to run")
+
+
+def test_eval_rows_add_one_term_each(capsys, monkeypatch, model3_series):
+    # the rows are the partial sums of sum_series, bit for bit, without
+    # summing y: sum_series runs only for --normalize
+    series = _series(model3_series)
+    sums = [engine.sum_series(series, 0.5, j)[0] for j in range(4)]
+    monkeypatch.setattr(engine, "sum_series", _boom)
+    code, out, _ = run(capsys, "eval", model3_series, "--lambda", "0.5")
+    assert code == 0
+    assert [float(r.split()[1]) for r in out.splitlines()[1:]] == sums
 
 
 def test_oracle_without_guess_starts_from_the_series_sum(

@@ -89,7 +89,10 @@ def test_ghost_spectral_solve_matches_cosine_constant_v0(n):
     expected = -np.cos(w * XS) / (c * w)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(gh.u(XS) - expected)) <= 1e-13 * scale
-    assert engine._wronskian_defect(engine._wronskian_samples(gh, st)) <= 1e-11
+    # W on the ghost's own grid: N >= 64 and above every degree
+    n = max(64, funcspace._grid_size(max(gh.u.degree, st.y0.degree)))
+    y0, u, dy0, du = engine._ghost_rows(st, gh.u, gh.du, n)
+    assert engine._wronskian_defect(du * y0 - dy0 * u) <= 1e-11
 
 
 def test_ghost_spectral_solve_unresolved_is_engine_error(monkeypatch):

@@ -138,6 +138,35 @@ def test_values_at_extrema_takes_the_degree_n_column():
             assert np.max(np.abs(row - cheb.chebval(t, c))) <= 1e-14 * n
 
 
+def _two_branch_values(coeffs, n):
+    """The values at the n+1 extrema as computed before the ragged form:
+    one branch for exactly n + 1 columns, one that zero-pads."""
+    if coeffs.shape[-1] == n + 1:
+        x = 0.5 * coeffs
+        x[..., ::n] = coeffs[..., ::n]
+        return funcspace._dct1(x)
+    x = np.zeros(coeffs.shape[:-1] + (n + 1,))
+    x[..., :coeffs.shape[-1]] = 0.5 * coeffs
+    x[..., 0] = coeffs[..., 0]
+    return funcspace._dct1(x)
+
+
+def test_values_at_extrema_of_ragged_rows_is_bit_for_bit_the_old_route():
+    rng = np.random.default_rng(31)
+    n = 32
+    ragged = [rng.standard_normal(k) for k in (1, 6, 20, n + 1)]
+    for rows, width in ((ragged[:3], 20), (ragged, n + 1)):
+        got = _values_at_extrema(rows, n)
+        assert got.tobytes() == _two_branch_values(
+            funcspace._rows(rows, width), n).tobytes()
+        assert got.tobytes() == _values_at_extrema(
+            funcspace._rows(rows, width), n).tobytes()
+    for c in ragged:
+        got = _values_at_extrema(c, n)
+        assert got.shape == (n + 1,)
+        assert got.tobytes() == _two_branch_values(c, n).tobytes()
+
+
 @pytest.mark.parametrize("deg1,deg2", [(0, 0), (1, 1), (3, 4), (20, 43),
                                        (30, 40), (63, 64), (50, 90),
                                        (100, 411)])
@@ -293,8 +322,9 @@ def _model1_digits(problem, J):
 def test_dividing_by_the_measured_wronskian_gains_digits(m1, monkeypatch):
     st = pb.analytic_sine_state(m1, 3)
     gh = ghost(st, m1)
-    samples = engine._wronskian_samples(gh, st)
-    assert gh.wronskian == float(np.mean(samples))
+    n = max(64, _grid_size(max(gh.u.degree, st.y0.degree)))
+    y0, u, dy0, du = engine._ghost_rows(st, gh.u, gh.du, n)
+    assert gh.wronskian == float(np.mean(du * y0 - dy0 * u))
     assert 0.0 < abs(gh.wronskian - 1.0) <= 1e-10
     assert type(gh)(u=gh.u, du=gh.du).wronskian == 1.0
     grid = _model1_digits(m1, 10)

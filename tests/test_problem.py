@@ -10,7 +10,8 @@ from pertbvp.funcspace import SpectralFun
 from pertbvp.oracles import model1_config, model3_config
 from pertbvp.problem import (ProblemConfigError, StateError,
                              analytic_sine_state, load_problem,
-                             state_from_expr, validate_state)
+                             state_from_expr, state_verdict,
+                             validate_state)
 
 
 def test_load_model1():
@@ -179,8 +180,10 @@ def test_sine_state_requires_zero_v0():
         analytic_sine_state(load_problem(text), 1)
 
 
-def test_v0_is_sampled_once_per_problem(monkeypatch):
-    # the sine state and the ghost both ask; the answer is cached
+def test_v0_is_fitted_once_per_problem(monkeypatch):
+    # the sine state, the ghost and the recurrence all ask; v0_is_zero
+    # reads the cached fit: one grid for 0, the stopping grid and its
+    # refit for x
     calls = []
     evaluate = ex.evaluate
 
@@ -188,14 +191,51 @@ def test_v0_is_sampled_once_per_problem(monkeypatch):
         calls.append(e)
         return evaluate(e, x)
 
-    for text, zero in ((model1_config(), True),
-                       (model1_config().replace("v0 = 0", "v0 = x"), False)):
+    for text, zero, fits in (
+            (model1_config(), True, 1),
+            (model1_config().replace("v0 = 0", "v0 = x"), False, 2)):
         prob = load_problem(text)
         monkeypatch.setattr(ex, "evaluate", counted)
         assert [prob.v0_is_zero() for _ in range(3)] == [zero] * 3
+        assert prob.v0_fun.coeffs.any() != zero
         monkeypatch.setattr(ex, "evaluate", evaluate)
-        assert calls == [prob.v0]
+        assert calls == [prob.v0] * fits
         calls.clear()
+
+
+@pytest.mark.parametrize("v0,zero", [
+    ("0", True), ("x - x", True), ("0*sin(x)", True), ("1e-13", False),
+    ("1e-13*x", False)])
+def test_v0_is_zero_exactly_when_its_fit_is(v0, zero):
+    prob = load_problem(model1_config().replace("v0 = 0", f"v0 = {v0}"))
+    assert prob.v0_is_zero() is zero
+    if zero:
+        assert analytic_sine_state(prob, 2).E0 == (2 * math.pi) ** 2
+    else:
+        with pytest.raises(StateError, match="requires v0 identically zero"):
+            analytic_sine_state(prob, 2)
+
+
+@pytest.mark.parametrize("length", [1e-14, 1e-12, 1e-11, 1e9])
+def test_state_verdict_scales_with_the_interval(length):
+    # the exact sine state passes on any interval: its boundary values and
+    # residual are rounding of sup |y0| and sup |y0''|, which scale as
+    # L^(-1/2) and L^(-5/2)
+    prob = load_problem(f"domain = 0 {length!r}\nv0 = 0\n"
+                        "perturbation.1.p2 = 0\nperturbation.1.p1 = 0\n"
+                        "perturbation.1.p0 = 3\n")
+    assert state_verdict(prob, analytic_sine_state(prob, 1))[0]
+
+
+def test_state_verdict_rejects_a_wrong_energy_below_the_old_floor():
+    # true E0 = (pi / 1e9)^2 = 9.87e-18: E0 = 1e-12 leaves a residual of
+    # 4.5e-17, under 1e-9 but far above 1e-9 sup |y0''| = 4.4e-31
+    text = ("domain = 0 1e9\nv0 = 0\ny0 = sin(pi*x/1e9)\nE0 = {}\n"
+            "perturbation.1.p2 = 0\nperturbation.1.p1 = 0\n"
+            "perturbation.1.p0 = 3\n")
+    with pytest.raises(StateError, match="fails validation"):
+        state_from_expr(load_problem(text.format("1e-12")))
+    state_from_expr(load_problem(text.format(repr((math.pi / 1e9) ** 2))))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
