@@ -87,7 +87,8 @@ _FLAGS = {
                              "file gives y0)"),
     "--guess": dict(type=_finite_float(),
                     help="eigenvalue guess (default: the summed --series, "
-                         "else the problem file's E0, else (n pi / L)^2)"),
+                         "else the problem file's E0, else (n pi / L)^2 "
+                         "when v0 is zero; required otherwise)"),
     "--series": dict(dest="series_file",
                      help="series JSON to compare against"),
 }
@@ -205,8 +206,14 @@ def cmd_oracle(args) -> int:
     elif problem.e0_value is not None:
         guess = problem.e0_value
     else:
-        length = problem.b - problem.a
-        guess = (args.n * np.pi / length) ** 2
+        try:
+            v0_zero = problem.v0_is_zero()
+        except UnresolvedError:  # a v0 with no Chebyshev fit is not zero
+            v0_zero = False
+        if not v0_zero:
+            raise _InputError("oracle needs --guess, --series or the "
+                              "problem file's E0 when v0 is not zero")
+        guess = (args.n * np.pi / (problem.b - problem.a)) ** 2
     value = oracles.fd_eigenvalue(problem, lam, guess, M)
     print(f"fd_eigenvalue = {value:.12e}")
     if series is not None:

@@ -22,8 +22,9 @@ solved once per recurrence.  Each order forms g_j pointwise, and
 
 in one integration pass; y_j'' comes from the order equation itself.  An
 order is four transforms and no coefficient derivative.  The grid only
-grows: an order that needs more degrees resamples each carried block in
-one batched pass.  The Wronskian check reuses the ghost rows of the VP map.
+grows: an order that needs more degrees moves every carried row onto the
+larger grid in one transform pair, a batched DCT and a batched inverse
+DCT.  The Wronskian check reuses the ghost rows of the VP map.
 :func:`order_rhs` and :func:`residual` run the problem's operator kernel
 on their own alias-free grid.
 """
@@ -119,7 +120,7 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     a, b = problem.domain
     # y0'(a) by Clenshaw on Python floats: bit for bit as chebval gives it
     dc = state.dy0.coeffs.tolist()
-    d0 = dc[0] if len(dc) == 1 else _clenshaw_at_minus_one(dc)
+    d0 = _clenshaw_at_minus_one(dc)
     sup = np.max(np.abs(_values_at_extrema(state.dy0.coeffs,
                                            _grid_size(len(dc)))))
     if abs(d0) <= 1e-12 * sup:
@@ -255,14 +256,14 @@ class _Recurrence:
     :meth:`step` appends (E_j, y_j) to both lists.
 
     It carries values on the N+1 extrema of one grid (``n``, 0 before the
-    first step): y_0 .. y_(j-1) in the first j rows of ``values`` (the rest
-    is spare room), a block (y'', y', y) for each of the last m orders in
-    ``derivs``, the block (phi_b'', phi_b', phi_b) in ``phi`` and max|phi_b|
-    in ``phi_sup``, v0 - E0 in ``q`` and the ghost rows of
-    :func:`_ghost_rows` in ``rows``.  ``maxdeg`` is the largest degree of
-    the orders, and ``full`` tells whether the last step kept every
-    coefficient up to its exact degree.  (A plain class: a dataclass
-    costs its code generation at import.)
+    first step), where :meth:`_place` puts them: y_0 .. y_(j-1) in the
+    first j rows of ``values`` (the rest is spare room), a block (y'', y',
+    y) for each of the last m orders in ``derivs``, the block (phi_b'',
+    phi_b', phi_b) in ``phi`` and max|phi_b| in ``phi_sup``, v0 - E0 in
+    ``q`` and the ghost rows of :func:`_ghost_rows` in ``rows``.
+    ``maxdeg`` is the largest degree of the orders, and ``full`` tells
+    whether the last step kept every coefficient up to its exact degree.
+    (A plain class: a dataclass costs its code generation at import.)
     """
 
     __slots__ = ("problem", "state", "gh", "energies", "wavefuns", "n",
@@ -276,55 +277,47 @@ class _Recurrence:
         self.maxdeg = max(y.degree for y in wavefuns)
         self.n, self.full = 0, False
 
-    def _regrid(self, n: int, dphi_b: np.ndarray, phi_b: np.ndarray):
-        """Set the grid to the n+1 extrema, with the ghost rows and v0 - E0
-        there, and the phi_b block, phi_b'' = q phi_b - y0 from the
-        equation phi_b = V(-y0) solves."""
-        state, gh = self.state, self.gh
-        self.n, self.rows = n, _ghost_rows(state, gh.u, gh.du, n)
-        self.q = _values_at_extrema(self.problem.v0_fun.coeffs, n) - state.E0
-        self.phi = np.stack((self.q * phi_b - self.values[0], dphi_b, phi_b))
-        self.phi_sup = np.abs(phi_b).max()
-
-    def _sample(self, n: int, mm: int):
-        """Put the given orders on the n+1 extrema, sampled from their
-        coefficients in one batched inverse DCT, and solve the boundary.
-
-        y_k' and y_k'' of the last ``mm`` orders are differentiated in
-        coefficient form, except y_0: y_0' is the state's dy0 and
-        y_0'' = (v0 - E0) y_0 comes from the unperturbed equation.
+    def _place(self, n: int, mm: int):
+        """Put what is carried on the n+1 extrema: one batched inverse DCT
+        samples the ghost rows (y0, u, y0', u'), v0 and the coefficients of
+        y_0 .. y_(j-1), (phi_b, phi_b') and (y'', y') of the last ``mm``
+        orders, which the first placement takes from the given orders (y''
+        and y' differentiated, y_0 excluded) and the boundary solution,
+        solved here, and a later one from one batched DCT of the carried
+        values.  phi_b'' = q phi_b - y0 comes from the equation phi_b =
+        V(-y0) solves; y_0's block (q y0, y0', y0), from the unperturbed
+        equation, is added when fewer than ``mm`` blocks came back (a first
+        step at j <= m).  No carried array is a view of the batch.
         """
-        phi_b, dphi_b = _values_at_extrema(
-            _boundary_solution(self.state, self.gh), n)
-        lower = self.wavefuns
-        j = len(lower)
-        scl = 2.0 / (self.problem.b - self.problem.a)
-        rows = [y.coeffs for y in lower]
-        for y in lower[max(1, j - mm):]:
-            rows.extend(_derivatives(y.coeffs, scl)[:2])
-        values = _values_at_extrema(rows, n)
-        self.values = np.empty((2 * j, n + 1))
-        self.values[:j] = values[:j]
-        self._regrid(n, dphi_b, phi_b)
-        self.derivs = [np.stack(block) for block in zip(
-            values[j::2], values[j + 1::2], values[max(1, j - mm):j])]
-        if j <= mm:
-            self.derivs.insert(0, np.stack((self.q * values[0], self.rows[2],
-                                            values[0])))
-
-    def _grow(self, n: int):
-        """Move onto the n+1 extrema by resampling the carried rows, one
-        batched transform each way per block (nothing is differentiated
-        again; phi_b'' comes from its equation)."""
-        def resample(rows):
-            return _values_at_extrema(_coeffs_from_samples(rows), n)
-
+        problem, state, gh = self.problem, self.state, self.gh
         j = len(self.wavefuns)
-        values = np.empty((len(self.values), n + 1))
-        values[:j] = resample(self.values[:j])
-        self.values = values
-        self.derivs = [resample(d) for d in self.derivs]
-        self._regrid(n, *resample(self.phi[1:]))
+        if self.n:
+            rows = list(_coeffs_from_samples(np.concatenate(
+                [self.values[:j], self.phi[2:0:-1]]
+                + [d[:2] for d in self.derivs])))
+        else:
+            scl = 2.0 / (problem.b - problem.a)
+            rows = [y.coeffs for y in self.wavefuns]
+            rows.extend(_boundary_solution(state, gh))
+            for y in self.wavefuns[max(1, j - mm):]:
+                rows.extend(_derivatives(y.coeffs, scl)[:2])
+        out = _values_at_extrema(
+            [f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du,
+                                problem.v0_fun)] + rows, n)
+        self.n, self.rows = n, out[:4].copy()
+        self.q = out[4] - state.E0
+        self.values = np.empty((j + max(8, j // 2), n + 1))
+        self.values[:j] = out[5:5 + j]
+        y0 = self.values[0]
+        phi_b, dphi_b = out[5 + j:7 + j]
+        self.phi = np.stack((self.q * phi_b - y0, dphi_b, phi_b))
+        self.phi_sup = np.abs(phi_b).max()
+        pairs = out[7 + j:]
+        k = len(pairs) // 2
+        self.derivs = [np.stack(block) for block in zip(
+            pairs[0::2], pairs[1::2], self.values[j - k:j])]
+        if k < mm:
+            self.derivs.insert(0, np.stack((self.q * y0, self.rows[2], y0)))
 
     def step(self):
         """Append and return (E_j, y_j), j the number of orders held.
@@ -333,9 +326,8 @@ class _Recurrence:
         and E_j fixed by y_j(b) = 0.  The grid is the smallest power of two
         above deg u + deg y0 + D, D from :func:`_input_degree`, so that
         V(g_j), of degree deg u + deg y0 + deg g_j + 1, is exact on it.  The
-        first step samples the given orders from their coefficients and
-        solves the boundary (:meth:`_sample`); a step that needs a larger
-        grid resamples the carried rows (:meth:`_grow`).  Then:
+        first step, and a step that needs a larger grid, first put what is
+        carried on it (:meth:`_place`).  Then:
 
         - g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is formed pointwise
           from the carried y, y' and y'' and one product of the energies
@@ -364,10 +356,8 @@ class _Recurrence:
         mm = min(len(problem.perturbations), j)
         deg = _input_degree(problem, self.wavefuns, j, self.maxdeg)
         n = _grid_size(gh.u.degree + state.y0.degree + deg)
-        if not self.n:
-            self._sample(n, mm)
-        elif n > self.n:
-            self._grow(n)
+        if n > self.n:
+            self._place(n, mm)
         n = self.n
         # an overflow turns into NaN in the transforms; _truncate reports it
         with np.errstate(over="ignore", invalid="ignore"):

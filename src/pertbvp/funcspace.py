@@ -116,13 +116,15 @@ def _integrate_rows(c: np.ndarray) -> np.ndarray:
 
 
 def _derivative(c: np.ndarray, scl: float) -> np.ndarray:
-    """Coefficients of the derivative of the series ``c`` (length >= 2),
-    times ``scl``.
+    """Coefficients of the derivative of the series ``c``, times ``scl``
+    ([0.0] for a constant).
 
     The derivative's k-th coefficient is the sum of 2 m c_m over m > k with
     m - k odd (halved at k = 0): a reverse cumulative sum over each parity
     of m, in place of numpy's Python-loop ``chebder``.
     """
+    if len(c) == 1:
+        return np.zeros(1)
     w = (2.0 * scl) * np.arange(1, len(c)) * c[1:]  # w[i] = 2 (i+1) c_(i+1)
     d = np.empty(len(w))
     d[0::2] = np.cumsum(w[0::2][::-1])[::-1]
@@ -134,8 +136,8 @@ def _derivative(c: np.ndarray, scl: float) -> np.ndarray:
 def _derivatives(c: np.ndarray, scl: float) -> tuple:
     """Coefficients (f'', f', f) of the series ``c`` on an interval of
     length 2 / ``scl``."""
-    dc = _derivative(c, scl) if len(c) > 1 else np.zeros(1)
-    return (_derivative(dc, scl) if len(dc) > 1 else np.zeros(1)), dc, c
+    dc = _derivative(c, scl)
+    return _derivative(dc, scl), dc, c
 
 
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
@@ -153,9 +155,10 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
 
 
 def _clenshaw_at_minus_one(c: list) -> float:
-    """``chebval(-1, c)`` for len(c) >= 2, in numpy's operation order."""
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
+    """``chebval(-1, c)`` in numpy's operation order.  The first pass
+    from (c[-1], 0.0) is exact, so a constant gives c[0] + 0.0 * -1."""
+    c0, c1 = c[-1], 0.0
+    for i in range(2, len(c) + 1):
         c0, c1 = c[-i] - c1, c0 + c1 * -2
     return c0 + c1 * -1
 
@@ -284,8 +287,6 @@ class SpectralFun:
     def derivative(self) -> "SpectralFun":
         """Derivative, rescaled to the interval: vectorised reverse sums of
         the coefficients (see :func:`_derivative`)."""
-        if len(self.coeffs) == 1:
-            return SpectralFun._adopt(self.a, self.b, np.zeros(1))
         dc = _derivative(self.coeffs, 2.0 / (self.b - self.a))
         return SpectralFun._adopt(self.a, self.b, dc)
 

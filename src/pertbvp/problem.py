@@ -114,16 +114,15 @@ class PerturbationProblem:
                 self._operator_coeffs(k), n)
         return self._cache[key]
 
-    def _operator_samples(self, terms, r: np.ndarray) -> np.ndarray:
-        """Values of sum_i P_(k_i) f_i - r at the N+1 Chebyshev extrema, for
-        pairs (k, coefficients of f) in ``terms`` and a coefficient row r.
+    def _operator_fun(self, terms, r: np.ndarray) -> SpectralFun:
+        """sum_i P_(k_i) f_i - r as a series, for pairs (k, coefficients of
+        f) in ``terms`` and a coefficient row r.
 
-        N is the smallest power of two above the degree bound of the sum
-        (:meth:`_operator_degree`).  One batched inverse DCT
-        samples f'', f' and f of every term and r, and the operator rows
-        are summed pointwise with the cached p-values.  Callers run it under
-        ``np.errstate(over="ignore", invalid="ignore")``: an overflow ends
-        as inf or NaN in the values, which ``_truncate`` reports.
+        The grid is the N+1 Chebyshev extrema, N the smallest power of two
+        above the degree bound of the sum (:meth:`_operator_degree`).  One
+        batched inverse DCT samples f'', f' and f of every term and r, the
+        operator rows are summed pointwise with the cached p-values, and
+        one DCT and one truncation give the series.
         """
         scl = 2.0 / (self.b - self.a)
         rows, deg = [], 0
@@ -133,15 +132,11 @@ class PerturbationProblem:
         rows.append(r)
         n = _grid_size(max(deg, max(map(len, rows)) - 1))
         ps = np.concatenate([self._operator_values(k, n) for k, _ in terms])
-        values = _values_at_extrema(rows, n)
-        return np.einsum("ij,ij->j", ps, values[:-1]) - values[-1]
-
-    def _operator_fun(self, terms, r: np.ndarray) -> SpectralFun:
-        """sum_i P_(k_i) f_i - r as a series: :meth:`_operator_samples` on
-        the smallest alias-free grid, one DCT and one truncation."""
-        # an overflow turns into NaN in the transforms; _truncate reports it
+        # an overflow turns into inf or NaN; _truncate reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _coeffs_from_samples(self._operator_samples(terms, r))
+            values = _values_at_extrema(rows, n)
+            out = _coeffs_from_samples(
+                np.einsum("ij,ij->j", ps, values[:-1]) - values[-1])
         return SpectralFun._adopt(self.a, self.b, _truncate(out))
 
     def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:

@@ -209,6 +209,34 @@ def test_oracle_default_guess_is_closed_form_e0(capsys, tmp_path):
     assert value == pytest.approx(4 * PI2 + 60, abs=1e-3)
 
 
+def _v0_file(tmp_path, v0):
+    prob = tmp_path / "v0.prob"
+    prob.write_text(f"domain = 0 1\nv0 = {v0}\nperturbation.1.p2 = 0\n"
+                    "perturbation.1.p1 = 0\nperturbation.1.p0 = 3\n")
+    return str(prob)
+
+
+@pytest.mark.parametrize("v0", ["50", "50*sqrt((x-0.3)^2)"],
+                         ids=["constant", "no-chebyshev-fit"])
+def test_oracle_without_a_guess_on_a_nonzero_v0_is_an_input_error(
+        capsys, tmp_path, v0):
+    # (2 pi / L)^2 ignores v0: at v0 = 50 it converged to the n = 1 level
+    # pi^2 + 50
+    code, out, err = run(capsys, "oracle", "--problem", _v0_file(tmp_path, v0),
+                         "--n", "2")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "--guess" in err
+
+
+def test_oracle_with_a_guess_on_a_nonzero_v0_finds_the_level(
+        capsys, tmp_path):
+    code, out, _ = run(capsys, "oracle", "--problem", _v0_file(tmp_path, "50"),
+                       "--n", "2", "--guess", "89")
+    assert code == 0
+    value = float(out.strip().splitlines()[0].split("=")[1])
+    assert value == pytest.approx(4 * PI2 + 50, abs=1e-3)
+
+
 def test_oracle_bad_guess_far_from_spectrum(capsys, model1_file):
     code, _, err = run(capsys, "oracle", "--problem", model1_file,
                        "--lambda", "0", "--guess", "1e7", "--grid", "32")
@@ -714,7 +742,8 @@ def test_guess_help_states_the_default_order(capsys):
     assert done.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert ("--guess GUESS eigenvalue guess (default: the summed --series, "
-            "else the problem file's E0, else (n pi / L)^2)") in text
+            "else the problem file's E0, else (n pi / L)^2 when v0 is zero; "
+            "required otherwise)") in text
     assert "unperturbed E0" not in text
 
 

@@ -116,6 +116,17 @@ def test_derivative_matches_chebder(domain):
             assert np.max(np.abs(got - ref)) <= bound
     const = SpectralFun(domain, [4.0]).derivative()
     assert const.coeffs.tolist() == [0.0]
+    d2, d1, c = funcspace._derivatives(np.array([4.0]), scl)
+    assert d2.tolist() == d1.tolist() == [0.0] and c.tolist() == [4.0]
+
+
+def test_clenshaw_at_minus_one_is_chebval_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for size in [1, 2, 3, 4, 17, 64]:
+        c = rng.standard_normal(size)
+        got = funcspace._clenshaw_at_minus_one(c.tolist())
+        assert got.hex() == float(cheb.chebval(-1.0, c)).hex()
+    assert funcspace._clenshaw_at_minus_one([-0.0]).hex() == (-0.0).hex()
 
 
 def test_integrate_rows_matches_chebint():
@@ -518,6 +529,43 @@ def test_a_warm_order_makes_four_transforms_and_no_derivative(
     rec.step()
     assert rec.n == grid  # no resampling in this order
     assert calls == [(2, grid + 1), (2, grid + 1), (grid + 1,), (grid + 1,)]
+
+
+@pytest.mark.parametrize("name", ["m3", "second"])
+def test_a_growing_order_makes_one_transform_pair_more(name, m3, monkeypatch):
+    # the placement's DCT of every carried row and its inverse DCT onto the
+    # larger grid (with the ghost rows and v0), then the order's four; the
+    # second-order case grows while y_0's block is still carried
+    prob, st = (m3, pb.analytic_sine_state(m3, 2)) if name == "m3" \
+        else _second_order()
+    gh = ghost(st, prob)
+
+    def recurrence():
+        return engine._Recurrence(prob, st, gh, [st.E0], [st.y0])
+
+    ref, grids = recurrence(), []
+    for _ in range(10):  # fills the problem's grid caches
+        ref.step()
+        grids.append(ref.n)
+    grows = next(j for j in range(1, 10) if grids[j] > grids[j - 1])
+    rec = recurrence()
+    for _ in range(grows):
+        rec.step()
+    calls = []
+    dct = funcspace._dct1
+
+    def counted(x):
+        calls.append(x.shape)
+        return dct(x)
+
+    monkeypatch.setattr(funcspace, "_dct1", counted)
+    monkeypatch.setattr(funcspace, "_derivative", _boom)
+    rec.step()
+    assert rec.n == grids[grows] > grids[grows - 1]
+    assert len(calls) == 6
+    # every carried array owns its memory: no view keeps the batch alive
+    carried = [rec.values, rec.phi, rec.q, rec.rows] + rec.derivs
+    assert all(arr.base is None for arr in carried)
 
 
 @pytest.mark.parametrize("name", ["m1", "m3", "closed"])
