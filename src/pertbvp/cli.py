@@ -33,8 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-#: the highest ``--order``: ``solve`` on the model-3 demo takes ~1.6 s, ~92 MB
-#: peak RSS at order 1000 (~0.2 s, ~32 MB at order 100; 2-core VM)
+#: the highest ``--order``: ``solve`` on the model-3 demo takes ~2 s, ~86 MB
+#: peak RSS at order 1000 (~0.3 s, ~32 MB at order 100; 2-core VM)
 MAX_ORDER = 1000
 
 
@@ -69,7 +69,9 @@ def _finite_float(nonzero: bool = False):
 _FLAGS = {
     "--problem": dict(required=True, help="problem config file"),
     "series": dict(help="series JSON file"),
-    "--n": dict(type=_int_in(1), default=1, help="quantum number"),
+    "--n": dict(type=_int_in(1), default=1,
+                help="quantum number (oracle default: the --series' n, "
+                     "else 1)"),
     "--order": dict(type=_int_in(0, MAX_ORDER), default=None,
                     help="highest perturbation order J "
                          "(solve: 3; eval, export: the whole series)"),
@@ -120,6 +122,7 @@ def _build_parser() -> _Parser:
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
     sub.choices["solve"].set_defaults(order=3)
+    sub.choices["oracle"].set_defaults(n=None)  # cmd_oracle: series' n, else 1
     return p
 
 
@@ -199,10 +202,15 @@ def cmd_oracle(args) -> int:
     lam = args.lam if args.lam is not None else 0.0
     M = args.grid if args.grid is not None else 512
     series = _load_series_file(args.series_file) if args.series_file else None
+    if series is not None:
+        if args.n not in (None, series.n):
+            raise _InputError(f"argument --n: {args.n} differs from the "
+                              f"series' n = {series.n}")
+        summed, _ = engine.sum_series(series, lam, series.order)
     if args.guess is not None:
         guess = args.guess
     elif series is not None:
-        guess, _ = engine.sum_series(series, lam, series.order)
+        guess = summed
     elif problem.e0_value is not None:
         guess = problem.e0_value
     else:
@@ -213,11 +221,11 @@ def cmd_oracle(args) -> int:
         if not v0_zero:
             raise _InputError("oracle needs --guess, --series or the "
                               "problem file's E0 when v0 is not zero")
-        guess = (args.n * np.pi / (problem.b - problem.a)) ** 2
+        n = 1 if args.n is None else args.n
+        guess = (n * np.pi / (problem.b - problem.a)) ** 2
     value = oracles.fd_eigenvalue(problem, lam, guess, M)
     print(f"fd_eigenvalue = {value:.12e}")
     if series is not None:
-        summed, _ = engine.sum_series(series, lam, series.order)
         print(f"series_sum    = {summed:.12e}")
         print(f"deviation     = {summed - value:.6e}")
     return 0

@@ -9,6 +9,8 @@ Model 3:  (1 - 3x^2/5) y'' - (6/5)(x y' - y) + E y = 0 on [0, 1], Dirichlet;
 from __future__ import annotations
 
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -182,18 +184,45 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     return -main, -upper, -lower
 
 
+#: scipy's compiled LAPACK wrappers, which hold ``dgttrf`` and ``dgttrs``
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy's LAPACK extension module, loaded on first use straight from
+    scipy's ``linalg`` directory.  The ``scipy.linalg`` package ``__init__``
+    is not run: it imports ``numpy.testing`` and ``numpy.f2py`` and takes
+    ~300 ms, against ~10 ms for the extension.  The module goes into
+    ``sys.modules`` under its own name, so a later ``import scipy.linalg``
+    finds this very module and its routines are the same objects."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        from importlib import machinery, util
+        scipy = util.find_spec("scipy")
+        spec = scipy and machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(path, "linalg")
+                       for path in scipy.submodule_search_locations])
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {_FLAPACK!r}",
+                                      name=_FLAPACK)
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module
+
+
 def _tridiagonal_lu(main, upper, lower):
     """LU factors of the tridiagonal matrix with diagonal ``main``, super-
     diagonal ``upper`` and subdiagonal ``lower``, by LAPACK ``dgttrf``
-    (partial pivoting), for :func:`solve_banded`.  scipy.linalg is imported
-    on first use: it takes longer to import than the rest of pertbvp, and
-    only this oracle needs it.  Raises ``LinAlgError`` when a pivot is
-    exactly zero."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
-    dl, d, du, du2, ipiv, info = dgttrf(lower, main, upper)
+    (partial pivoting), for :func:`solve_banded`.  The routines come from
+    scipy's LAPACK extension, which :func:`_flapack` loads on first use
+    without the ``scipy.linalg`` package; the rest of pertbvp runs on numpy
+    alone.  Raises ``LinAlgError`` when a pivot is exactly zero."""
+    lapack = _flapack()
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower, main, upper)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return dgttrs, (dl, d, du, du2, ipiv)
+    return lapack.dgttrs, (dl, d, du, du2, ipiv)
 
 
 def solve_banded(lu, b):

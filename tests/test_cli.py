@@ -194,6 +194,9 @@ def test_oracle_model1(capsys, model1_file):
     assert code == 0
     value = float(out.strip().splitlines()[0].split("=")[1])
     assert value == pytest.approx(PI2 + 1.0 / 16.0, abs=1e-6)
+    # without --series, --n defaults to 1
+    assert run(capsys, "oracle", "--problem", model1_file,
+               "--lambda", "0.5") == (code, out, "")
 
 
 def test_oracle_default_guess_is_closed_form_e0(capsys, tmp_path):
@@ -476,6 +479,49 @@ def test_oracle_without_guess_starts_from_the_series_sum(
     summed, _ = engine.sum_series(_series(model3_series), 0.5, 3)
     assert guesses == [summed]
     assert f"series_sum    = {summed:.12e}" in out
+
+
+def test_oracle_sums_the_series_once(capsys, monkeypatch, model3_file,
+                                     model3_series):
+    calls = []
+    sum_series = engine.sum_series
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return sum_series(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sum_series", counting)
+    code, _, _ = run(capsys, "oracle", "--problem", model3_file,
+                     "--lambda", "0.5", "--series", model3_series)
+    assert code == 0
+    assert calls == [(0.5, 3)]
+
+
+def test_oracle_n_defaults_to_the_series_n(capsys, tmp_path, model1_file):
+    series = str(tmp_path / "s3.json")
+    run(capsys, "solve", "--problem", model1_file, "--n", "3", "--order", "4",
+        "--out", series)
+    argv = ("oracle", "--problem", model1_file, "--lambda", "0.3",
+            "--series", series)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--n", "3") == (code, out, err)
+    value = float(out.splitlines()[0].split("=")[1])
+    assert value == pytest.approx(9 * PI2 + 0.3 ** 2 / 4, abs=1e-4)
+
+
+def test_oracle_n_that_differs_from_the_series_is_an_input_error(
+        capsys, tmp_path):
+    # the guess came from the n = 1 series: the FD level printed was 9.16,
+    # the n = 1 level, with exit 0
+    series = str(tmp_path / "s1.json")
+    run(capsys, "solve", "--problem", str(DEMOS / "model3.prob"), "--n", "1",
+        "--order", "6", "--out", series)
+    code, out, err = run(capsys, "oracle", "--problem",
+                         str(DEMOS / "model3.prob"), "--n", "5",
+                         "--lambda", "0.2", "--series", series)
+    assert (code, out) == (1, "")
+    assert err == "error: argument --n: 5 differs from the series' n = 1\n"
 
 
 def test_export_without_out_writes_csv_to_stdout(capsys, tmp_path,

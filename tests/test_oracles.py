@@ -144,27 +144,64 @@ def test_fd_rejects_small_grid():
         fd_eigenvalue_raw(model1_problem(), 0.0, PI2, 8)
 
 
-def test_import_loads_no_scipy_until_fd_oracle():
-    # fresh interpreter: importing the CLI must not pull in scipy; the FD
-    # oracle loads scipy.linalg on its first banded solve
-    probe = (
-        "import json, sys\n"
-        "import pertbvp.cli\n"
-        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "from pertbvp.oracles import fd_eigenvalue, model3_problem\n"
-        "e = fd_eigenvalue(model3_problem(), 1.0, 9.0, 512)\n"
-        "print(json.dumps({'before': before, 'E': e,\n"
-        "                  'linalg': 'scipy.linalg' in sys.modules}))\n")
+def _run_python(probe):
+    """The JSON that ``probe`` prints from a fresh interpreter on ``src``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    got = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_scipy_until_fd_oracle():
+    # fresh interpreter: importing the CLI must not pull in scipy; the FD
+    # oracle loads scipy's LAPACK extension on its first banded solve, and
+    # never the scipy.linalg package, whose __init__ imports numpy.testing
+    # and numpy.f2py
+    got = _run_python(
+        "import json, sys\n"
+        "import pertbvp.cli\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from pertbvp.oracles import fd_eigenvalue, model3_problem\n"
+        "e = fd_eigenvalue(model3_problem(), 1.0, 9.0, 512)\n"
+        "names = ('scipy.linalg', 'numpy.testing', 'numpy.f2py',\n"
+        "         'scipy.linalg._flapack')\n"
+        "print(json.dumps({'before': before, 'E': e,\n"
+        "                  'loaded': [m for m in names if m in sys.modules]}))\n")
     assert got["before"] == []
-    assert got["linalg"]
+    assert got["loaded"] == ["scipy.linalg._flapack"]
     assert got["E"] == pytest.approx(6.0, abs=1e-4)
+
+
+_FD_CASES = "[(0.3, 9.9, 1024), (1.0, 9.0, 2048), (0.04, 987.0, 8192)]"
+
+
+def test_fd_oracle_and_scipy_linalg_share_one_lapack():
+    # whichever loads first, the oracle's dgttrf and dgttrs are the objects
+    # of scipy.linalg.lapack; a scipy that moves the extension fails here
+    first = _run_python(
+        "import json\n"
+        "from pertbvp import oracles\n"
+        "m1, m3 = oracles.model1_problem(), oracles.model3_problem()\n"
+        f"es = [oracles.fd_eigenvalue(p, *c) for p in (m1, m3) "
+        f"for c in {_FD_CASES}]\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "own = oracles._flapack()\n"
+        "print(json.dumps({'E': [e.hex() for e in es],\n"
+        "    'same': [lapack._flapack is own, lapack.dgttrf is own.dgttrf,\n"
+        "             lapack.dgttrs is own.dgttrs]}))\n")
+    assert first["same"] == [True, True, True]
+    after = _run_python(
+        "import json\n"
+        "import scipy.linalg\n"
+        "from pertbvp import oracles\n"
+        "m1, m3 = oracles.model1_problem(), oracles.model3_problem()\n"
+        f"es = [oracles.fd_eigenvalue(p, *c) for p in (m1, m3) "
+        f"for c in {_FD_CASES}]\n"
+        "print(json.dumps({'E': [e.hex() for e in es]}))\n")
+    assert after["E"] == first["E"]
 
 
 def _closed_problem():
