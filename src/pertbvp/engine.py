@@ -26,7 +26,8 @@ grows: an order that needs more degrees moves every carried row onto the
 larger grid in one transform pair, a batched DCT and a batched inverse
 DCT.  The Wronskian check reuses the ghost rows of the VP map.
 :func:`order_rhs` and :func:`residual` run the problem's operator kernel
-on their own alias-free grid.
+on their own alias-free grid, and :func:`solve_order` takes one order
+from given lower orders as V(g_j) + E_j phi_b on the series kernels.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
-                        _clenshaw_at_minus_one, _clenshaw_curtis_weights,
-                        _coeffs_from_samples, _derivatives, _grid_size,
-                        _integrate_rows, _rows, _truncate,
+                        _clenshaw_curtis_weights, _coeffs_from_samples,
+                        _grid_size, _integrate_rows, _rows, _truncate,
                         _values_at_extrema, solve_linear_ivp)
 from .problem import PerturbationProblem, UnperturbedState
 
@@ -118,11 +118,9 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     1e-12 of the sup of y0' on the Chebyshev extrema is degenerate.
     """
     a, b = problem.domain
-    # y0'(a) by Clenshaw on Python floats: bit for bit as chebval gives it
-    dc = state.dy0.coeffs.tolist()
-    d0 = _clenshaw_at_minus_one(dc)
-    sup = np.max(np.abs(_values_at_extrema(state.dy0.coeffs,
-                                           _grid_size(len(dc)))))
+    d0 = state.dy0(a)
+    sup = np.max(np.abs(_values_at_extrema(
+        state.dy0.coeffs, _grid_size(len(state.dy0.coeffs)))))
     if abs(d0) <= 1e-12 * sup:
         raise EngineError("degenerate state: y0'(a) vanishes")
 
@@ -155,23 +153,20 @@ def _check_orders(energies, wavefuns, j: int):
         raise EngineError(f"orders 0..{j - 1} required before order {j}")
 
 
-def _rhs_terms(problem: PerturbationProblem, energies, wavefuns, j: int):
-    """The operator terms (k, y_(j-k)), k = 1..min(m, j), of g_j and its
-    energy sum sum_(k<j) E_k y_(j-k): one product of the energies with the
-    lower orders, stacked as wide as the longest series (orders checked by
-    :func:`_check_orders`)."""
+def order_rhs(problem: PerturbationProblem, energies, wavefuns,
+              j: int) -> SpectralFun:
+    """Known part g_j of the order-j right-hand side (E_j still open): the
+    operator terms (k, y_(j-k)), k = 1..min(m, j), less the energy sum
+    sum_(k<j) E_k y_(j-k), the energies times the lower orders stacked as
+    wide as the longest series, in one pass of the operator kernel (orders
+    checked by :func:`_check_orders`)."""
     _check_orders(energies, wavefuns, j)
     ys = [y.coeffs for y in wavefuns[j - 1::-1]]  # y_(j-1), ..., y_0
     mm = min(len(problem.perturbations), j)
     width = max(map(len, ys[:max(mm, j - 1)]))
-    return (list(enumerate(ys[:mm], start=1)),
-            np.asarray(energies[1:j], dtype=float) @ _rows(ys[:j - 1], width))
-
-
-def order_rhs(problem: PerturbationProblem, energies, wavefuns,
-              j: int) -> SpectralFun:
-    """Known part g_j of the order-j right-hand side (E_j still open)."""
-    return problem._operator_fun(*_rhs_terms(problem, energies, wavefuns, j))
+    return problem._operator_fun(list(enumerate(ys[:mm], start=1)),
+                                 np.asarray(energies[1:j], dtype=float),
+                                 _rows(ys[:j - 1], width))
 
 
 def _ghost_rows(state: UnperturbedState, u: SpectralFun, du: SpectralFun,
@@ -196,8 +191,8 @@ def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
     exact up to rounding: the products y0 r and u r go to coefficients in
     one batched DCT, are integrated from a in coefficient form and come
     back in one batched inverse DCT; the rest is pointwise.  Callers run
-    it under ``np.errstate(invalid="ignore")``: an overflow turns into NaN
-    in the transforms, which ``_truncate`` reports.
+    it with overflow and invalid operations ignored: an overflow turns
+    into inf or NaN in the transforms, which ``_truncate`` reports.
     """
     a, b = state.y0.domain
     ints = _integrate_rows(_coeffs_from_samples(rows[:2] * r))
@@ -211,11 +206,13 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
         r: SpectralFun) -> SpectralFun:
     """V(r) for a series r: r sampled on the N+1 extrema, N the smallest
     power of two above the degree of the result, then the value row of
-    :func:`_vp_values`, one DCT and one truncation.  The recurrence does
-    not call it: it is V as a map of series."""
+    :func:`_vp_values`, one DCT and one truncation, which reports a result
+    that is not finite.  It is V as a map of series, which
+    :func:`solve_order` applies to g_j; the recurrence runs
+    :func:`_vp_values` on the values it carries."""
     n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
                    + len(r.coeffs) - 2)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _vp_values(state, gh, _ghost_rows(state, gh.u, gh.du, n),
                             _values_at_extrema(r.coeffs, n))[0]
         return SpectralFun._adopt(r.a, r.b,
@@ -227,13 +224,13 @@ def _boundary_solution(state: UnperturbedState,
     """Coefficients of the rows (phi_b, phi_b') with phi_b = V(-y0), the
     E_j-part of every order, untruncated, on the smallest grid above the
     degree of phi_b.  Raises :class:`EngineError` when phi_b(b) vanishes
-    against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j."""
+    against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j.  Its
+    callers, :meth:`_Recurrence._place` and :func:`solve_order`, run it
+    with overflow and invalid operations ignored."""
     n = _grid_size(gh.u.degree + 2 * state.y0.degree)
     rows = _ghost_rows(state, gh.u, gh.du, n)
-    # an overflow turns into NaN in the transforms; _truncate reports it
-    with np.errstate(invalid="ignore"):
-        values = _vp_values(state, gh, rows, -rows[0])
-        coeffs = _coeffs_from_samples(values)
+    values = _vp_values(state, gh, rows, -rows[0])
+    coeffs = _coeffs_from_samples(values)
     # phi_b(b): T_k(1) = 1
     if abs(coeffs[0].sum()) <= 1e-12 * np.max(np.abs(values[0])):
         raise EngineError(
@@ -251,9 +248,9 @@ def _input_degree(problem: PerturbationProblem, wavefuns, j: int,
 
 
 class _Recurrence:
-    """The recurrence of one state from the orders it is given, E_0 ..
-    E_(j-1) in ``energies`` and y_0 .. y_(j-1) in ``wavefuns``: each
-    :meth:`step` appends (E_j, y_j) to both lists.
+    """The recurrence of one state from its y_0: ``energies`` and
+    ``wavefuns`` start as [E_0] and [y_0], and each :meth:`step` appends
+    (E_j, y_j) to them.
 
     It carries values on the N+1 extrema of one grid (``n``, 0 before the
     first step), where :meth:`_place` puts them: y_0 .. y_(j-1) in the
@@ -271,23 +268,22 @@ class _Recurrence:
                  "full")
 
     def __init__(self, problem: PerturbationProblem, state: UnperturbedState,
-                 gh: GhostFunction, energies, wavefuns):
+                 gh: GhostFunction):
         self.problem, self.state, self.gh = problem, state, gh
-        self.energies, self.wavefuns = list(energies), list(wavefuns)
-        self.maxdeg = max(y.degree for y in wavefuns)
+        self.energies, self.wavefuns = [state.E0], [state.y0]
+        self.maxdeg = state.y0.degree
         self.n, self.full = 0, False
 
-    def _place(self, n: int, mm: int):
+    def _place(self, n: int):
         """Put what is carried on the n+1 extrema: one batched inverse DCT
         samples the ghost rows (y0, u, y0', u'), v0 and the coefficients of
-        y_0 .. y_(j-1), (phi_b, phi_b') and (y'', y') of the last ``mm``
-        orders, which the first placement takes from the given orders (y''
-        and y' differentiated, y_0 excluded) and the boundary solution,
-        solved here, and a later one from one batched DCT of the carried
-        values.  phi_b'' = q phi_b - y0 comes from the equation phi_b =
-        V(-y0) solves; y_0's block (q y0, y0', y0), from the unperturbed
-        equation, is added when fewer than ``mm`` blocks came back (a first
-        step at j <= m).  No carried array is a view of the batch.
+        y_0 .. y_(j-1) and (phi_b, phi_b'), and of (y'', y') of each carried
+        block when the grid grows.  The first placement takes y_0 and the
+        boundary solution, solved here, and carries y_0's block (q y0, y0',
+        y0) from the unperturbed equation; a later one takes every row from
+        one batched DCT of the carried values.  phi_b'' = q phi_b - y0
+        comes from the equation phi_b = V(-y0) solves.  No carried array is
+        a view of the batch.
         """
         problem, state, gh = self.problem, self.state, self.gh
         j = len(self.wavefuns)
@@ -296,15 +292,11 @@ class _Recurrence:
                 [self.values[:j], self.phi[2:0:-1]]
                 + [d[:2] for d in self.derivs])))
         else:
-            scl = 2.0 / (problem.b - problem.a)
-            rows = [y.coeffs for y in self.wavefuns]
-            rows.extend(_boundary_solution(state, gh))
-            for y in self.wavefuns[max(1, j - mm):]:
-                rows.extend(_derivatives(y.coeffs, scl)[:2])
+            rows = [state.y0.coeffs, *_boundary_solution(state, gh)]
         out = _values_at_extrema(
             [f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du,
                                 problem.v0_fun)] + rows, n)
-        self.n, self.rows = n, out[:4].copy()
+        self.rows = out[:4].copy()
         self.q = out[4] - state.E0
         self.values = np.empty((j + max(8, j // 2), n + 1))
         self.values[:j] = out[5:5 + j]
@@ -312,12 +304,13 @@ class _Recurrence:
         phi_b, dphi_b = out[5 + j:7 + j]
         self.phi = np.stack((self.q * phi_b - y0, dphi_b, phi_b))
         self.phi_sup = np.abs(phi_b).max()
-        pairs = out[7 + j:]
-        k = len(pairs) // 2
-        self.derivs = [np.stack(block) for block in zip(
-            pairs[0::2], pairs[1::2], self.values[j - k:j])]
-        if k < mm:
-            self.derivs.insert(0, np.stack((self.q * y0, self.rows[2], y0)))
+        if self.n:
+            pairs = out[7 + j:]
+            self.derivs = [np.stack(block) for block in zip(
+                pairs[0::2], pairs[1::2], self.values[j - len(self.derivs):j])]
+        else:
+            self.derivs = [np.stack((self.q * y0, self.rows[2], y0))]
+        self.n = n
 
     def step(self):
         """Append and return (E_j, y_j), j the number of orders held.
@@ -356,11 +349,11 @@ class _Recurrence:
         mm = min(len(problem.perturbations), j)
         deg = _input_degree(problem, self.wavefuns, j, self.maxdeg)
         n = _grid_size(gh.u.degree + state.y0.degree + deg)
-        if n > self.n:
-            self._place(n, mm)
-        n = self.n
-        # an overflow turns into NaN in the transforms; _truncate reports it
+        # an overflow turns into inf or NaN; _truncate reports it
         with np.errstate(over="ignore", invalid="ignore"):
+            if n > self.n:
+                self._place(n)
+            n = self.n
             g = np.einsum("ij,ij->j", problem._operator_values(1, n),
                           self.derivs[-1])
             for k in range(2, mm + 1):
@@ -408,14 +401,25 @@ class _Recurrence:
 
 def solve_order(problem: PerturbationProblem, state: UnperturbedState,
                 gh: GhostFunction, energies, wavefuns, j: int):
-    """Return (E_j, y_j) given all lower orders: one step of a
-    :class:`_Recurrence` on ``energies[:j]`` and ``wavefuns[:j]``, which
-    samples y_0 .. y_(j-1) from their coefficients.  Nothing is carried
-    from one call to the next, so a chain of calls solves the boundary at
-    each order, and the stop on two full orders in a row (see
-    :meth:`_Recurrence.step`) acts only in :func:`compute_series`."""
-    _check_orders(energies, wavefuns, j)
-    return _Recurrence(problem, state, gh, energies[:j], wavefuns[:j]).step()
+    """Return (E_j, y_j) given all lower orders, from the series kernels:
+    phi_b = V(-y0) from :func:`_boundary_solution`, phi_a = V(g_j) from
+    :func:`_vp` and :func:`order_rhs`, E_j = -phi_a(b) / phi_b(b) from
+    y_j(b) = 0, and y_j = phi_a + E_j phi_b, truncated.  No
+    :class:`_Recurrence` runs, so nothing is carried from one call to the
+    next, and the stop on two full orders in a row (see
+    :meth:`_Recurrence.step`) acts only in :func:`compute_series`.  A
+    result that is not finite raises :class:`SpectralError`."""
+    # an overflow turns into inf or NaN; _truncate reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_b = _boundary_solution(state, gh)[0]
+        phi_a = _vp(state, gh, order_rhs(problem, energies, wavefuns,
+                                         j)).coeffs
+        e_j = -float(phi_a.sum()) / float(phi_b.sum())  # T_k(1) = 1
+        coeffs = np.zeros(max(len(phi_a), len(phi_b)))
+        coeffs[:len(phi_b)] = e_j * phi_b
+        coeffs[:len(phi_a)] += phi_a
+        coeffs = _truncate(coeffs)
+    return e_j, SpectralFun._adopt(problem.a, problem.b, coeffs)
 
 
 def solvability_energy(state: UnperturbedState, g: SpectralFun) -> float:
@@ -437,8 +441,7 @@ def compute_series(problem: PerturbationProblem, state: UnperturbedState,
     """
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
-    rec = _Recurrence(problem, state, ghost(state, problem), [state.E0],
-                      [state.y0])
+    rec = _Recurrence(problem, state, ghost(state, problem))
     for _ in range(J):
         rec.step()
     energies, wavefuns = rec.energies, rec.wavefuns
@@ -525,7 +528,7 @@ def residual(problem: PerturbationProblem, lam: float, energy: float,
     c = y.coeffs
     terms = [(0, c)] + [(k, -(lam ** k) * c)
                         for k in range(1, len(problem.perturbations) + 1)]
-    r = problem._operator_fun(terms, -energy * c)
+    r = problem._operator_fun(terms, -energy, c)
     xs = np.linspace(problem.a, problem.b, 256)
     return float(np.max(np.abs(r(xs)))) / y.sup_norm()
 

@@ -154,15 +154,6 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     return _coeffs_from_samples(moments)
 
 
-def _clenshaw_at_minus_one(c: list) -> float:
-    """``chebval(-1, c)`` in numpy's operation order.  The first pass
-    from (c[-1], 0.0) is exact, so a constant gives c[0] + 0.0 * -1."""
-    c0, c1 = c[-1], 0.0
-    for i in range(2, len(c) + 1):
-        c0, c1 = c[-i] - c1, c0 + c1 * -2
-    return c0 + c1 * -1
-
-
 def _truncate(coeffs: np.ndarray) -> np.ndarray:
     """``coeffs`` without the trailing ones below ``TRUNCATION_TOL`` times
     the largest; raises :class:`SpectralError` if any is inf or NaN."""

@@ -114,9 +114,10 @@ class PerturbationProblem:
                 self._operator_coeffs(k), n)
         return self._cache[key]
 
-    def _operator_fun(self, terms, r: np.ndarray) -> SpectralFun:
+    def _operator_fun(self, terms, weights, rows) -> SpectralFun:
         """sum_i P_(k_i) f_i - r as a series, for pairs (k, coefficients of
-        f) in ``terms`` and a coefficient row r.
+        f) in ``terms`` and the coefficient row r = ``weights`` . ``rows``:
+        one number times one row, or one number per row of a 2-d array.
 
         The grid is the N+1 Chebyshev extrema, N the smallest power of two
         above the degree bound of the sum (:meth:`_operator_degree`).  One
@@ -125,16 +126,17 @@ class PerturbationProblem:
         one DCT and one truncation give the series.
         """
         scl = 2.0 / (self.b - self.a)
-        rows, deg = [], 0
-        for k, c in terms:
-            rows.extend(_derivatives(c, scl))
-            deg = max(deg, self._operator_degree(k, len(c) - 1))
-        rows.append(r)
-        n = _grid_size(max(deg, max(map(len, rows)) - 1))
-        ps = np.concatenate([self._operator_values(k, n) for k, _ in terms])
         # an overflow turns into inf or NaN; _truncate reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _values_at_extrema(rows, n)
+            series, deg = [], 0
+            for k, c in terms:
+                series.extend(_derivatives(c, scl))
+                deg = max(deg, self._operator_degree(k, len(c) - 1))
+            series.append(np.dot(weights, rows))
+            n = _grid_size(max(deg, max(map(len, series)) - 1))
+            ps = np.concatenate([self._operator_values(k, n)
+                                 for k, _ in terms])
+            values = _values_at_extrema(series, n)
             out = _coeffs_from_samples(
                 np.einsum("ij,ij->j", ps, values[:-1]) - values[-1])
         return SpectralFun._adopt(self.a, self.b, _truncate(out))
@@ -142,20 +144,7 @@ class PerturbationProblem:
     def apply_perturbation(self, k: int, f: SpectralFun) -> SpectralFun:
         """Apply the order-k operator to a spectral function: one pass of
         :meth:`_operator_fun` over the single term (k, f)."""
-        return self._operator_fun([(k, f.coeffs)], np.zeros(1))
-
-    def serialize(self) -> str:
-        """Config text that :func:`load_problem` maps back to this problem."""
-        lines = [f"domain = {self.a!r} {self.b!r}",
-                 f"v0 = {ex.to_string(self.v0)}"]
-        if self.y0_expr is not None:
-            lines.append(f"y0 = {ex.to_string(self.y0_expr)}")
-            lines.append(f"E0 = {self.e0_value!r}")
-        for k, op in enumerate(self.perturbations, start=1):
-            lines.append(f"perturbation.{k}.p2 = {ex.to_string(op.p2)}")
-            lines.append(f"perturbation.{k}.p1 = {ex.to_string(op.p1)}")
-            lines.append(f"perturbation.{k}.p0 = {ex.to_string(op.p0)}")
-        return "\n".join(lines) + "\n"
+        return self._operator_fun([(k, f.coeffs)], 0.0, np.zeros(1))
 
 
 #: the order ``k`` has at most nine digits and no sign or leading zero
@@ -299,7 +288,7 @@ def validate_state(problem: PerturbationProblem,
     """Return (sup |y0'' - v0 y0 + E0 y0|, |y0(a)|, |y0(b)|), the residual
     P_0 y0 + E0 y0 from one pass of the operator kernel."""
     c = state.y0.coeffs
-    resid = problem._operator_fun([(0, c)], -state.E0 * c)
+    resid = problem._operator_fun([(0, c)], -state.E0, c)
     xs = np.linspace(problem.a, problem.b, 256)
     res = float(np.max(np.abs(resid(xs))))
     return res, abs(state.y0(problem.a)), abs(state.y0(problem.b))

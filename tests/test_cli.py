@@ -558,6 +558,26 @@ def test_overflowing_coupling_is_a_computation_failure(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_an_overflowing_state_prints_one_line_and_no_warning(tmp_path):
+    # y0 ~ 1e75 and E0 ~ 1e301 on [0, 1e-150]: the overflow is reported
+    # on the error path alone, with warnings shown as Python shows them
+    prob = tmp_path / "tiny.prob"
+    prob.write_text(model1_config().replace("domain = 0 1",
+                                            "domain = 0 1e-150"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONWARNINGS="default")
+    for argv in (["solve", "--out", str(tmp_path / "s.json")],
+                 ["validate"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "pertbvp.cli", *argv, "--problem",
+             str(prob)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == ("computation failed: series coefficients "
+                               "not finite\n")
+        assert done.stdout == ""
+
+
 # ----------------------------------------------------------------------
 # hostile input ends on the documented error path
 # ----------------------------------------------------------------------

@@ -7,11 +7,12 @@ from pertbvp import engine, funcspace
 from pertbvp.engine import (EngineError, compute_series, ghost, order_rhs,
                             residual, series_from_dict, series_to_dict,
                             solvability_energy, solve_order, sum_series)
-from pertbvp.funcspace import SpectralFun
-from pertbvp.oracles import (model1_problem, model3_E_coeffs, model3_problem,
-                             model1_exact)
+from pertbvp.funcspace import SpectralError, SpectralFun
+from pertbvp.oracles import (model1_config, model1_problem, model3_E_coeffs,
+                             model3_problem, model1_exact)
 from pertbvp.problem import (UnperturbedState, analytic_sine_state,
-                             load_problem, state_from_expr, validate_state)
+                             load_problem, state_from_expr, state_verdict,
+                             validate_state)
 
 PI2 = math.pi ** 2
 XS = np.linspace(0, 1, 64)
@@ -255,12 +256,12 @@ def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
 @pytest.mark.parametrize("model,n,J", [("m1", 3, 12), ("m3", 2, 10)])
 def test_compute_series_equals_order_by_order_solves(model, n, J, m1, m3):
     # bit for bit the steps of one recurrence; a chain of solve_order
-    # calls, each sampling the lower orders from their coefficients, agrees
-    # to rounding, which grows as model 1's y_j fall to 1e-13 at j = 12
+    # calls, each V(g_j) + E_j phi_b on the series kernels, agrees to
+    # rounding, which grows as model 1's y_j fall to 1e-13 at j = 12
     prob = m1 if model == "m1" else m3
     st = analytic_sine_state(prob, n)
     gh = ghost(st, prob)
-    rec = engine._Recurrence(prob, st, gh, [st.E0], [st.y0])
+    rec = engine._Recurrence(prob, st, gh)
     for _ in range(J):
         rec.step()
     ser = compute_series(prob, st, J)
@@ -317,6 +318,25 @@ def test_operator_callers_multiply_no_series(m3, monkeypatch):
     assert res <= 1e-9 * st.dy0.derivative().sup_norm()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_state_fails_on_the_error_path_without_warnings():
+    # on [0, 1e-150] y0 is ~1e75 and E0 ~1e301, so (v0 - E0) y0 and E0 y0
+    # overflow: every entry raises SpectralError, and no numpy warning
+    # (an error here) comes first
+    prob = load_problem(model1_config().replace("domain = 0 1",
+                                                "domain = 0 1e-150"))
+    st = analytic_sine_state(prob, 1)
+    gh = ghost(st, prob)
+    big = SpectralFun(prob.domain, [1e300, 1e300, 1e300])
+    for call in (lambda: compute_series(prob, st, 3),
+                 lambda: state_verdict(prob, st),
+                 lambda: solve_order(prob, st, gh, [st.E0], [st.y0], 1),
+                 lambda: engine._vp(st, gh, big),
+                 lambda: order_rhs(prob, [st.E0, 1e300], [st.y0, big], 2)):
+        with pytest.raises(SpectralError, match="not finite"):
+            call()
+
+
 def test_degenerate_boundary_equation_only_when_orders_requested(
         m1, monkeypatch):
     st = analytic_sine_state(m1, 1)
@@ -339,18 +359,18 @@ def test_boundary_is_solved_once_per_recurrence(m3, monkeypatch):
 
     monkeypatch.setattr(engine, "_boundary_solution", counted)
     st = analytic_sine_state(m3, 3)
-    rec = engine._Recurrence(m3, st, ghost(st, m3), [st.E0], [st.y0])
+    rec = engine._Recurrence(m3, st, ghost(st, m3))
     for _ in range(8):
         rec.step()
     assert len(calls) == 1 and rec.wavefuns[8].degree > 0
-    # solve_order is one step of a recurrence of its own
+    # solve_order solves the boundary at each call
     solve_order(m3, st, rec.gh, rec.energies, rec.wavefuns, 8)
     assert len(calls) == 2
 
 
 @pytest.mark.parametrize("J", [0, 1, 7])
-def test_compute_series_and_solve_order_run_recurrence_steps(J, m3,
-                                                             monkeypatch):
+def test_compute_series_runs_recurrence_steps_and_solve_order_none(
+        J, m3, monkeypatch):
     orders = []
     step = engine._Recurrence.step
 
@@ -365,7 +385,7 @@ def test_compute_series_and_solve_order_run_recurrence_steps(J, m3,
     if J:
         orders.clear()
         solve_order(m3, st, ghost(st, m3), ser.energies, ser.wavefuns, J)
-        assert orders == [J]
+        assert orders == []
 
 
 @pytest.mark.parametrize("j,energies,wavefuns",

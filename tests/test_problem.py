@@ -118,32 +118,6 @@ def test_config_comments_blank_lines_and_spacing():
     assert prob.perturbations[0].p1 == ex.Var()
 
 
-def test_load_is_idempotent_on_serialized_output():
-    for cfg in (model1_config(), model3_config()):
-        prob = load_problem(cfg)
-        again = load_problem(prob.serialize())
-        assert again.domain == prob.domain
-        xs = np.linspace(0, 1, 17)
-        for x in xs:
-            assert ex.evaluate(again.v0, x) == ex.evaluate(prob.v0, x)
-            for opa, opb in zip(again.perturbations, prob.perturbations):
-                for field in ("p2", "p1", "p0"):
-                    assert ex.evaluate(getattr(opa, field), x) == \
-                        ex.evaluate(getattr(opb, field), x)
-        assert load_problem(again.serialize()).serialize() == again.serialize()
-
-
-def test_serialize_round_trips_a_closed_form_state():
-    prob = load_problem(CLOSED_V0_5)
-    text = prob.serialize()
-    again = load_problem(text)
-    assert again.serialize() == text
-    assert again.e0_value == prob.e0_value
-    assert again.y0_expr == prob.y0_expr
-    assert again.perturbations == prob.perturbations
-    assert "y0 = sin(((3.0*pi)*x))" in text.splitlines()
-
-
 def test_apply_perturbation_is_linear():
     prob = load_problem(model3_config())
     f = SpectralFun.from_function(lambda x: np.sin(math.pi * x), (0, 1))
@@ -305,7 +279,7 @@ def test_unperturbed_operator_is_order_zero_of_the_kernel():
     prob = load_problem(CLOSED_V0_5)
     st = state_from_expr(prob, n=3)
     c = st.y0.coeffs
-    got = prob._operator_fun([(0, c)], -st.E0 * c).coeffs
+    got = prob._operator_fun([(0, c)], -st.E0, c).coeffs
     ypp = cheb.chebder(c, 2, scl=2.0 / (prob.b - prob.a))
     ref = cheb.chebadd(cheb.chebsub(ypp, cheb.chebmul(prob.v0_fun.coeffs, c)),
                        st.E0 * c)
