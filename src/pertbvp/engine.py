@@ -26,8 +26,7 @@ grows: an order that needs more degrees moves every carried row onto the
 larger grid in one transform pair, a batched DCT and a batched inverse
 DCT.  The Wronskian check reuses the ghost rows of the VP map.
 :func:`order_rhs` and :func:`residual` run the problem's operator kernel
-on their own alias-free grid, and :func:`solve_order` takes one order
-from given lower orders as V(g_j) + E_j phi_b on the series kernels.
+on their own alias-free grid; :func:`solve_order` samples g_j from it.
 """
 
 from __future__ import annotations
@@ -206,10 +205,8 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
         r: SpectralFun) -> SpectralFun:
     """V(r) for a series r: r sampled on the N+1 extrema, N the smallest
     power of two above the degree of the result, then the value row of
-    :func:`_vp_values`, one DCT and one truncation, which reports a result
-    that is not finite.  It is V as a map of series, which
-    :func:`solve_order` applies to g_j; the recurrence runs
-    :func:`_vp_values` on the values it carries."""
+    :func:`_vp_values`, one DCT and one truncation.  The recurrence does
+    not call it: it is V as a map of series."""
     n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
                    + len(r.coeffs) - 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,8 +222,7 @@ def _boundary_solution(state: UnperturbedState,
     E_j-part of every order, untruncated, on the smallest grid above the
     degree of phi_b.  Raises :class:`EngineError` when phi_b(b) vanishes
     against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j.  Its
-    callers, :meth:`_Recurrence._place` and :func:`solve_order`, run it
-    with overflow and invalid operations ignored."""
+    caller, :meth:`_Recurrence._place`, runs it under ``np.errstate``."""
     n = _grid_size(gh.u.degree + 2 * state.y0.degree)
     rows = _ghost_rows(state, gh.u, gh.du, n)
     values = _vp_values(state, gh, rows, -rows[0])
@@ -315,32 +311,20 @@ class _Recurrence:
     def step(self):
         """Append and return (E_j, y_j), j the number of orders held.
 
-        y_j = V(g_j) + E_j phi_b with the boundary solution phi_b = V(-y0),
-        and E_j fixed by y_j(b) = 0.  The grid is the smallest power of two
-        above deg u + deg y0 + D, D from :func:`_input_degree`, so that
-        V(g_j), of degree deg u + deg y0 + deg g_j + 1, is exact on it.  The
-        first step, and a step that needs a larger grid, first put what is
-        carried on it (:meth:`_place`).  Then:
+        The grid is the smallest power of two above deg u + deg y0 + D, D
+        from :func:`_input_degree`, so that V(g_j), of degree deg u + deg y0
+        + deg g_j + 1, is exact on it.  The first step, and a step that
+        needs a larger grid, first put what is carried on it
+        (:meth:`_place`).  g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k)
+        is formed pointwise from the carried y, y' and y'' and one product
+        of the energies with the carried values, :meth:`_order` finishes
+        y_j, and one inverse DCT gives its values as returned, cut and
+        truncated, which the next orders use: four transforms in all.
 
-        - g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is formed pointwise
-          from the carried y, y' and y'' and one product of the energies
-          with the carried values;
-        - :func:`_vp_values` gives V(g_j) and V(g_j)', so y_j and y_j' are
-          pointwise sums, and E_j comes from the values at b;
-        - y_j'' comes from the order equation, as (v0 - E0) V(g_j) + g_j +
-          E_j phi_b'';
-        - one DCT gives the coefficients of y_j; those above deg u + deg y0
-          + D + 1, the exact degree of V(g_j) + E_j phi_b, are rounding
-          noise and are dropped before the truncation;
-        - one inverse DCT gives the values of y_j as returned, cut and
-          truncated, which the next orders use: four transforms in all.
-
-        A y_j within 1e-13 of E_j phi_b (then as large as V(g_j)) is an order
-        that vanishes exactly: y_j, y_j' and y_j'' are 0.  When the
-        truncation keeps every coefficient up to the exact degree in two
-        orders in a row, their rounding noise has reached the top of the
-        room V leaves, and each further order would add deg u + deg y0 + 1
-        degrees of noise: that raises :class:`EngineError` naming the
+        When the truncation keeps every coefficient up to the exact degree
+        in two orders in a row, their rounding noise has reached the top of
+        the room V leaves, and each further order would add deg u + deg y0
+        + 1 degrees of noise: that raises :class:`EngineError` naming the
         order.  One such order alone does not (a spike in the last
         coefficients).
         """
@@ -348,7 +332,8 @@ class _Recurrence:
         j = len(self.wavefuns)
         mm = min(len(problem.perturbations), j)
         deg = _input_degree(problem, self.wavefuns, j, self.maxdeg)
-        n = _grid_size(gh.u.degree + state.y0.degree + deg)
+        room = gh.u.degree + state.y0.degree + deg + 2
+        n = _grid_size(room - 2)
         # an overflow turns into inf or NaN; _truncate reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if n > self.n:
@@ -361,21 +346,7 @@ class _Recurrence:
                                self.derivs[-k])
             g -= (np.asarray(self.energies[j - 1:0:-1], dtype=float)
                   @ self.values[1:j])
-            phi_a = _vp_values(state, gh, self.rows, g)  # V(g_j), V(g_j)'
-            e_j = float(-phi_a[0, 0] / self.phi[2, 0])
-            if not math.isfinite(e_j):
-                raise SpectralError("series coefficients not finite")
-            block = self.phi * e_j  # becomes y_j'', y_j', y_j
-            block[:0:-1] += phi_a
-            block[0] += self.q * phi_a[0]
-            block[0] += g
-            noise = 1e-13 * abs(e_j) * self.phi_sup
-            if np.abs(block[2]).max() <= noise < math.inf:
-                block[:] = 0.0  # an order that vanishes exactly
-            coeffs = _coeffs_from_samples(block[2])
-            room = gh.u.degree + state.y0.degree + deg + 2
-            coeffs[room:] = 0.0
-            coeffs = _truncate(coeffs)
+            e_j, block, coeffs = self._order(g, room)
         full = len(coeffs) == room
         if full and self.full:
             raise EngineError(
@@ -398,27 +369,53 @@ class _Recurrence:
         self.full = full
         return e_j, y_j
 
+    def _order(self, g: np.ndarray, room: int):
+        """E_j, the block (y_j'', y_j', y_j) of values and the coefficients
+        of y_j = V(g_j) + E_j phi_b from the values ``g`` of g_j on the
+        carried grid, for :meth:`step` and :func:`solve_order` alike, both
+        with overflow and invalid operations ignored:
+
+        - :func:`_vp_values` gives V(g_j) and V(g_j)', so y_j and y_j' are
+          pointwise sums, and E_j comes from the values at b;
+        - y_j'' = (v0 - E0) V(g_j) + g_j + E_j phi_b'' by the order equation;
+        - a y_j within 1e-13 of E_j phi_b (then as large as V(g_j)) is an
+          order that vanishes exactly: the block is 0;
+        - one DCT gives the coefficients of y_j; those from ``room`` = deg
+          u + deg y0 + D + 2 on, above the exact degree of V(g_j) + E_j
+          phi_b, are rounding noise and are dropped before the truncation.
+        """
+        phi_a = _vp_values(self.state, self.gh, self.rows, g)
+        e_j = float(-phi_a[0, 0] / self.phi[2, 0])
+        if not math.isfinite(e_j):
+            raise SpectralError("series coefficients not finite")
+        block = self.phi * e_j  # becomes y_j'', y_j', y_j
+        block[:0:-1] += phi_a
+        block[0] += self.q * phi_a[0]
+        block[0] += g
+        noise = 1e-13 * abs(e_j) * self.phi_sup
+        if np.abs(block[2]).max() <= noise < math.inf:
+            block[:] = 0.0  # an order that vanishes exactly
+        coeffs = _coeffs_from_samples(block[2])
+        coeffs[room:] = 0.0
+        return e_j, block, _truncate(coeffs)
+
 
 def solve_order(problem: PerturbationProblem, state: UnperturbedState,
                 gh: GhostFunction, energies, wavefuns, j: int):
-    """Return (E_j, y_j) given all lower orders, from the series kernels:
-    phi_b = V(-y0) from :func:`_boundary_solution`, phi_a = V(g_j) from
-    :func:`_vp` and :func:`order_rhs`, E_j = -phi_a(b) / phi_b(b) from
-    y_j(b) = 0, and y_j = phi_a + E_j phi_b, truncated.  No
-    :class:`_Recurrence` runs, so nothing is carried from one call to the
-    next, and the stop on two full orders in a row (see
-    :meth:`_Recurrence.step`) acts only in :func:`compute_series`.  A
-    result that is not finite raises :class:`SpectralError`."""
-    # an overflow turns into inf or NaN; _truncate reports it
+    """Return (E_j, y_j) given all lower orders: g_j from :func:`order_rhs`
+    on the grid a step would pick, finished by :meth:`_Recurrence._order`
+    of a recurrence from y_0 placed there, so the step's cut and its rule
+    for an order that vanishes hold.  Nothing is carried from one call to
+    the next, and the stop on two full orders in a row acts only in
+    :func:`compute_series`.  A non-finite result raises SpectralError."""
+    g = order_rhs(problem, energies, wavefuns, j)
+    room = gh.u.degree + state.y0.degree + 2 + _input_degree(
+        problem, wavefuns, j, max(y.degree for y in wavefuns[:j]))
+    rec = _Recurrence(problem, state, gh)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi_b = _boundary_solution(state, gh)[0]
-        phi_a = _vp(state, gh, order_rhs(problem, energies, wavefuns,
-                                         j)).coeffs
-        e_j = -float(phi_a.sum()) / float(phi_b.sum())  # T_k(1) = 1
-        coeffs = np.zeros(max(len(phi_a), len(phi_b)))
-        coeffs[:len(phi_b)] = e_j * phi_b
-        coeffs[:len(phi_a)] += phi_a
-        coeffs = _truncate(coeffs)
+        rec._place(_grid_size(room - 2))
+        e_j, _, coeffs = rec._order(_values_at_extrema(g.coeffs, rec.n),
+                                    room)
     return e_j, SpectralFun._adopt(problem.a, problem.b, coeffs)
 
 

@@ -256,8 +256,8 @@ def test_compute_series_solves_boundary_once(J, m3, monkeypatch):
 @pytest.mark.parametrize("model,n,J", [("m1", 3, 12), ("m3", 2, 10)])
 def test_compute_series_equals_order_by_order_solves(model, n, J, m1, m3):
     # bit for bit the steps of one recurrence; a chain of solve_order
-    # calls, each V(g_j) + E_j phi_b on the series kernels, agrees to
-    # rounding, which grows as model 1's y_j fall to 1e-13 at j = 12
+    # calls, each forming g_j from the series of the lower orders, agrees
+    # to rounding, which grows as model 1's y_j fall to 1e-13 at j = 12
     prob = m1 if model == "m1" else m3
     st = analytic_sine_state(prob, n)
     gh = ghost(st, prob)

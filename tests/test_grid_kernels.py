@@ -460,12 +460,15 @@ def test_order_step_is_alias_free_at_every_degree(m1, mp):
 def test_order_step_reports_coefficients_that_are_not_finite(
         m3, monkeypatch, values):
     st = pb.analytic_sine_state(m3, 1)
-    rows = engine._boundary_solution(st, ghost(st, m3))  # order 1 only
+    gh = ghost(st, m3)
+    rows = engine._boundary_solution(st, gh)  # the patch hits order 1 only
     monkeypatch.setattr(engine, "_boundary_solution", lambda state, gh: rows)
     monkeypatch.setattr(engine, "_vp_values", lambda state, gh, rows, r:
                         np.resize(values, (2, len(r))))
-    with pytest.raises(funcspace.SpectralError, match="not finite"):
-        compute_series(m3, st, 1)
+    for call in (lambda: compute_series(m3, st, 1),
+                 lambda: engine.solve_order(m3, st, gh, [st.E0], [st.y0], 1)):
+        with pytest.raises(funcspace.SpectralError, match="not finite"):
+            call()
 
 
 @pytest.mark.parametrize("make,n", [(model3_problem, 2), (model1_problem, 3)],
@@ -573,7 +576,7 @@ def test_a_growing_order_makes_one_transform_pair_more(name, m3, monkeypatch):
 
 @pytest.mark.parametrize("name", ["m1", "m3", "closed", "gauss"])
 def test_cold_orders_agree_with_warm_ones(name, m1, m3, mp):
-    # solve_order works on the series of the lower orders, with
+    # solve_order forms g_j from the series of the lower orders, with
     # coefficient derivatives, where compute_series carries their values
     prob, st = _case(name, m1, m3, mp)
     gh = ghost(st, prob)
@@ -628,6 +631,40 @@ def test_coefficients_above_the_exact_degree_are_dropped(m3):
         assert ser.wavefuns[j].degree <= top
         reached = reached or ser.wavefuns[j].degree == top
     assert reached
+
+
+def test_solve_order_drops_coefficients_above_the_exact_degree(m1, mp):
+    # lower orders of random coefficients fill the room up to the exact
+    # degree with rounding noise; solve_order cuts it there as a step does
+    rng = np.random.default_rng(26)
+    st = pb.analytic_sine_state(m1, 1)
+    gh = ghost(st, m1)
+    for deg in (5, 30, 70):
+        ys = [st.y0] + [SpectralFun(mp.domain, rng.standard_normal(deg + 1))
+                        for _ in range(2)]
+        _, y_j = engine.solve_order(mp, st, gh, [st.E0, 0.7, -1.3], ys, 3)
+        bound = engine._input_degree(mp, ys, 3, max(y.degree for y in ys))
+        assert y_j.degree <= gh.u.degree + st.y0.degree + bound + 1
+
+
+def test_a_chain_of_solve_order_calls_keeps_vanishing_orders_exact():
+    # a constant p0 = c shifts E_0 by c and nothing else: E_1 = c, and
+    # every y_j and every later E_j is exactly 0 in a chain of cold orders,
+    # as in the series, with no rounding noise left to grow in degree
+    prob = pb.load_problem("domain = 0 1\nv0 = 0\nperturbation.1.p2 = 0\n"
+                           "perturbation.1.p1 = 0\nperturbation.1.p0 = 3\n")
+    st = pb.analytic_sine_state(prob, 1)
+    gh = ghost(st, prob)
+    energies, wavefuns = [st.E0], [st.y0]
+    for j in range(1, 7):
+        e_j, y_j = engine.solve_order(prob, st, gh, energies, wavefuns, j)
+        energies.append(e_j)
+        wavefuns.append(y_j)
+    ser = compute_series(prob, st, 6)
+    assert energies[1] == pytest.approx(3.0, rel=1e-14)
+    assert energies[2:] == ser.energies[2:] == [0.0] * 5
+    assert all(y.coeffs.tolist() == [0.0] for y in wavefuns[1:])
+    assert all(y.coeffs.tolist() == [0.0] for y in ser.wavefuns[1:])
 
 
 def test_high_degree_couplings_are_not_taken_for_noise():
