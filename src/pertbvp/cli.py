@@ -38,30 +38,23 @@ class _Parser(argparse.ArgumentParser):
 MAX_ORDER = 1000
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an int no smaller than ``low`` (and with ``high`` no
-    larger than it)."""
+def _number(convert, low=None, high=None, nonzero=False):
+    """argparse type: ``convert(text)``, finite if a float, no smaller than
+    ``low``, no larger than ``high`` and, with ``nonzero``, not zero."""
     def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
-    return parse
-
-
-def _finite_float(nonzero: bool = False):
-    """argparse type: a finite float, and with ``nonzero`` not zero."""
-    def parse(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-        if nonzero and value == 0.0:
-            raise argparse.ArgumentTypeError(f"must be nonzero, got {value}")
-        return value
-    parse.__name__ = "float"  # argparse names it in "invalid float value"
+        value = convert(text)
+        if convert is float and not math.isfinite(value):
+            fault = "must be finite"
+        elif low is not None and value < low:
+            fault = f"must be >= {low}"
+        elif high is not None and value > high:
+            fault = f"must be <= {high}"
+        elif nonzero and value == 0:
+            fault = "must be nonzero"
+        else:
+            return value
+        raise argparse.ArgumentTypeError(f"{fault}, got {value}")
+    parse.__name__ = convert.__name__  # argparse: "invalid int value"
     return parse
 
 
@@ -69,62 +62,31 @@ def _finite_float(nonzero: bool = False):
 _FLAGS = {
     "--problem": dict(required=True, help="problem config file"),
     "series": dict(help="series JSON file"),
-    "--n": dict(type=_int_in(1), default=1,
+    "--n": dict(type=_number(int, 1), default=1,
                 help="quantum number (oracle default: the --series' n, "
                      "else 1)"),
-    "--order": dict(type=_int_in(0, MAX_ORDER), default=None,
+    "--order": dict(type=_number(int, 0, MAX_ORDER), default=None,
                     help="highest perturbation order J "
                          "(solve: 3; eval, export: the whole series)"),
-    "--lambda": dict(dest="lam", type=_finite_float(),
+    "--lambda": dict(dest="lam", type=_number(float),
                      help="coupling strength"),
     "--normalize": dict(action="store_true",
                         help="apply the normalization series"),
     "--out": dict(help="output file path"),
-    "--grid": dict(type=_int_in(2),
+    "--grid": dict(type=_number(int, 2),
                    help="sample count (eval, export) or FD interior points "
                         "(oracle)"),
-    "--amplitude": dict(type=_finite_float(nonzero=True),
+    "--amplitude": dict(type=_number(float, nonzero=True),
                         help="requested amplitude of the sine state "
                              "(default: sqrt(2); not read when the problem "
                              "file gives y0)"),
-    "--guess": dict(type=_finite_float(),
+    "--guess": dict(type=_number(float),
                     help="eigenvalue guess (default: the summed --series, "
                          "else the problem file's E0, else (n pi / L)^2 "
                          "when v0 is zero; required otherwise)"),
     "--series": dict(dest="series_file",
                      help="series JSON to compare against"),
 }
-
-#: subcommand -> (help, the flags its cmd_* function reads)
-_SUBCOMMANDS = {
-    "solve": ("compute a perturbation series",
-              ("--problem", "--n", "--order", "--out", "--amplitude")),
-    "eval": ("partial sums from a series file",
-             ("series", "--lambda", "--order", "--normalize", "--grid")),
-    "oracle": ("finite-difference eigenvalue",
-               ("--problem", "--n", "--lambda", "--grid", "--guess",
-                "--series")),
-    "export": ("sample wavefunctions to CSV",
-               ("series", "--lambda", "--order", "--normalize", "--grid",
-                "--out")),
-    "validate": ("check an unperturbed state",
-                 ("--problem", "--n", "--amplitude")),
-}
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="pertbvp",
-                description="Perturbation expansions for two-point boundary "
-                            "eigenproblems with derivative couplings.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
-    sub.choices["solve"].set_defaults(order=3)
-    sub.choices["oracle"].set_defaults(n=None)  # cmd_oracle: series' n, else 1
-    return p
-
 
 def _load_problem_file(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -154,8 +116,16 @@ def _load_series_file(path):
         raise _InputError(f"series file {path}: {exc}") from exc
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_csv(header, xs, columns, path=None):
+    """``header``, then one line ``x,c1,c2,...`` per point, each float in its
+    shortest round-trip repr, to the file ``path`` or else to stdout."""
+    rows = np.column_stack([xs, *columns]).tolist()
+    text = "\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _upto(args, series) -> int:
@@ -180,33 +150,28 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     series = _load_series_file(args.series)
-    lam = args.lam if args.lam is not None else 0.0
     upto = _upto(args, series)
+    powers = engine.lambda_powers(args.lam, upto)
     print(f"{'order':>5} {'E(lambda)':>24}")
     terms = []  # E_j lam^j; the sum() of engine.sum_series, so its bits
-    for j in range(upto + 1):
-        terms.append(series.energies[j] * lam ** j)
+    for j, p in enumerate(powers):
+        terms.append(series.energies[j] * p)
         print(f"{j:>5} {sum(terms):>24.16e}")
     if args.normalize:
-        _, y = engine.sum_series(series, lam, upto, normalize=True)
-        points = args.grid if args.grid is not None else 11
-        xs = np.linspace(y.a, y.b, points)
-        print("x,y")
-        for x, v in zip(xs, y(xs)):
-            print(f"{_fmt(x)},{_fmt(v)}")
+        _, y = engine.sum_series(series, args.lam, upto, normalize=True)
+        xs = np.linspace(y.a, y.b, args.grid)
+        _write_csv("x,y", xs, [y(xs)])
     return 0
 
 
 def cmd_oracle(args) -> int:
     problem = _load_problem_file(args.problem)
-    lam = args.lam if args.lam is not None else 0.0
-    M = args.grid if args.grid is not None else 512
     series = _load_series_file(args.series_file) if args.series_file else None
     if series is not None:
         if args.n not in (None, series.n):
             raise _InputError(f"argument --n: {args.n} differs from the "
                               f"series' n = {series.n}")
-        summed, _ = engine.sum_series(series, lam, series.order)
+        summed, _ = engine.sum_series(series, args.lam, series.order)
     if args.guess is not None:
         guess = args.guess
     elif series is not None:
@@ -223,7 +188,7 @@ def cmd_oracle(args) -> int:
                               "problem file's E0 when v0 is not zero")
         n = 1 if args.n is None else args.n
         guess = (n * np.pi / (problem.b - problem.a)) ** 2
-    value = oracles.fd_eigenvalue(problem, lam, guess, M)
+    value = oracles.fd_eigenvalue(problem, args.lam, guess, args.grid)
     print(f"fd_eigenvalue = {value:.12e}")
     if series is not None:
         print(f"series_sum    = {summed:.12e}")
@@ -233,9 +198,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_export(args) -> int:
     series = _load_series_file(args.series)
-    points = args.grid if args.grid is not None else 201
     y0 = series.wavefuns[0]
-    xs = np.linspace(y0.a, y0.b, points)
+    xs = np.linspace(y0.a, y0.b, args.grid)
     upto = _upto(args, series)
     if args.lam is not None:
         _, y = engine.sum_series(series, args.lam, upto,
@@ -245,16 +209,7 @@ def cmd_export(args) -> int:
     else:
         header = "x," + ",".join(f"y{j}" for j in range(upto + 1))
         columns = [series.wavefuns[j](xs) for j in range(upto + 1)]
-    lines = [header]
-    for i, x in enumerate(xs):
-        row = [_fmt(x)] + [_fmt(col[i]) for col in columns]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(header, xs, columns, args.out)
     return 0
 
 
@@ -269,17 +224,44 @@ def cmd_validate(args) -> int:
     return 0 if ok else 2
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "eval": cmd_eval,
-    "oracle": cmd_oracle,
-    "export": cmd_export,
-    "validate": cmd_validate,
+#: subcommand -> (its cmd_* function, help, the flags it reads, the
+#: defaults it sets on top of _FLAGS)
+_SUBCOMMANDS = {
+    "solve": (cmd_solve, "compute a perturbation series",
+              ("--problem", "--n", "--order", "--out", "--amplitude"),
+              dict(order=3)),
+    "eval": (cmd_eval, "partial sums from a series file",
+             ("series", "--lambda", "--order", "--normalize", "--grid"),
+             dict(lam=0.0, grid=11)),
+    "oracle": (cmd_oracle, "finite-difference eigenvalue",
+               ("--problem", "--n", "--lambda", "--grid", "--guess",
+                "--series"),
+               dict(lam=0.0, grid=512, n=None)),  # n: series' n, else 1
+    "export": (cmd_export, "sample wavefunctions to CSV",
+               ("series", "--lambda", "--order", "--normalize", "--grid",
+                "--out"),
+               dict(grid=201)),
+    "validate": (cmd_validate, "check an unperturbed state",
+                 ("--problem", "--n", "--amplitude"), {}),
 }
 
 
+def _build_parser() -> _Parser:
+    p = _Parser(prog="pertbvp",
+                description="Perturbation expansions for two-point boundary "
+                            "eigenproblems with derivative couplings.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags, defaults) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(**defaults)
+    return p
+
+
 #: the flags whose value may be a negative number such as ``-1e-3``
-_FLOAT_FLAGS = ("--lambda", "--guess", "--amplitude")
+_FLOAT_FLAGS = [flag for flag, spec in _FLAGS.items()
+                if getattr(spec.get("type"), "__name__", "") == "float"]
 
 
 def _is_float(text: str) -> bool:
@@ -308,7 +290,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(_attach_float_values(argv))
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (_InputError, OSError, UnicodeDecodeError, ProblemConfigError,
             ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)

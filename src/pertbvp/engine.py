@@ -52,6 +52,7 @@ __all__ = [
     "solvability_energy",
     "compute_series",
     "normalization_coeffs",
+    "lambda_powers",
     "sum_series",
     "residual",
     "series_to_dict",
@@ -490,6 +491,19 @@ def normalization_coeffs(state: UnperturbedState, wavefuns, J: int) -> list:
     return [state.report_scale * v for v in t]
 
 
+def lambda_powers(lam: float, upto: int) -> list:
+    """lam^0 ... lam^upto, each the Python float ``lam ** j``; a power that
+    overflows raises EngineError naming its order."""
+    powers = []
+    for j in range(upto + 1):
+        try:
+            powers.append(lam ** j)
+        except OverflowError:
+            raise EngineError(
+                f"lambda^{j} overflows at lambda = {lam!r}") from None
+    return powers
+
+
 def sum_series(series: PerturbationSeries, lam: float, upto: int,
                normalize: bool = False):
     """Partial sums E(lam), y(lam) truncated at order ``upto``.
@@ -500,20 +514,20 @@ def sum_series(series: PerturbationSeries, lam: float, upto: int,
     """
     if upto > series.order or upto < 0:
         raise EngineError(f"truncation order {upto} outside 0..{series.order}")
-    energy = sum(series.energies[j] * lam ** j for j in range(upto + 1))
+    powers = lambda_powers(lam, upto)
+    energy = sum(e * p for e, p in zip(series.energies, powers))
     y = series.wavefuns[0]
     if upto > 0:
         # y_0 + y_1 lam + ... accumulated in one padded array, with the
         # additions (and so the bits) of the chain of SpectralFun sums
         ys = series.wavefuns[:upto + 1]
         acc = np.zeros(max(len(f.coeffs) for f in ys))
-        for j, f in enumerate(ys):
-            acc[:len(f.coeffs)] += f.coeffs * (lam ** j)
+        for f, p in zip(ys, powers):
+            acc[:len(f.coeffs)] += f.coeffs * p
         y = SpectralFun._adopt(y.a, y.b, acc)
     if normalize:
         n0 = series.norm_coeffs[0]
-        factor = sum(series.norm_coeffs[j] / n0 * lam ** j
-                     for j in range(upto + 1))
+        factor = sum(nj / n0 * p for nj, p in zip(series.norm_coeffs, powers))
         y = y * factor
     return energy, y
 
@@ -523,8 +537,8 @@ def residual(problem: PerturbationProblem, lam: float, energy: float,
     """Relative sup-norm defect of (E, y) in the original equation:
     P_0 y + E y - sum_k lam^k P_k y from one pass of the operator kernel."""
     c = y.coeffs
-    terms = [(0, c)] + [(k, -(lam ** k) * c)
-                        for k in range(1, len(problem.perturbations) + 1)]
+    powers = lambda_powers(lam, len(problem.perturbations))
+    terms = [(0, c)] + [(k, -powers[k] * c) for k in range(1, len(powers))]
     r = problem._operator_fun(terms, -energy, c)
     xs = np.linspace(problem.a, problem.b, 256)
     return float(np.max(np.abs(r(xs)))) / y.sup_norm()

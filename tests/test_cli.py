@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pertbvp import engine, oracles
-from pertbvp.cli import _build_parser, main
+from pertbvp.cli import _SUBCOMMANDS, _build_parser, main
 from pertbvp.oracles import model1_config, model3_config, model3_E_coeffs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -415,6 +415,39 @@ def test_readme_examples_parse():
         parser.parse_args(argv)
 
 
+def test_readme_flag_table_is_the_subcommand_table():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    rows = {}
+    for line in lines[start:start + len(_SUBCOMMANDS) + 1]:
+        if not line.startswith("|"):
+            break
+        name, flags = (cell.strip().strip("`")
+                       for cell in line.strip("|").split("|"))
+        rows[name] = tuple(flags.split())
+    assert rows == {name: row[2] for name, row in _SUBCOMMANDS.items()}
+
+
+@pytest.mark.parametrize("argv, explicit", [
+    (("eval", "S"), ("--lambda", "0")),
+    (("eval", "S", "--normalize"), ("--grid", "11")),
+    (("export", "S"), ("--grid", "201")),
+    (("oracle", "--problem", "P", "--guess", "9"),
+     ("--lambda", "0", "--grid", "512")),
+    (("solve", "--problem", "P"), ("--order", "3")),
+    (("oracle", "--problem", "P", "--series", "S"), ("--n", "N")),
+], ids=["eval", "eval-normalize", "export", "oracle", "solve",
+        "oracle-series"])
+def test_table_defaults_are_the_explicit_flags(capsys, model3_file,
+                                               model3_series, argv, explicit):
+    n = str(json.loads(Path(model3_series).read_text())["n"])
+    names = {"P": model3_file, "S": model3_series, "N": n}
+    runs = [run(capsys, *[names.get(a, a) for a in args])
+            for args in (argv, argv + explicit)]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
 def test_closed_form_state_off_the_boundary_fails_at_load(capsys, tmp_path):
     # |y0(a)| = 7.1e-10 after normalization: above the 1e-10 boundary bound
     prob = tmp_path / "off.prob"
@@ -625,16 +658,20 @@ def model3_order8(capsys, tmp_path, model3_file):
     return str(series)
 
 
-@pytest.mark.parametrize("argv", [
-    ("eval", "{series}", "--lambda", "1e200"),
-    ("export", "{series}", "--lambda", "1e50"),
-    ("oracle", "--problem", "{problem}", "--series", "{series}",
-     "--lambda", "1e50"),
+@pytest.mark.parametrize("argv, power", [
+    (("eval", "{series}", "--lambda", "1e200"), 2),
+    (("export", "{series}", "--lambda", "1e50"), 7),
+    (("oracle", "--problem", "{problem}", "--series", "{series}",
+      "--lambda", "1e50"), 7),
 ], ids=["eval", "export", "oracle"])
 def test_overflowing_lambda_is_a_computation_failure(capsys, model3_file,
-                                                     model3_order8, argv):
+                                                     model3_order8, argv,
+                                                     power):
+    # the overflowing power is named before anything reaches stdout
     argv = [a.format(series=model3_order8, problem=model3_file) for a in argv]
-    _fails(capsys, 2, "computation failed: ", *argv)
+    assert run(capsys, *argv) == (
+        2, "", f"computation failed: lambda^{power} overflows at "
+               f"lambda = {float(argv[-1])!r}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -540,9 +540,18 @@ def test_sum_series_accumulates_the_bits_of_the_chain(model, n, m1, m3):
     for lam in (0.0, 0.3, -0.7, 1.9):
         for upto in (0, 1, 5, 12):
             for normalize in (False, True):
-                _, y = sum_series(ser, lam, upto, normalize=normalize)
+                energy, y = sum_series(ser, lam, upto, normalize=normalize)
                 ref = _sum_chain(ser, lam, upto, normalize)
                 assert y.coeffs.tobytes() == ref.coeffs.tobytes()
+                assert energy == sum(ser.energies[j] * lam ** j
+                                     for j in range(upto + 1))
+
+
+def test_an_overflowing_power_of_lambda_names_its_order():
+    assert engine.lambda_powers(-1e200, 1) == [1.0, -1e200]
+    with pytest.raises(EngineError,
+                       match=r"^lambda\^2 overflows at lambda = -1e\+200$"):
+        engine.lambda_powers(-1e200, 8)
 
 
 def test_residual_exact_model1_solution(m1):
