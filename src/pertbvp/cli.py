@@ -9,13 +9,12 @@ digits) so repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import engine, oracles
+from . import engine
 from .expr import ExprError
 from .funcspace import SpectralError, UnresolvedError
 from .problem import (ProblemConfigError, StateError, analytic_sine_state,
@@ -107,6 +106,7 @@ def _make_state(problem, args):
 def _load_series_file(path):
     """The series in a JSON file; any fault of its content (syntax, nesting,
     missing keys, wrong types or values) is an input error."""
+    import json  # loaded by the subcommands that read or write a series
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -142,6 +142,7 @@ def cmd_solve(args) -> int:
         print(f"{j:>3} {series.energies[j]:>24.16e} "
               f"{series.norm_coeffs[j]:>24.16e}")
     if args.out:
+        import json
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(engine.series_to_dict(series), fh, indent=2)
             fh.write("\n")
@@ -165,6 +166,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracles  # no other subcommand loads the oracles
     problem = _load_problem_file(args.problem)
     series = _load_series_file(args.series_file) if args.series_file else None
     if series is not None:
@@ -286,6 +288,16 @@ def _attach_float_values(argv: list) -> list:
     return out
 
 
+def _failures() -> tuple:
+    """The exceptions that exit 2, OracleError among them once
+    :func:`cmd_oracle` has loaded the oracles (``except`` evaluates this
+    only when an exception reaches it)."""
+    failures = (engine.EngineError, StateError, UnresolvedError,
+                SpectralError, ArithmeticError)
+    oracles = sys.modules.get(f"{__package__}.oracles")
+    return failures if oracles is None else failures + (oracles.OracleError,)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -295,8 +307,7 @@ def main(argv=None) -> int:
             ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (engine.EngineError, StateError, UnresolvedError, SpectralError,
-            oracles.OracleError, ArithmeticError) as exc:
+    except _failures() as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

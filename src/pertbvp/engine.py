@@ -40,6 +40,7 @@ from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
                         _clenshaw_curtis_weights, _coeffs_from_samples,
                         _grid_size, _integrate_rows, _rows, _truncate,
                         _values_at_extrema, solve_linear_ivp)
+from ._record import Record
 from .problem import PerturbationProblem, UnperturbedState
 
 __all__ = [
@@ -64,20 +65,19 @@ class EngineError(Exception):
     """Recurrence failure (degenerate state, broken Wronskian, ...)."""
 
 
-@dataclass(frozen=True)
-class GhostFunction:
+class GhostFunction(Record):
     """Second unperturbed solution with W(u, y0) = u' y0 - y0' u = 1.
 
-    ``wronskian`` is the measured W: the mean of the values that
-    :func:`ghost` checks (1 for a ghost built by hand).
+    The fields are ``u``, ``du`` (SpectralFun) and ``wronskian``, the
+    measured W: the mean of the values that :func:`ghost` checks (1 for a
+    ghost built by hand).  It can be weakly referenced.
     """
 
-    u: SpectralFun
-    du: SpectralFun
-    wronskian: float = 1.0
+    __slots__ = ("u", "du", "wronskian", "__weakref__")
+    _defaults = {"wronskian": 1.0}
 
 
-@dataclass
+@dataclass  # a dataclass, for the dataclasses.replace of its callers
 class PerturbationSeries:
     """Corrections (E_j, y_j) for j = 0..J plus normalization coefficients.
 
@@ -257,7 +257,8 @@ class _Recurrence:
     ``q`` and the ghost rows of :func:`_ghost_rows` in ``rows``.
     ``maxdeg`` is the largest degree of the orders, and ``full`` tells
     whether the last step kept every coefficient up to its exact degree.
-    (A plain class: a dataclass costs its code generation at import.)
+    (A mutable plain class, not a :class:`~pertbvp._record.Record`: the
+    steps change it in place.)
     """
 
     __slots__ = ("problem", "state", "gh", "energies", "wavefuns", "n",

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "Expr",
@@ -54,43 +55,35 @@ class DomainError(ExprError):
     a non-positive number, square root of a negative number, ...)."""
 
 
-class Expr:
-    """Immutable AST node; concrete nodes below."""
+class Expr(Record):
+    """Immutable AST node (a :class:`~pertbvp._record.Record`); concrete
+    nodes below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)  # float
 
 
-@dataclass(frozen=True)
 class Pi(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)  # Expr
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * / ^
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # one of + - * / ^, Expr, Expr
 
 
-@dataclass(frozen=True)
 class Fun(Expr):
-    name: str  # one of sin cos tan exp log sqrt
-    arg: Expr
+    __slots__ = ("name", "arg")  # one of sin cos tan exp log sqrt, Expr
 
 
 _FUNCTIONS = {

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 __all__ = ["SpectralFun", "SpectralError", "UnresolvedError",
            "DomainMismatchError", "solve_linear_ivp"]
@@ -138,6 +137,37 @@ def _derivatives(c: np.ndarray, scl: float) -> tuple:
     length 2 / ``scl``."""
     dc = _derivative(c, scl)
     return _derivative(dc, scl), dc, c
+
+
+def _chebval(t, c: np.ndarray):
+    """The series ``c`` at ``t`` (a float or an array of points in
+    [-1, 1]) by Clenshaw's recurrence: the operations of numpy's
+    ``chebval``, one for one, so its bits, without importing
+    ``numpy.polynomial``."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c[0], c[1]
+    else:
+        t2 = 2 * t
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = c[-i] - c1, c0 + c1 * t2
+    return c0 + c1 * t
+
+
+def _chebvander(t: np.ndarray, deg: int) -> np.ndarray:
+    """T_0 .. T_deg at the points ``t``, one row per point, by the forward
+    recurrence: numpy's ``chebvander``, one operation for one and with its
+    memory layout (a transposed view), so the same bits."""
+    v = np.empty((deg + 1, len(t)))
+    v[0] = t * 0 + 1
+    if deg > 0:
+        t2 = 2 * t
+        v[1] = t
+        for i in range(2, deg + 1):
+            v[i] = v[i - 1] * t2 - v[i - 2]
+    return v.T
 
 
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
@@ -256,7 +286,7 @@ class SpectralFun:
                 f"argument outside domain [{self.a}, {self.b}]")
         t = (2.0 * xv - self.a - self.b) / (self.b - self.a)
         t = np.clip(t, -1.0, 1.0)
-        out = _cheb.chebval(t, self.coeffs)
+        out = _chebval(t, self.coeffs)
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
     @property
@@ -378,8 +408,8 @@ def solve_linear_ivp(q: SpectralFun, u_a: float) -> SpectralFun:
         qx = q(half * t + 0.5 * (a + b))
         kmat = (half * half) * _integrate_rows(
             _integrate_rows(np.eye(n + 1, n + 3))).T
-        lhs = _cheb.chebvander(t, n) - qx[:, None] * (
-            _cheb.chebvander(t, n + 2) @ kmat)
+        vander = _chebvander(t, n + 2)
+        lhs = vander[:, :n + 1] - qx[:, None] * (vander @ kmat)
         try:
             w = np.linalg.solve(lhs, u_a * qx)
         except np.linalg.LinAlgError as exc:

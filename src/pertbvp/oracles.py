@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import expr as ex
+from .engine import lambda_powers
 from .problem import PerturbationProblem, load_problem
 
 __all__ = [
@@ -160,9 +161,10 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     upper = np.full(M - 1, 1.0 / h ** 2)
     lower = np.full(M - 1, 1.0 / h ** 2)
 
+    powers = lambda_powers(lam, len(problem.perturbations))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, op in enumerate(problem.perturbations, start=1):
-            c = lam ** k
+            c = powers[k]
             if c == 0.0:
                 continue
             p2 = ex.evaluate(op.p2, x)
@@ -238,14 +240,24 @@ def solve_banded(lu, b):
 _ITERATION_TOL = 1e-12
 _ITERATION_MAX = 200
 
+#: the golden angle pi (3 - sqrt 5), the step of the start vector's ripple
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
 
 def _inverse_iteration(main, upper, lower, shift):
     """The eigenvalue of the tridiagonal matrix nearest ``shift``, by
-    inverse iteration on A - shift I, factored once."""
-    M = len(main)
+    inverse iteration on A - shift I, factored once.
+
+    The start vector is 1 + 1e-3 sin(k g), k = 0 .. M-1, g the golden
+    angle: fixed, so no RNG (and no ``numpy.random`` import), and not
+    symmetric about the midpoint, so it overlaps odd-parity eigenvectors
+    as well as even ones.  The iteration stops when the estimate moves by
+    at most ``_ITERATION_TOL`` relative, so the value it returns repeats
+    only to that iteration noise (~1e-12 relative, in practice far less):
+    another start vector may move its last digits.
+    """
     lu = _tridiagonal_lu(main - shift, upper, lower)
-    rng = np.random.default_rng(7)
-    v = np.ones(M) + 1e-3 * rng.standard_normal(M)
+    v = 1.0 + 1e-3 * np.sin(_GOLDEN_ANGLE * np.arange(len(main)))
     v /= np.linalg.norm(v)
     est = None
     for _ in range(_ITERATION_MAX):

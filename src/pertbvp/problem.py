@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
+from ._record import Record
 from .funcspace import (SpectralFun, _coeffs_from_samples, _derivatives,
                         _grid_size, _truncate, _values_at_extrema)
 
@@ -43,23 +43,26 @@ class StateError(Exception):
     """An unperturbed state failed a precondition or validation."""
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(Record):
     """Action ``f -> p2 f'' + p1 f' + p0 f`` with expression coefficients."""
 
-    p2: ex.Expr
-    p1: ex.Expr
-    p0: ex.Expr
+    __slots__ = ("p2", "p1", "p0")  # ex.Expr each
 
 
-@dataclass(frozen=True)
-class PerturbationProblem:
-    domain: tuple
-    v0: ex.Expr
-    perturbations: tuple  # LinearOperator, orders 1..m
-    y0_expr: ex.Expr | None = None
-    e0_value: float | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+class PerturbationProblem(Record):
+    """The fields ``domain`` (a, b), ``v0``, ``perturbations`` (one
+    :class:`LinearOperator` per order 1..m) and the optional closed form
+    ``y0_expr``, ``e0_value``.  ``_cache`` holds the Chebyshev fits and
+    operator values computed from them; it is no field, so it takes no
+    part in equality, hashing or repr."""
+
+    __slots__ = ("domain", "v0", "perturbations", "y0_expr", "e0_value",
+                 "_cache")
+    _defaults = {"y0_expr": None, "e0_value": None}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def a(self) -> float:
@@ -224,19 +227,15 @@ def load_problem(config_text: str) -> PerturbationProblem:
     return PerturbationProblem(domain, v0, operators, *closed_form)
 
 
-@dataclass(frozen=True)
-class UnperturbedState:
+class UnperturbedState(Record):
     """Solution of the unperturbed problem, normalized internally to unit L2.
 
-    ``report_scale`` converts internally-scaled normalization coefficients
-    back to the amplitude convention the caller asked for.
+    The fields are ``n``, ``E0``, ``y0`` and ``dy0`` (SpectralFun) and
+    ``report_scale``, which converts internally-scaled normalization
+    coefficients back to the amplitude convention the caller asked for.
     """
 
-    n: int
-    E0: float
-    y0: SpectralFun
-    dy0: SpectralFun
-    report_scale: float
+    __slots__ = ("n", "E0", "y0", "dy0", "report_scale")
 
 
 def _normalized_state(n, E0, y0_raw, norm) -> UnperturbedState:

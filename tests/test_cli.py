@@ -754,6 +754,16 @@ def test_overflowing_fd_oracle_is_a_computation_failure(capsys, tmp_path, p1):
            str(prob), "--lambda", "0.5")
 
 
+def test_fd_oracle_names_the_power_that_overflows(capsys, tmp_path):
+    # lam^2 of the second coupling overflows at 1e200, as in eval
+    prob = tmp_path / "two.prob"
+    prob.write_text(_MODEL1 + "perturbation.2.p2 = 0\n"
+                    "perturbation.2.p1 = 0\nperturbation.2.p0 = x\n")
+    assert run(capsys, "oracle", "--problem", str(prob), "--lambda", "1e200",
+               "--guess", "9") == (
+        2, "", "computation failed: lambda^2 overflows at lambda = 1e+200\n")
+
+
 @pytest.mark.parametrize("p1", ["1e20", "1e100"])
 def test_fd_oracle_past_the_cell_peclet_limit_is_a_computation_failure(
         capsys, tmp_path, p1):

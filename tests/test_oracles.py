@@ -10,6 +10,7 @@ import pytest
 
 from pertbvp import expr as ex
 from pertbvp import oracles
+from pertbvp.engine import EngineError
 from pertbvp.funcspace import SpectralFun
 from pertbvp.oracles import (OracleError, fd_eigenvalue, fd_eigenvalue_raw,
                              model1_config, model1_exact, model1_problem,
@@ -265,8 +266,8 @@ def _solve_banded_per_step(main, upper, lower, shift):
     ab[0, 1:] = upper
     ab[1, :] = main - shift
     ab[2, :-1] = lower
-    rng = np.random.default_rng(7)
-    v = np.ones(M) + 1e-3 * rng.standard_normal(M)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    v = np.ones(M) + 1e-3 * np.sin(golden * np.arange(M))
     v /= np.linalg.norm(v)
     est = None
     for _ in range(oracles._ITERATION_MAX):
@@ -343,3 +344,34 @@ def test_fd_bands_reject_a_second_order_coefficient_past_zero(M):
     # both neighbour couplings flip sign together
     with pytest.raises(OracleError, match="not positive"):
         oracles._fd_bands(model3_problem(), 2.0, M)
+
+
+#: two couplings, so lam^2 is formed: it overflows at lam = 1e200
+_TWO_COUPLINGS = ("domain = 0 1\nv0 = 0\n"
+                  "perturbation.1.p2 = 0\nperturbation.1.p1 = 0\n"
+                  "perturbation.1.p0 = x\nperturbation.2.p2 = 0\n"
+                  "perturbation.2.p1 = 0\nperturbation.2.p0 = x\n")
+
+
+def test_fd_bands_name_the_power_that_overflows():
+    # the powers come from engine.lambda_powers, as on the series paths
+    with pytest.raises(EngineError) as info:
+        oracles._fd_bands(load_problem(_TWO_COUPLINGS), 1e200, 64)
+    assert str(info.value) == "lambda^2 overflows at lambda = 1e+200"
+
+
+@pytest.mark.parametrize("M", [255, 1024])
+@pytest.mark.parametrize("n", [2, 4])
+def test_fd_start_vector_reaches_odd_parity_states(monkeypatch, n, M):
+    # at lam = 0 model 1 is symmetric about x = 1/2, and its n-th state is
+    # odd there for even n: a start vector symmetric about the midpoint has
+    # no part along it but rounding, which a shift this close still grows
+    starts, solve = [], oracles.solve_banded
+    monkeypatch.setattr(oracles, "solve_banded",
+                        lambda lu, b: starts.append(b.copy()) or solve(lu, b))
+    exact = (n * math.pi) ** 2
+    got = fd_eigenvalue(model1_problem(), 0.0, exact, M)
+    kh = n * math.pi / (M + 1)  # the tolerance of perfbench's fd_tol
+    assert abs(got - exact) <= (1e-3 * kh * kh + 1e-10) * exact
+    v = starts[0]
+    assert len(v) == M and np.max(np.abs(v - v[::-1])) >= 1e-4 / math.sqrt(M)
