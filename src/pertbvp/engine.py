@@ -21,10 +21,15 @@ solved once per recurrence.  Each order forms g_j pointwise, and
     V(r)'(x) = u'(x) * int_a^x y0 r  -  y0'(x) * int_a^x u r
 
 in one integration pass; y_j'' comes from the order equation itself.  An
-order is four transforms and no coefficient derivative.  The grid only
-grows: an order that needs more degrees moves every carried row onto the
-larger grid in one transform pair, a batched DCT and a batched inverse
-DCT.  The Wronskian check reuses the ghost rows of the VP map.
+order is four transforms and no coefficient derivative, and they run in
+the recurrence's two transform batches for its grid (each a
+:class:`~pertbvp.funcspace._Batch`: the even-extension and spectrum
+buffers of the 2-row VP batch and of the 1-row y_j), so a warm order
+allocates no transform buffer; the batches live as long as their grid and
+their recurrence.  The grid only grows: an order that needs more degrees
+moves every carried row onto the larger grid in one transform pair, a
+batched DCT and a batched inverse DCT, and takes fresh batches.  The
+Wronskian check reuses the ghost rows of the VP map.
 :func:`order_rhs` and :func:`residual` run the problem's operator kernel
 on their own alias-free grid; :func:`solve_order` samples g_j from it.
 """
@@ -36,10 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (SpectralError, SpectralFun, UnresolvedError,
+from .funcspace import (SpectralError, SpectralFun, UnresolvedError, _Batch,
                         _clenshaw_curtis_weights, _coeffs_from_samples,
-                        _grid_size, _integrate_rows, _rows, _truncate,
-                        _values_at_extrema, solve_linear_ivp)
+                        _coeffs_in, _grid_size, _integrate_rows, _rows,
+                        _truncate, _values_at_extrema, _values_in,
+                        solve_linear_ivp)
 from ._record import Record
 from .problem import PerturbationProblem, UnperturbedState
 
@@ -166,7 +172,7 @@ def order_rhs(problem: PerturbationProblem, energies, wavefuns,
     width = max(map(len, ys[:max(mm, j - 1)]))
     return problem._operator_fun(list(enumerate(ys[:mm], start=1)),
                                  np.asarray(energies[1:j], dtype=float),
-                                 _rows(ys[:j - 1], width))
+                                 _rows(ys[:j - 1], np.empty((j - 1, width))))
 
 
 def _ghost_rows(state: UnperturbedState, u: SpectralFun, du: SpectralFun,
@@ -177,7 +183,7 @@ def _ghost_rows(state: UnperturbedState, u: SpectralFun, du: SpectralFun,
 
 
 def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
-               r: np.ndarray) -> np.ndarray:
+               r: np.ndarray, pair: _Batch | None = None) -> np.ndarray:
     """Rows (V(r), V(r)') of values at the N+1 Chebyshev extrema from the
     values ``r`` of r there and the ghost rows ``rows`` of
     :func:`_ghost_rows` on the same grid, with
@@ -190,13 +196,19 @@ def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
     The caller picks N above the degree of V(r), so every product below is
     exact up to rounding: the products y0 r and u r go to coefficients in
     one batched DCT, are integrated from a in coefficient form and come
-    back in one batched inverse DCT; the rest is pointwise.  Callers run
-    it with overflow and invalid operations ignored: an overflow turns
-    into inf or NaN in the transforms, which ``_truncate`` reports.
+    back in one batched inverse DCT; the rest is pointwise.  The products
+    go straight into the head of the 2-row batch ``pair`` (a fresh one
+    when not given), and the integrals into the head its inverse DCT
+    reads.  Callers run it with overflow and invalid operations ignored:
+    an overflow turns into inf or NaN in the transforms, which
+    ``_truncate`` reports.
     """
     a, b = state.y0.domain
-    ints = _integrate_rows(_coeffs_from_samples(rows[:2] * r))
-    int_y0, int_u = _values_at_extrema(ints, len(r) - 1)
+    if pair is None:
+        pair = _Batch((2,), len(r) - 1)
+    np.multiply(rows[:2], r, out=pair.head)
+    _integrate_rows(_coeffs_in(pair), pair.head)
+    int_y0, int_u = _values_in(pair)
     out = rows[1::2] * int_y0 - rows[0::2] * int_u
     out *= 0.5 * (b - a) / gh.wronskian
     return out
@@ -254,16 +266,20 @@ class _Recurrence:
     first j rows of ``values`` (the rest is spare room), a block (y'', y',
     y) for each of the last m orders in ``derivs``, the block (phi_b'',
     phi_b', phi_b) in ``phi`` and max|phi_b| in ``phi_sup``, v0 - E0 in
-    ``q`` and the ghost rows of :func:`_ghost_rows` in ``rows``.
-    ``maxdeg`` is the largest degree of the orders, and ``full`` tells
-    whether the last step kept every coefficient up to its exact degree.
-    (A mutable plain class, not a :class:`~pertbvp._record.Record`: the
-    steps change it in place.)
+    ``q`` and the ghost rows of :func:`_ghost_rows` in ``rows``.  Every
+    transform of an order runs in one of the grid's two transform batches
+    (:class:`~pertbvp.funcspace._Batch`), ``pair`` for the 2-row VP batch
+    and ``row`` for y_j: :meth:`_place` makes them with the grid and
+    replaces them when the grid grows, and they die with the recurrence
+    (no two recurrences share one).  ``maxdeg`` is the largest degree of
+    the orders, and ``full`` tells whether the last step kept every
+    coefficient up to its exact degree.  (A mutable plain class, not a
+    :class:`~pertbvp._record.Record`: the steps change it in place.)
     """
 
     __slots__ = ("problem", "state", "gh", "energies", "wavefuns", "n",
-                 "values", "derivs", "phi", "phi_sup", "q", "rows", "maxdeg",
-                 "full")
+                 "values", "derivs", "phi", "phi_sup", "q", "rows", "pair",
+                 "row", "maxdeg", "full")
 
     def __init__(self, problem: PerturbationProblem, state: UnperturbedState,
                  gh: GhostFunction):
@@ -281,7 +297,8 @@ class _Recurrence:
         y0) from the unperturbed equation; a later one takes every row from
         one batched DCT of the carried values.  phi_b'' = q phi_b - y0
         comes from the equation phi_b = V(-y0) solves.  No carried array is
-        a view of the batch.
+        a view of the batch.  Fresh transform batches on the grid replace
+        the last ones.
         """
         problem, state, gh = self.problem, self.state, self.gh
         j = len(self.wavefuns)
@@ -308,6 +325,7 @@ class _Recurrence:
                 pairs[0::2], pairs[1::2], self.values[j - len(self.derivs):j])]
         else:
             self.derivs = [np.stack((self.q * y0, self.rows[2], y0))]
+        self.pair, self.row = _Batch((2,), n), _Batch((), n)
         self.n = n
 
     def step(self):
@@ -356,7 +374,10 @@ class _Recurrence:
                 f"their exact degree (y_{j} has degree {room - 1}); the "
                 "series is not resolved from here on")
         # carry the values of y_j as returned, cut and truncated
-        block[2] = _values_at_extrema(coeffs, n)
+        head = self.row.head
+        head[:len(coeffs)] = coeffs
+        head[len(coeffs):] = 0.0
+        block[2] = _values_in(self.row)
         y_j = SpectralFun._adopt(problem.a, problem.b, coeffs)
         if j == len(self.values):
             values = np.empty((j + max(8, j // 2), n + 1))
@@ -386,7 +407,7 @@ class _Recurrence:
           u + deg y0 + D + 2 on, above the exact degree of V(g_j) + E_j
           phi_b, are rounding noise and are dropped before the truncation.
         """
-        phi_a = _vp_values(self.state, self.gh, self.rows, g)
+        phi_a = _vp_values(self.state, self.gh, self.rows, g, self.pair)
         e_j = float(-phi_a[0, 0] / self.phi[2, 0])
         if not math.isfinite(e_j):
             raise SpectralError("series coefficients not finite")
@@ -397,7 +418,8 @@ class _Recurrence:
         noise = 1e-13 * abs(e_j) * self.phi_sup
         if np.abs(block[2]).max() <= noise < math.inf:
             block[:] = 0.0  # an order that vanishes exactly
-        coeffs = _coeffs_from_samples(block[2])
+        self.row.head[...] = block[2]
+        coeffs = _coeffs_in(self.row)
         coeffs[room:] = 0.0
         return e_j, block, _truncate(coeffs)
 
@@ -571,11 +593,24 @@ def _finite_number(value, what: str) -> float:
     return float(value)
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a boolean), else
+    :class:`EngineError` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise EngineError(f"series file {what} is not an integer: {value!r}")
+    return value
+
+
 def series_from_dict(data: dict) -> PerturbationSeries:
     """Inverse of :func:`series_to_dict`; raises :class:`EngineError` unless
-    the orders are 0..J on one finite interval with finite coefficients,
-    every ``E`` and ``norm`` entry is a finite number, one ``norm`` entry
-    per order, and N_0 is not zero."""
+    ``n`` is an integer >= 1, the orders are integers 0..J on one finite
+    interval with finite coefficients, every ``E`` and ``norm`` entry is a
+    finite number, one ``norm`` entry per order, and N_0 is not zero."""
+    n = _json_int(data["n"], "n")
+    if n < 1:
+        raise EngineError(f"series file n must be >= 1, got {n}")
+    for o in data["orders"]:
+        _json_int(o["j"], "order index j")
     orders = sorted(data["orders"], key=lambda o: o["j"])
     if not orders or [o["j"] for o in orders] != list(range(len(orders))):
         raise EngineError("series file orders are not contiguous from 0")
@@ -596,7 +631,7 @@ def series_from_dict(data: dict) -> PerturbationSeries:
         raise EngineError("series file norm entry N_0 is zero")
     return PerturbationSeries(
         state=None,
-        n=int(data["n"]),
+        n=n,
         energies=energies,
         wavefuns=wavefuns,
         norm_coeffs=norm_coeffs,

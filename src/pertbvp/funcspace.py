@@ -10,12 +10,22 @@ The grid helpers below move batches of series between coefficients and
 values at the N+1 Chebyshev extrema, one DCT-I (a real FFT) per batch.  With
 N from :func:`_grid_size` a pointwise product on that grid is the exact
 product series up to rounding.  There is one route for each operation:
-every sampling of coefficients on that grid is :func:`_values_at_extrema`,
-which takes any batch of series, ragged or not; every product
+every sampling of coefficients on that grid is :func:`_values_in`, which
+:func:`_values_at_extrema` runs on any batch of series, ragged or not;
+every product
 (``SpectralFun.__mul__`` and the kernels of the order recurrence) is a
 pointwise product on that grid; and every integral
 (``cumulative_integral``, the VP map, the operator of
 :func:`solve_linear_ivp`) is :func:`_integrate_rows` in coefficient space.
+Every transform runs in a :class:`_Batch`, the even-extension and spectrum
+buffers of one batch shape on one grid, and reads the batch alone:
+:func:`_coeffs_in` and :func:`_values_in` transform what its head holds.
+A caller that transforms on the same grid order after order (the
+recurrence of :mod:`pertbvp.engine`) keeps its batches and writes into
+their heads; :func:`_coeffs_from_samples` and :func:`_values_at_extrema`
+fill a fresh batch and call the same two, so both give the same bits.
+The spectra are filled through ``np.fft.rfft(..., out=)``, which needs
+NumPy 2.0 or later.
 """
 
 from __future__ import annotations
@@ -53,41 +63,78 @@ class DomainMismatchError(SpectralError):
     """Binary operation between functions on different intervals."""
 
 
-def _dct1(x: np.ndarray) -> np.ndarray:
-    """DCT-I along the last axis, as the real FFT of the even extension
-    (the way pocketfft computes it: bit-identical to
-    ``scipy.fft.dct(x, type=1)``)."""
-    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
+class _Batch:
+    """Buffers for the DCT-Is of a batch of ``shape`` series on the n+1
+    extrema: the even extensions ``ext``, 2n wide, whose first n+1
+    columns ``head`` take the samples or coefficients, and the complex
+    spectra ``spec`` that the real FFT fills."""
+
+    __slots__ = ("n", "ext", "head", "spec")
+
+    def __init__(self, shape: tuple, n: int):
+        self.n = n
+        self.ext = np.empty(shape + (2 * n,))
+        self.head = self.ext[..., :n + 1]
+        self.spec = np.empty(shape + (n + 1,), complex)
 
 
-def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from samples at the N+1 extrema cos(pi*j/N),
-    along the last axis of ``values`` (one series per row)."""
-    n = values.shape[-1] - 1
-    c = _dct1(values) / n
+def _dct1(batch: _Batch) -> np.ndarray:
+    """DCT-I along the last axis of the head of ``batch``, as the real FFT
+    of the even extension (the way pocketfft computes it: bit-identical
+    to ``scipy.fft.dct(x, type=1)``).  The extension is mirrored in
+    place; the result is the real part of the batch's spectra, a view
+    that its next transform overwrites."""
+    n = batch.n
+    batch.ext[..., n + 1:] = batch.ext[..., n - 1:0:-1]
+    return np.fft.rfft(batch.ext, out=batch.spec).real
+
+
+def _coeffs_in(batch: _Batch) -> np.ndarray:
+    """Chebyshev coefficients from the samples at the N+1 extrema
+    cos(pi*j/N) in the head of ``batch`` (one series per row), in its
+    spectra as :func:`_dct1` returns them."""
+    n = batch.n
+    c = _dct1(batch)
+    c /= n
     c[..., ::n] *= 0.5  # the columns 0 and n
     return c
 
 
-def _rows(series, width: int) -> np.ndarray:
-    """The coefficient arrays in ``series`` as the rows of one array,
-    zero-padded to ``width`` columns."""
-    out = np.zeros((len(series), width))
+def _coeffs_from_samples(values: np.ndarray) -> np.ndarray:
+    """:func:`_coeffs_in` on a fresh batch holding ``values``."""
+    batch = _Batch(values.shape[:-1], values.shape[-1] - 1)
+    batch.head[...] = values
+    return _coeffs_in(batch)
+
+
+def _rows(series, out: np.ndarray) -> np.ndarray:
+    """``out`` with the coefficient arrays in ``series`` as its rows,
+    zero-padded."""
+    out[...] = 0.0
     for row, c in zip(out, series):
         row[:len(c)] = c
     return out
 
 
+def _values_in(batch: _Batch) -> np.ndarray:
+    """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series in
+    the head of ``batch`` (zero-padded, one series per row): the inverse
+    of :func:`_coeffs_in`, a DCT-I with the interior of the head halved
+    in place, in the spectra as :func:`_dct1` returns them."""
+    batch.head[..., 1:batch.n] *= 0.5
+    return _dct1(batch)
+
+
 def _values_at_extrema(coeffs, n: int) -> np.ndarray:
-    """Values at the n+1 extrema cos(pi*k/n) of the Chebyshev series
-    ``coeffs`` (1-d), or of each series in ``coeffs`` (the rows of a 2-d
-    array, or a list of 1-d arrays of any lengths up to n + 1), one row of
-    values per series: the inverse of :func:`_coeffs_from_samples`, a
-    DCT-I of the zero-padded coefficients with the interior halved."""
+    """:func:`_values_in` on a fresh batch holding the series ``coeffs``
+    (1-d), or each series in ``coeffs`` (the rows of a 2-d array, or a
+    list of 1-d arrays of any lengths up to n + 1), one row of values per
+    series."""
     single = np.ndim(coeffs[0]) == 0
-    x = _rows([coeffs] if single else coeffs, n + 1)
-    x[:, 1:n] *= 0.5
-    return _dct1(x[0] if single else x)
+    batch = _Batch(() if single else (len(coeffs),), n)
+    _rows([coeffs] if single else coeffs,
+          batch.head[None] if single else batch.head)
+    return _values_in(batch)
 
 
 def _grid_size(degree: int) -> int:
@@ -96,16 +143,19 @@ def _grid_size(degree: int) -> int:
     return 1 << int(degree).bit_length()
 
 
-def _integrate_rows(c: np.ndarray) -> np.ndarray:
+def _integrate_rows(c: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Antiderivatives in t, zero at t = -1, of the series in each row of
-    ``c``, truncated to the same n + 1 columns.
+    ``c``, truncated to the same n + 1 columns, in ``out`` (fresh when
+    not given; not ``c``).
 
     The dropped degree-(n+1) term is c_n / (2n + 2); callers pick n above
     the degree of every row, so c_n is rounding noise.  The constant term
     is the alternating sum that makes the value at -1 vanish.
     """
     n = c.shape[-1] - 1
-    out = np.empty_like(c)
+    if out is None:
+        out = np.empty_like(c)
     out[..., 1:] = c[..., :-1]
     out[..., 1] += c[..., 0]
     out[..., 1:-1] -= c[..., 2:]

@@ -821,6 +821,38 @@ def test_non_finite_series_values_are_input_errors(capsys, tmp_path,
            "--lambda", "0.5", "--normalize")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 1.5), ("n", True), ("n", "2"), ("n", 0), ("n", -3),
+    ("j", 1.0), ("j", True), ("j", "1")])
+def test_series_file_integers_are_input_errors(capsys, tmp_path,
+                                               model3_series, field, value):
+    bad = tmp_path / "bad.json"
+    data = json.loads(Path(model3_series).read_text())
+    if field == "n":
+        data["n"] = value
+    else:
+        data["orders"][2]["j"] = value
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "eval", str(bad), "--lambda", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: series file {bad}: series file ")
+    assert ("n " if field == "n" else "order index j ") in err
+    assert "Traceback" not in err
+
+
+def test_oracle_names_a_series_n_below_one(capsys, tmp_path, model3_file,
+                                           model3_series):
+    # n = 0 used to load as 0 and surface as a clash with --n 1
+    bad = tmp_path / "bad.json"
+    data = json.loads(Path(model3_series).read_text())
+    data["n"] = 0
+    bad.write_text(json.dumps(data))
+    assert run(capsys, "oracle", "--problem", model3_file, "--lambda", "0.2",
+               "--series", str(bad), "--n", "1") == (
+        1, "", f"error: series file {bad}: series file n must be >= 1, "
+        "got 0\n")
+
+
 # ----------------------------------------------------------------------
 # negative floats, the --guess help and the order cap
 # ----------------------------------------------------------------------

@@ -599,3 +599,26 @@ def test_series_serialization_roundtrip(m3):
     e1, _ = sum_series(back, 0.5, 2)
     e2, _ = sum_series(ser, 0.5, 2)
     assert e1 == e2
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n", 1.5, "n is not an integer: 1.5"),
+    ("n", True, "n is not an integer: True"),
+    ("n", "2", "n is not an integer: '2'"),
+    ("n", None, "n is not an integer: None"),
+    ("n", 0, "n must be >= 1, got 0"),
+    ("n", -3, "n must be >= 1, got -3"),
+    ("j", 1.0, "order index j is not an integer: 1.0"),
+    ("j", True, "order index j is not an integer: True"),
+    ("j", "1", "order index j is not an integer: '1'"),
+])
+def test_series_file_integers_are_json_integers(m3, field, value, message):
+    data = series_to_dict(compute_series(m3, analytic_sine_state(m3, 2), 2))
+    assert series_from_dict(data).n == 2
+    if field == "n":
+        data["n"] = value
+    else:
+        data["orders"][1]["j"] = value
+    with pytest.raises(EngineError) as err:
+        series_from_dict(data)
+    assert str(err.value) == f"series file {message}"

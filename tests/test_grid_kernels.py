@@ -12,9 +12,9 @@ from numpy.polynomial import chebyshev as cheb
 from pertbvp import engine, funcspace
 from pertbvp import problem as pb
 from pertbvp.engine import compute_series, ghost, order_rhs
-from pertbvp.funcspace import (SpectralFun, _coeffs_from_samples,
-                               _grid_size, _integrate_rows, _truncate,
-                               _values_at_extrema)
+from pertbvp.funcspace import (SpectralFun, _Batch, _coeffs_from_samples,
+                               _coeffs_in, _grid_size, _integrate_rows,
+                               _truncate, _values_at_extrema, _values_in)
 from pertbvp.oracles import (model1_problem, model1_series_exact,
                              model3_problem)
 
@@ -51,12 +51,12 @@ def _plain_vp(state, gh, r):
         cheb.chebmul(u, int_y0), cheb.chebmul(y0, int_u))))
 
 
-def _plain_vp_values(state, gh, rows, r):
+def _plain_vp_values(state, gh, rows, r, pair=None):
     """:func:`_plain_vp` in the form of the value-level kernel: the values
     of V(r) and of V(r)' = u' int y0 r - y0' int u r at the Chebyshev
     extrema of the samples r, from products and integrals in coefficient
-    space with W = 1, evaluated with ``chebval`` (the ghost rows go
-    unused)."""
+    space with W = 1, evaluated with ``chebval`` (the ghost rows and the
+    transform batch go unused)."""
     n = len(r) - 1
     rc = _coeffs_from_samples(r)
     y0, u, dy0, du = (f.coeffs for f in (state.y0, gh.u, state.dy0, gh.du))
@@ -69,6 +69,63 @@ def _plain_vp_values(state, gh, rows, r):
                                      cheb.chebmul(y0, int_u))),
         cheb.chebval(t, cheb.chebsub(cheb.chebmul(du, int_y0),
                                      cheb.chebmul(dy0, int_u)))])
+
+
+# the transform kernels before the per-grid workspace, written out: the
+# even extension from np.concatenate, the zero-pad of a fresh array and an
+# integration into np.empty_like, each allocating its result
+
+def _old_dct1(x):
+    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
+
+
+def _old_rows(series, width):
+    out = np.zeros((len(series), width))
+    for row, c in zip(out, series):
+        row[:len(c)] = c
+    return out
+
+
+def _old_coeffs_from_samples(values):
+    n = values.shape[-1] - 1
+    c = _old_dct1(values) / n
+    c[..., ::n] *= 0.5
+    return c
+
+
+def _old_values_at_extrema(coeffs, n):
+    single = np.ndim(coeffs[0]) == 0
+    x = _old_rows([coeffs] if single else coeffs, n + 1)
+    x[:, 1:n] *= 0.5
+    return _old_dct1(x[0] if single else x)
+
+
+def _old_integrate_rows(c):
+    n = c.shape[-1] - 1
+    out = np.empty_like(c)
+    out[..., 1:] = c[..., :-1]
+    out[..., 1] += c[..., 0]
+    out[..., 1:-1] -= c[..., 2:]
+    out[..., 1:] /= np.arange(2.0, 2 * n + 1, 2.0)
+    out[..., 0] = out[..., 1::2].sum(-1) - out[..., 2::2].sum(-1)
+    return out
+
+
+def _old_coeffs_in(batch):
+    return _old_coeffs_from_samples(batch.head)
+
+
+def _old_values_in(batch):
+    return _old_values_at_extrema(batch.head, batch.n)
+
+
+def _old_vp_values(state, gh, rows, r, pair=None):
+    a, b = state.y0.domain
+    ints = _old_integrate_rows(_old_coeffs_from_samples(rows[:2] * r))
+    int_y0, int_u = _old_values_at_extrema(ints, len(r) - 1)
+    out = rows[1::2] * int_y0 - rows[0::2] * int_u
+    out *= 0.5 * (b - a) / gh.wronskian
+    return out
 
 
 def _chain(problem, k, f):
@@ -146,11 +203,11 @@ def _two_branch_values(coeffs, n):
     if coeffs.shape[-1] == n + 1:
         x = 0.5 * coeffs
         x[..., ::n] = coeffs[..., ::n]
-        return funcspace._dct1(x)
+        return _old_dct1(x)
     x = np.zeros(coeffs.shape[:-1] + (n + 1,))
     x[..., :coeffs.shape[-1]] = 0.5 * coeffs
     x[..., 0] = coeffs[..., 0]
-    return funcspace._dct1(x)
+    return _old_dct1(x)
 
 
 def test_values_at_extrema_of_ragged_rows_is_bit_for_bit_the_old_route():
@@ -160,9 +217,9 @@ def test_values_at_extrema_of_ragged_rows_is_bit_for_bit_the_old_route():
     for rows, width in ((ragged[:3], 20), (ragged, n + 1)):
         got = _values_at_extrema(rows, n)
         assert got.tobytes() == _two_branch_values(
-            funcspace._rows(rows, width), n).tobytes()
+            _old_rows(rows, width), n).tobytes()
         assert got.tobytes() == _values_at_extrema(
-            funcspace._rows(rows, width), n).tobytes()
+            _old_rows(rows, width), n).tobytes()
     for c in ragged:
         got = _values_at_extrema(c, n)
         assert got.shape == (n + 1,)
@@ -408,9 +465,9 @@ def test_order_step_grid_is_above_the_exact_degree(name, m1, m3, mp,
     sizes = []
     kernel = engine._vp_values
 
-    def spy(state, gh, rows, r):
+    def spy(state, gh, rows, r, pair=None):
         sizes.append(len(r) - 1)
-        return kernel(state, gh, rows, r)
+        return kernel(state, gh, rows, r, pair)
 
     monkeypatch.setattr(engine, "_vp_values", spy)
     gh = ghost(st, prob)
@@ -463,7 +520,8 @@ def test_order_step_reports_coefficients_that_are_not_finite(
     gh = ghost(st, m3)
     rows = engine._boundary_solution(st, gh)  # the patch hits order 1 only
     monkeypatch.setattr(engine, "_boundary_solution", lambda state, gh: rows)
-    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, rows, r:
+    monkeypatch.setattr(engine, "_vp_values",
+                        lambda state, gh, rows, r, pair=None:
                         np.resize(values, (2, len(r))))
     for call in (lambda: compute_series(m3, st, 1),
                  lambda: engine.solve_order(m3, st, gh, [st.E0], [st.y0], 1)):
@@ -480,9 +538,9 @@ def test_ten_more_orders_cost_at_most_four_transforms_each(make, n,
     calls = []
     dct = funcspace._dct1
 
-    def counted(x):
-        calls.append(x.shape)
-        return dct(x)
+    def counted(batch):
+        calls.append(batch.head.shape)
+        return dct(batch)
 
     prob = make()
     st = pb.analytic_sine_state(prob, n)
@@ -526,9 +584,9 @@ def test_a_warm_order_makes_four_transforms_and_no_derivative(
     calls = []
     dct = funcspace._dct1
 
-    def counted(x):
-        calls.append(x.shape)
-        return dct(x)
+    def counted(batch):
+        calls.append(batch.head.shape)
+        return dct(batch)
 
     monkeypatch.setattr(funcspace, "_dct1", counted)
     monkeypatch.setattr(funcspace, "_derivative", _boom)
@@ -560,9 +618,9 @@ def test_a_growing_order_makes_one_transform_pair_more(name, m3, monkeypatch):
     calls = []
     dct = funcspace._dct1
 
-    def counted(x):
-        calls.append(x.shape)
-        return dct(x)
+    def counted(batch):
+        calls.append(batch.head.shape)
+        return dct(batch)
 
     monkeypatch.setattr(funcspace, "_dct1", counted)
     monkeypatch.setattr(funcspace, "_derivative", _boom)
@@ -705,3 +763,134 @@ def test_series_runs_without_python_loop_kernels(make, monkeypatch):
     ser = compute_series(prob, st, 30)
     assert ser.order == 30 and all(map(math.isfinite, ser.energies))
     assert points == [-1.0]
+
+
+# ----------------------------------------------------------------------
+# the per-grid workspace: the old kernels' bits, without their allocations
+# ----------------------------------------------------------------------
+
+def _hostile(rng, shape, n, kind):
+    """Samples or coefficients of ``shape`` rows of n + 1: random, with
+    -0.0, 1e-300 and 1e300 entries, or all zero."""
+    x = rng.standard_normal(shape + (n + 1,))
+    if kind == "zero":
+        x[...] = 0.0
+    elif kind == "extreme":
+        flat = x.reshape(-1)
+        flat[0::5], flat[1::7], flat[2::11] = -0.0, 1e-300, -1e300
+        flat[3::13] = 1e300
+        if shape:
+            x[-1] = 0.0  # an all-zero row beside the others
+    return x
+
+
+def _in_batch(kernel, x, n, shape):
+    """``kernel`` run on a batch that already holds ``x`` in its head."""
+    batch = _Batch(shape, n)
+    batch.head[...] = x
+    return kernel(batch)
+
+
+@pytest.mark.parametrize("kind", ["random", "extreme", "zero"])
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["1-row", "2-row"])
+@pytest.mark.parametrize("n", [16, 64, 100, 128, 1024, 4096])
+def test_workspace_kernels_are_bit_for_bit_the_old_ones(n, shape, kind):
+    rng = np.random.default_rng(n + len(shape))
+    x = _hostile(rng, shape, n, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _old_coeffs_from_samples(x).tobytes()
+        assert _coeffs_from_samples(x).tobytes() == expected
+        assert _in_batch(_coeffs_in, x, n, shape).tobytes() == expected
+        expected = _old_values_at_extrema(x, n).tobytes()
+        assert _values_at_extrema(x, n).tobytes() == expected
+        assert _in_batch(_values_in, x, n, shape).tobytes() == expected
+        expected = _old_integrate_rows(x).tobytes()
+        assert _integrate_rows(x).tobytes() == expected
+        out = _Batch(shape, n).head
+        assert _integrate_rows(x, out) is out
+        assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize("n", [64, 128, 1024])
+def test_vp_kernel_on_a_workspace_is_bit_for_bit_the_old_one(m3, n):
+    rng = np.random.default_rng(n)
+    st = pb.analytic_sine_state(m3, 2)
+    gh = ghost(st, m3)
+    rows = engine._ghost_rows(st, gh.u, gh.du, n)
+    pair = _Batch((2,), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in ("random", "extreme", "zero"):
+            r = _hostile(rng, (), n, kind)
+            expected = _old_vp_values(st, gh, rows, r).tobytes()
+            assert engine._vp_values(st, gh, rows, r).tobytes() == expected
+            assert engine._vp_values(st, gh, rows, r,
+                                     pair).tobytes() == expected
+
+
+def _series_bytes(ser):
+    return (repr(ser.energies), repr(ser.norm_coeffs),
+            [y.coeffs.tobytes() for y in ser.wavefuns])
+
+
+@pytest.mark.parametrize("old", [
+    ("_vp_values",),
+    ("_vp_values", "_coeffs_from_samples", "_coeffs_in",
+     "_values_at_extrema", "_values_in")],
+    ids=["vp-kernel", "every-engine-transform"])
+def test_series_are_bit_for_bit_the_old_route(old, m1, m3, mp, monkeypatch):
+    cases = [(prob, pb.analytic_sine_state(prob, n))
+             for prob in (m1, m3) for n in (1, 3, 20)]
+    cases += [(mp, pb.analytic_sine_state(mp, n)) for n in (1, 3)]
+    cases.append(_closed_v0())
+    shipped = [_series_bytes(compute_series(prob, st, 12))
+               for prob, st in cases]
+    kernels = {"_vp_values": _old_vp_values,
+               "_coeffs_from_samples": _old_coeffs_from_samples,
+               "_coeffs_in": _old_coeffs_in,
+               "_values_at_extrema": _old_values_at_extrema,
+               "_values_in": _old_values_in}
+    for name in old:
+        monkeypatch.setattr(engine, name, kernels[name])
+    for (prob, st), got in zip(cases, shipped):
+        assert _series_bytes(compute_series(prob, st, 12)) == got
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a warm order allocates outside its workspace")
+
+
+@pytest.mark.parametrize("make,n", [(model3_problem, 2), (model1_problem, 3)],
+                         ids=["model3", "model1"])
+def test_a_warm_order_runs_in_its_workspace(make, n, monkeypatch):
+    prob = make()
+    st = pb.analytic_sine_state(prob, n)
+    gh = ghost(st, prob)
+    recs = [engine._Recurrence(prob, st, gh) for _ in range(2)]
+    for rec in recs:
+        for _ in range(10):
+            rec.step()
+    rec, other = recs
+    grid, pair, row = rec.n, rec.pair, rec.row
+    calls = []
+    dct = funcspace._dct1
+
+    def counted(batch):
+        calls.append((batch.head.shape, batch))
+        return dct(batch)
+
+    monkeypatch.setattr(np, "concatenate", _no_allocation)
+    monkeypatch.setattr(funcspace, "_rows", _no_allocation)
+    monkeypatch.setattr(engine, "_rows", _no_allocation)
+    monkeypatch.setattr(funcspace, "_dct1", counted)
+    rec.step()
+    assert rec.n == grid and rec.pair is pair and rec.row is row
+    assert calls == [((2, grid + 1), pair), ((2, grid + 1), pair),
+                     ((grid + 1,), row), ((grid + 1,), row)]
+    # no module-level cache: a second recurrence on the same grid has
+    # buffers of its own
+    assert other.n == grid
+    for mine, theirs in ((pair.ext, other.pair.ext),
+                         (pair.spec, other.pair.spec),
+                         (row.ext, other.row.ext),
+                         (row.spec, other.row.spec)):
+        assert not np.shares_memory(mine, theirs)
