@@ -8,7 +8,7 @@ from .expr import differentiate, evaluate, parse, to_string
 from .funcspace import SpectralFun
 from .problem import (LinearOperator, PerturbationProblem, UnperturbedState,
                       analytic_sine_state, load_problem, state_from_expr,
-                      validate_state)
+                      state_verdict)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "load_problem",
     "analytic_sine_state",
     "state_from_expr",
-    "validate_state",
+    "state_verdict",
     "ghost",
     "order_rhs",
     "solve_order",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -35,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
 #: the highest ``--order``: ``solve`` on the model-3 demo takes ~2 s, ~86 MB
 #: peak RSS at order 1000 (~0.3 s, ~32 MB at order 100; 2-core VM)
 MAX_ORDER = 1000
+
+#: ``--grid`` (floor, ceiling): samples on ``eval``/``export``, FD interior
+#: points M on ``oracle`` (which also solves on 2M).  At the ceilings an
+#: order-1000 ``export`` (1001 columns) takes ~16 s, ~194 MB peak RSS, and
+#: ``oracle`` on the model-3 demo ~1 s, ~43 MB; at M = 262144 its inverse
+#: iteration no longer converges (2-core VM)
+GRID_BOUNDS = {"eval": (2, 10001), "export": (2, 10001),
+               "oracle": (16, 65536)}
 
 
 def _number(convert, low=None, high=None, nonzero=False):
@@ -72,8 +81,7 @@ _FLAGS = {
     "--normalize": dict(action="store_true",
                         help="apply the normalization series"),
     "--out": dict(help="output file path"),
-    "--grid": dict(type=_number(int, 2),
-                   help="sample count (eval, export) or FD interior points "
+    "--grid": dict(help="sample count (eval, export) or FD interior points "
                         "(oracle)"),
     "--amplitude": dict(type=_number(float, nonzero=True),
                         help="requested amplitude of the sine state "
@@ -118,14 +126,13 @@ def _load_series_file(path):
 
 def _write_csv(header, xs, columns, path=None):
     """``header``, then one line ``x,c1,c2,...`` per point, each float in its
-    shortest round-trip repr, to the file ``path`` or else to stdout."""
-    rows = np.column_stack([xs, *columns]).tolist()
-    text = "\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    shortest round-trip repr, to the file ``path`` or else to stdout, a line
+    at a time."""
+    with (open(path, "w", encoding="utf-8") if path
+          else nullcontext(sys.stdout)) as fh:
+        fh.write(header + "\n")
+        for row in np.column_stack([xs, *columns]):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _upto(args, series) -> int:
@@ -217,7 +224,12 @@ def cmd_export(args) -> int:
 
 def cmd_validate(args) -> int:
     problem = _load_problem_file(args.problem)
-    state = _make_state(problem, args)
+    try:
+        state = _make_state(problem, args)
+    except StateError as exc:
+        if exc.state is None:  # no state to report on
+            raise
+        state = exc.state
     ok, res, left, right = state_verdict(problem, state)
     print(f"ode_residual = {res:.6e}")
     print(f"|y0(a)|      = {left:.6e}")
@@ -256,7 +268,10 @@ def _build_parser() -> _Parser:
     for name, (_, help_text, flags, defaults) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
+            spec = _FLAGS[flag]
+            if flag == "--grid":
+                spec = dict(spec, type=_number(int, *GRID_BOUNDS[name]))
+            sp.add_argument(flag, **spec)
         sp.set_defaults(**defaults)
     return p
 
@@ -288,16 +303,6 @@ def _attach_float_values(argv: list) -> list:
     return out
 
 
-def _failures() -> tuple:
-    """The exceptions that exit 2, OracleError among them once
-    :func:`cmd_oracle` has loaded the oracles (``except`` evaluates this
-    only when an exception reaches it)."""
-    failures = (engine.EngineError, StateError, UnresolvedError,
-                SpectralError, ArithmeticError)
-    oracles = sys.modules.get(f"{__package__}.oracles")
-    return failures if oracles is None else failures + (oracles.OracleError,)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -307,7 +312,8 @@ def main(argv=None) -> int:
             ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _failures() as exc:
+    except (engine.EngineError, StateError, SpectralError,
+            ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
 

@@ -152,21 +152,15 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     return GhostFunction(u, du, float(np.mean(samples)))
 
 
-def _check_orders(energies, wavefuns, j: int):
-    """Raise :class:`EngineError` unless j >= 1 and orders 0..j-1 are
-    given."""
-    if j < 1 or len(wavefuns) < j or len(energies) < j:
-        raise EngineError(f"orders 0..{j - 1} required before order {j}")
-
-
 def order_rhs(problem: PerturbationProblem, energies, wavefuns,
               j: int) -> SpectralFun:
     """Known part g_j of the order-j right-hand side (E_j still open): the
     operator terms (k, y_(j-k)), k = 1..min(m, j), less the energy sum
     sum_(k<j) E_k y_(j-k), the energies times the lower orders stacked as
-    wide as the longest series, in one pass of the operator kernel (orders
-    checked by :func:`_check_orders`)."""
-    _check_orders(energies, wavefuns, j)
+    wide as the longest series, in one pass of the operator kernel.  Raises
+    :class:`EngineError` unless j >= 1 and orders 0..j-1 are given."""
+    if j < 1 or len(wavefuns) < j or len(energies) < j:
+        raise EngineError(f"orders 0..{j - 1} required before order {j}")
     ys = [y.coeffs for y in wavefuns[j - 1::-1]]  # y_(j-1), ..., y_0
     mm = min(len(problem.perturbations), j)
     width = max(map(len, ys[:max(mm, j - 1)]))
@@ -247,13 +241,15 @@ def _boundary_solution(state: UnperturbedState,
     return coeffs
 
 
-def _input_degree(problem: PerturbationProblem, wavefuns, j: int,
-                  maxdeg: int) -> int:
-    """The degree bound D of g_j: the largest degree of y_0 .. y_(j-1)
-    (``maxdeg``) and of every P_k y_(j-k) (:meth:`_operator_degree`)."""
-    return max([maxdeg] + [problem._operator_degree(k, wavefuns[j - k].degree)
-                           for k in range(1, min(len(problem.perturbations),
-                                                 j) + 1)])
+def _room(problem: PerturbationProblem, state: UnperturbedState,
+          gh: GhostFunction, wavefuns, j: int, maxdeg: int) -> int:
+    """The room of order j, deg u + deg y0 + D + 2, D the degree bound of
+    g_j: the largest degree ``maxdeg`` of y_0 .. y_(j-1) and of every
+    P_k y_(j-k).  y_j = V(g_j) + E_j phi_b has degree room - 1 at most, and
+    V(g_j) is exact on the N+1 extrema, N a power of two above room - 2."""
+    return gh.u.degree + state.y0.degree + 2 + max(
+        [maxdeg] + [problem._operator_degree(k, wavefuns[j - k].degree)
+                    for k in range(1, min(len(problem.perturbations), j) + 1)])
 
 
 class _Recurrence:
@@ -331,15 +327,14 @@ class _Recurrence:
     def step(self):
         """Append and return (E_j, y_j), j the number of orders held.
 
-        The grid is the smallest power of two above deg u + deg y0 + D, D
-        from :func:`_input_degree`, so that V(g_j), of degree deg u + deg y0
-        + deg g_j + 1, is exact on it.  The first step, and a step that
-        needs a larger grid, first put what is carried on it
-        (:meth:`_place`).  g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k)
-        is formed pointwise from the carried y, y' and y'' and one product
-        of the energies with the carried values, :meth:`_order` finishes
-        y_j, and one inverse DCT gives its values as returned, cut and
-        truncated, which the next orders use: four transforms in all.
+        The grid is the smallest power of two above :func:`_room` - 2,
+        where V(g_j) is exact.  The first step, and a step that needs a
+        larger grid, first put what is carried on it (:meth:`_place`).
+        g_j = sum_k P_k y_(j-k) - sum_(k<j) E_k y_(j-k) is formed pointwise
+        from the carried y, y' and y'' and one product of the energies with
+        the carried values, :meth:`_order` finishes y_j, and one inverse DCT
+        gives its values as returned, cut and truncated, which the next
+        orders use: four transforms in all.
 
         When the truncation keeps every coefficient up to the exact degree
         in two orders in a row, their rounding noise has reached the top of
@@ -351,8 +346,7 @@ class _Recurrence:
         problem, state, gh = self.problem, self.state, self.gh
         j = len(self.wavefuns)
         mm = min(len(problem.perturbations), j)
-        deg = _input_degree(problem, self.wavefuns, j, self.maxdeg)
-        room = gh.u.degree + state.y0.degree + deg + 2
+        room = _room(problem, state, gh, self.wavefuns, j, self.maxdeg)
         n = _grid_size(room - 2)
         # an overflow turns into inf or NaN; _truncate reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -403,9 +397,9 @@ class _Recurrence:
         - y_j'' = (v0 - E0) V(g_j) + g_j + E_j phi_b'' by the order equation;
         - a y_j within 1e-13 of E_j phi_b (then as large as V(g_j)) is an
           order that vanishes exactly: the block is 0;
-        - one DCT gives the coefficients of y_j; those from ``room`` = deg
-          u + deg y0 + D + 2 on, above the exact degree of V(g_j) + E_j
-          phi_b, are rounding noise and are dropped before the truncation.
+        - one DCT gives the coefficients of y_j; those from ``room`` (see
+          :func:`_room`) on, above the exact degree of V(g_j) + E_j phi_b,
+          are rounding noise and are dropped before the truncation.
         """
         phi_a = _vp_values(self.state, self.gh, self.rows, g, self.pair)
         e_j = float(-phi_a[0, 0] / self.phi[2, 0])
@@ -433,8 +427,8 @@ def solve_order(problem: PerturbationProblem, state: UnperturbedState,
     the next, and the stop on two full orders in a row acts only in
     :func:`compute_series`.  A non-finite result raises SpectralError."""
     g = order_rhs(problem, energies, wavefuns, j)
-    room = gh.u.degree + state.y0.degree + 2 + _input_degree(
-        problem, wavefuns, j, max(y.degree for y in wavefuns[:j]))
+    room = _room(problem, state, gh, wavefuns, j,
+                 max(y.degree for y in wavefuns[:j]))
     rec = _Recurrence(problem, state, gh)
     with np.errstate(over="ignore", invalid="ignore"):
         rec._place(_grid_size(room - 2))
@@ -563,8 +557,7 @@ def residual(problem: PerturbationProblem, lam: float, energy: float,
     powers = lambda_powers(lam, len(problem.perturbations))
     terms = [(0, c)] + [(k, -powers[k] * c) for k in range(1, len(powers))]
     r = problem._operator_fun(terms, -energy, c)
-    xs = np.linspace(problem.a, problem.b, 256)
-    return float(np.max(np.abs(r(xs)))) / y.sup_norm()
+    return r.sup_norm() / y.sup_norm()
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from .engine import lambda_powers
+from .engine import EngineError, lambda_powers
 from .problem import PerturbationProblem, load_problem
 
 __all__ = [
@@ -36,8 +36,9 @@ __all__ = [
 PI2 = np.pi ** 2
 
 
-class OracleError(Exception):
-    """Oracle precondition failure or iteration non-convergence."""
+class OracleError(EngineError):
+    """Oracle precondition failure or iteration non-convergence: an
+    :class:`~pertbvp.engine.EngineError`, so a computational failure."""
 
 
 MODEL1_CONFIG = """\

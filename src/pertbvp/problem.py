@@ -30,7 +30,6 @@ __all__ = [
     "load_problem",
     "analytic_sine_state",
     "state_from_expr",
-    "validate_state",
     "state_verdict",
 ]
 
@@ -40,7 +39,12 @@ class ProblemConfigError(Exception):
 
 
 class StateError(Exception):
-    """An unperturbed state failed a precondition or validation."""
+    """An unperturbed state failed a precondition or validation; ``state``
+    is the state that failed validation, else None."""
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 class LinearOperator(Record):
@@ -267,7 +271,8 @@ def analytic_sine_state(problem: PerturbationProblem, n: int,
 
 
 def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedState:
-    """Closed-form unperturbed state from the config's ``y0``/``E0`` keys."""
+    """Closed-form unperturbed state from the config's ``y0``/``E0`` keys;
+    one :func:`state_verdict` rejects raises a StateError that holds it."""
     if problem.y0_expr is None or problem.e0_value is None:
         raise StateError("problem config carries no y0/E0 closed form")
     y0_raw = SpectralFun.from_function(
@@ -278,30 +283,23 @@ def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedStat
     if not ok:
         raise StateError(
             f"closed-form state fails validation: residual {res:.3e}, "
-            f"|y0(a)|={left:.3e}, |y0(b)|={right:.3e}")
+            f"|y0(a)|={left:.3e}, |y0(b)|={right:.3e}", state)
     return state
-
-
-def validate_state(problem: PerturbationProblem,
-                   state: UnperturbedState) -> tuple:
-    """Return (sup |y0'' - v0 y0 + E0 y0|, |y0(a)|, |y0(b)|), the residual
-    P_0 y0 + E0 y0 from one pass of the operator kernel."""
-    c = state.y0.coeffs
-    resid = problem._operator_fun([(0, c)], -state.E0, c)
-    xs = np.linspace(problem.a, problem.b, 256)
-    res = float(np.max(np.abs(resid(xs))))
-    return res, abs(state.y0(problem.a)), abs(state.y0(problem.b))
 
 
 def state_verdict(problem: PerturbationProblem,
                   state: UnperturbedState) -> tuple:
-    """Return (ok, residual, |y0(a)|, |y0(b)|) from :func:`validate_state`.
+    """Return (ok, residual, |y0(a)|, |y0(b)|), the residual being
+    sup |y0'' - v0 y0 + E0 y0|: the :meth:`~SpectralFun.sup_norm` of
+    P_0 y0 + E0 y0 from one pass of the operator kernel.
 
     ``ok`` holds when the residual is at most ``1e-9 sup |y0''|`` and both
     boundary values are at most ``1e-10 sup |y0|``: bounds that scale with
     the state, whatever the length of the interval.
     """
-    res, left, right = validate_state(problem, state)
+    c = state.y0.coeffs
+    res = problem._operator_fun([(0, c)], -state.E0, c).sup_norm()
+    left, right = abs(state.y0(problem.a)), abs(state.y0(problem.b))
     edge = 1e-10 * state.y0.sup_norm()
     ok = (res <= 1e-9 * state.dy0.derivative().sup_norm()
           and left <= edge and right <= edge)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pertbvp import engine, oracles
-from pertbvp.cli import _SUBCOMMANDS, _build_parser, main
+from pertbvp import cli, engine, oracles
+from pertbvp.cli import (_SUBCOMMANDS, GRID_BOUNDS, MAX_ORDER, _build_parser,
+                         main)
 from pertbvp.oracles import model1_config, model3_config, model3_E_coeffs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -428,6 +430,17 @@ def test_readme_flag_table_is_the_subcommand_table():
     assert rows == {name: row[2] for name, row in _SUBCOMMANDS.items()}
 
 
+def test_readme_bounds_are_the_cli_constants():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    assert int(re.search(r"`--order` is at most (\d+)", text)[1]) == MAX_ORDER
+    grid = re.search(r"`--grid` takes (\d+) to (\d+) samples on `eval` and "
+                     r"`export` and (\d+) to (\d+) interior points on "
+                     r"`oracle`", text)
+    low, high, fd_low, fd_high = map(int, grid.groups())
+    assert GRID_BOUNDS == {"eval": (low, high), "export": (low, high),
+                           "oracle": (fd_low, fd_high)}
+
+
 @pytest.mark.parametrize("argv, explicit", [
     (("eval", "S"), ("--lambda", "0")),
     (("eval", "S", "--normalize"), ("--grid", "11")),
@@ -449,16 +462,55 @@ def test_table_defaults_are_the_explicit_flags(capsys, model3_file,
 
 
 def test_closed_form_state_off_the_boundary_fails_at_load(capsys, tmp_path):
-    # |y0(a)| = 7.1e-10 after normalization: above the 1e-10 boundary bound
+    # |y0(a)| = 7.1e-10 after normalization: above the 1e-10 boundary bound;
+    # solve fails on it, validate reports it
     prob = tmp_path / "off.prob"
     prob.write_text("domain = 0 1\nv0 = 5\ny0 = sin(pi*x) + 5e-10*(1-x)\n"
                     f"E0 = {PI2 + 5.0!r}\nperturbation.1.p2 = 0\n"
                     "perturbation.1.p1 = 1\nperturbation.1.p0 = 0\n")
+    code, out, err = run(capsys, "solve", "--problem", str(prob))
+    assert code == 2
+    assert "closed-form state fails validation" in err
+    assert out == ""
+    code, out, err = run(capsys, "validate", "--problem", str(prob))
+    assert code == 2
+    assert out.splitlines()[1] == "|y0(a)|      = 7.071042e-10"
+    assert out.endswith("state INVALID\n")
+    assert err == ""
+
+
+def test_validate_without_a_state_is_a_computation_failure(capsys,
+                                                           tmp_path):
+    # no state to report on: validate fails as solve does
+    prob = tmp_path / "zero.prob"
+    prob.write_text(_MODEL1.replace("v0 = 0", "v0 = 0\ny0 = 0\nE0 = 9"))
     for command in ("validate", "solve"):
         code, out, err = run(capsys, command, "--problem", str(prob))
         assert code == 2
-        assert "closed-form state fails validation" in err
+        assert err == ("computation failed: unperturbed state is "
+                       "identically zero\n")
         assert out == ""
+
+
+def test_validate_reports_a_wrong_closed_form_energy(capsys, tmp_path):
+    # E0 = 9 against the true pi^2: solve fails on the state, validate
+    # prints its three lines and the verdict
+    prob = tmp_path / "wrong.prob"
+    prob.write_text(_MODEL1.replace("v0 = 0", "v0 = 0\ny0 = sin(pi*x)\n"
+                                              "E0 = 9"))
+    code, out, err = run(capsys, "solve", "--problem", str(prob))
+    assert code == 2
+    assert out == ""
+    assert err == ("computation failed: closed-form state fails validation: "
+                   "residual 1.230e+00, |y0(a)|=2.665e-15, "
+                   "|y0(b)|=2.665e-15\n")
+    code, out, err = run(capsys, "validate", "--problem", str(prob))
+    assert code == 2
+    assert out == ("ode_residual = 1.229806e+00\n"
+                   "|y0(a)|      = 2.664535e-15\n"
+                   "|y0(b)|      = 2.664535e-15\n"
+                   "state INVALID\n")
+    assert err == ""
 
 
 # ----------------------------------------------------------------------
@@ -909,6 +961,48 @@ def test_order_100_ends_cleanly_on_both_demos():
                 "--order", "100")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 1 + 101
+
+
+_GRID_ARGV = {"eval": ("eval", "S", "--normalize"), "export": ("export", "S"),
+              "oracle": ("oracle", "--problem", "P", "--guess", "9")}
+
+
+@pytest.mark.parametrize("command, value, fault", [
+    ("eval", "1", "must be >= 2"), ("eval", "10002", "must be <= 10001"),
+    ("export", "-5", "must be >= 2"),
+    ("export", "1000000000", "must be <= 10001"),
+    ("oracle", "8", "must be >= 16"), ("oracle", "65537", "must be <= 65536"),
+    ("oracle", "100000000", "must be <= 65536"),
+])
+def test_grid_outside_its_bounds_is_usage_error(capsys, monkeypatch,
+                                                model3_file, model3_series,
+                                                command, value, fault):
+    # rejected by the parser: no file is read, no sample or FD grid is made
+    def boom(*args, **kwargs):
+        raise AssertionError("ran past the parser")
+
+    for name in ("_load_problem_file", "_load_series_file"):
+        monkeypatch.setattr(cli, name, boom)
+    monkeypatch.setattr(np, "linspace", boom)
+    monkeypatch.setattr(oracles, "fd_eigenvalue", boom)
+    argv = [{"P": model3_file, "S": model3_series}.get(a, a)
+            for a in _GRID_ARGV[command]]
+    code, out, err = run(capsys, *argv, "--grid", value)
+    assert code == 1
+    assert err == f"error: argument --grid: {fault}, got {value}\n"
+    assert out == ""
+
+
+def test_grid_bounds_are_inclusive():
+    # parsed only: nothing runs at a ceiling
+    parser = _build_parser()
+    for command, bounds in GRID_BOUNDS.items():
+        for value in bounds:
+            args = parser.parse_args([*_GRID_ARGV[command], "--grid",
+                                      str(value)])
+            assert args.grid == value
+    assert GRID_BOUNDS["oracle"][0] == 16  # fd_eigenvalue_raw's own floor
+    assert min(high for _, high in GRID_BOUNDS.values()) >= 8192
 
 
 def test_order_above_the_cap_is_usage_error(capsys, model3_file):

@@ -11,8 +11,7 @@ from pertbvp.funcspace import SpectralError, SpectralFun
 from pertbvp.oracles import (model1_config, model1_problem, model3_E_coeffs,
                              model3_problem, model1_exact)
 from pertbvp.problem import (UnperturbedState, analytic_sine_state,
-                             load_problem, state_from_expr, state_verdict,
-                             validate_state)
+                             load_problem, state_from_expr, state_verdict)
 
 PI2 = math.pi ** 2
 XS = np.linspace(0, 1, 64)
@@ -101,6 +100,25 @@ def test_ghost_spectral_solve_unresolved_is_engine_error(monkeypatch):
     monkeypatch.setattr(funcspace, "IVP_MAX_DEGREE", 32)
     with pytest.raises(EngineError, match="ghost solve failed"):
         ghost(st, prob)
+
+
+def test_linear_ivp_that_overflows_is_unresolved():
+    # u'' = 1e300 u grows like cosh(1e150 x): the coefficients overflow
+    q = SpectralFun.constant(1e300, (0.0, 1.0))
+    with pytest.raises(funcspace.UnresolvedError,
+                       match="^initial-value solve not finite$"):
+        funcspace.solve_linear_ivp(q, 1.0)
+
+
+def test_linear_ivp_on_a_singular_system_is_unresolved(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(funcspace.np.linalg, "solve", singular)
+    q = SpectralFun.constant(-3.0, (0.0, 1.0))
+    with pytest.raises(funcspace.UnresolvedError,
+                       match="^initial-value solve: Singular matrix$"):
+        funcspace.solve_linear_ivp(q, 1.0)
 
 
 def test_linear_ivp_matches_scipy_solve_ivp():
@@ -299,7 +317,7 @@ def test_order_rhs_matches_chain_of_function_sums(model, n, J, m1, m3):
 
 
 def test_operator_callers_multiply_no_series(m3, monkeypatch):
-    # order_rhs, apply_perturbation, residual and validate_state apply the
+    # order_rhs, apply_perturbation, residual and state_verdict apply the
     # operators through the grid kernel, not through SpectralFun products
     st = analytic_sine_state(m3, 2)
     ser = compute_series(m3, st, 4)
@@ -314,7 +332,7 @@ def test_operator_callers_multiply_no_series(m3, monkeypatch):
         order_rhs(m3, ser.energies, ser.wavefuns, j)
     m3.apply_perturbation(1, ser.wavefuns[2])
     assert residual(m3, 0.1, energy, y) <= 1e-3
-    res, _, _ = validate_state(m3, st)
+    _, res, _, _ = state_verdict(m3, st)
     assert res <= 1e-9 * st.dy0.derivative().sup_norm()
 
 
@@ -622,3 +640,25 @@ def test_series_file_integers_are_json_integers(m3, field, value, message):
     with pytest.raises(EngineError) as err:
         series_from_dict(data)
     assert str(err.value) == f"series file {message}"
+
+
+@pytest.mark.parametrize("J", [-1, -7])
+def test_negative_series_order_is_rejected(m1, J):
+    st = analytic_sine_state(m1, 1)
+    with pytest.raises(EngineError, match=f"^order must be >= 0, got {J}$"):
+        compute_series(m1, st, J)
+
+
+@pytest.mark.parametrize("upto", [-1, 4])
+def test_truncation_order_outside_the_series_is_rejected(m1, upto):
+    ser = compute_series(m1, analytic_sine_state(m1, 1), 3)
+    with pytest.raises(EngineError,
+                       match=f"^truncation order {upto} outside 0..3$"):
+        sum_series(ser, 0.1, upto)
+
+
+@pytest.mark.parametrize("s0", [0.0, -1.5])
+def test_inverse_square_root_needs_a_positive_constant_term(s0):
+    with pytest.raises(EngineError, match="^series constant term must be "
+                                          f"positive, got {s0}$"):
+        engine._inv_sqrt_series([s0, 1.0, 2.0])

@@ -684,8 +684,7 @@ def test_coefficients_above_the_exact_degree_are_dropped(m3):
     reached = False
     for j in range(1, 201):
         maxdeg = max(y.degree for y in ser.wavefuns[:j])
-        top = (gh.u.degree + st.y0.degree + 1
-               + engine._input_degree(m3, ser.wavefuns, j, maxdeg))
+        top = engine._room(m3, st, gh, ser.wavefuns, j, maxdeg) - 1
         assert ser.wavefuns[j].degree <= top
         reached = reached or ser.wavefuns[j].degree == top
     assert reached
@@ -701,8 +700,8 @@ def test_solve_order_drops_coefficients_above_the_exact_degree(m1, mp):
         ys = [st.y0] + [SpectralFun(mp.domain, rng.standard_normal(deg + 1))
                         for _ in range(2)]
         _, y_j = engine.solve_order(mp, st, gh, [st.E0, 0.7, -1.3], ys, 3)
-        bound = engine._input_degree(mp, ys, 3, max(y.degree for y in ys))
-        assert y_j.degree <= gh.u.degree + st.y0.degree + bound + 1
+        room = engine._room(mp, st, gh, ys, 3, max(y.degree for y in ys))
+        assert y_j.degree <= room - 1
 
 
 def test_a_chain_of_solve_order_calls_keeps_vanishing_orders_exact():

@@ -375,3 +375,19 @@ def test_fd_start_vector_reaches_odd_parity_states(monkeypatch, n, M):
     assert abs(got - exact) <= (1e-3 * kh * kh + 1e-10) * exact
     v = starts[0]
     assert len(v) == M and np.max(np.abs(v - v[::-1])) >= 1e-4 / math.sqrt(M)
+
+
+def test_oracle_errors_are_engine_errors():
+    # the CLI reports every oracle failure as a computational one (exit 2)
+    assert issubclass(OracleError, EngineError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: model1_series_exact(0, 1), r"invalid \(n, j\) = \(0, 1\)"),
+    (lambda: model1_series_exact(1, -1), r"invalid \(n, j\) = \(1, -1\)"),
+    (lambda: model3_E_coeffs(0), "quantum number must be >= 1, got 0"),
+    (lambda: model3_y1_exact(-2), "quantum number must be >= 1, got -2"),
+], ids=["model1-series-n", "model1-series-j", "model3-E", "model3-y1"])
+def test_exact_oracles_reject_bad_indices(call, message):
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        call()

@@ -10,8 +10,7 @@ from pertbvp.funcspace import SpectralFun
 from pertbvp.oracles import model1_config, model3_config
 from pertbvp.problem import (ProblemConfigError, StateError,
                              analytic_sine_state, load_problem,
-                             state_from_expr, state_verdict,
-                             validate_state)
+                             state_from_expr, state_verdict)
 
 
 def test_load_model1():
@@ -216,7 +215,7 @@ def test_state_verdict_rejects_a_wrong_energy_below_the_old_floor():
 def test_state_invariants(n):
     prob = load_problem(model1_config())
     st = analytic_sine_state(prob, n)
-    res, left, right = validate_state(prob, st)
+    _, res, left, right = state_verdict(prob, st)
     sup = st.y0.sup_norm()
     assert left <= 1e-11 * sup and right <= 1e-11 * sup
     ypp = st.dy0.derivative()
@@ -232,7 +231,7 @@ def test_validate_detects_perturbed_state():
     bad = type(st)(n=st.n, E0=st.E0, y0=st.y0 + bump,
                    dy0=(st.y0 + bump).derivative(),
                    report_scale=st.report_scale)
-    res, _, _ = validate_state(prob, bad)
+    _, res, _, _ = state_verdict(prob, bad)
     assert res > 1e-3
 
 
@@ -242,7 +241,7 @@ def test_exact_cubic_is_not_the_unperturbed_state():
     st = analytic_sine_state(prob, 1)
     fake = type(st)(n=1, E0=math.pi**2, y0=cubic, dy0=cubic.derivative(),
                     report_scale=1.0)
-    res, _, _ = validate_state(prob, fake)
+    _, res, _, _ = state_verdict(prob, fake)
     assert res > 1e-1
 
 
@@ -380,3 +379,36 @@ def test_many_orders_load_in_order():
     prob = load_problem(text)
     assert [op.p1 for op in prob.perturbations] == [
         ex.Num(float(k)) for k in range(1, 13)]
+
+
+def test_sine_state_rejects_a_quantum_number_below_one():
+    prob = load_problem(model1_config())
+    with pytest.raises(StateError,
+                       match="^quantum number must be >= 1, got 0$"):
+        analytic_sine_state(prob, 0)
+
+
+def test_closed_form_state_needs_y0_and_e0():
+    with pytest.raises(StateError, match="^problem config carries no y0/E0 "
+                                         "closed form$") as info:
+        state_from_expr(load_problem(model1_config()))
+    assert info.value.state is None
+
+
+@pytest.mark.parametrize("y0", ["0", "x - x"])
+def test_closed_form_state_that_is_zero_is_rejected(y0):
+    text = model1_config().replace("v0 = 0", f"v0 = 0\ny0 = {y0}\nE0 = 9")
+    with pytest.raises(StateError,
+                       match="^unperturbed state is identically zero$"):
+        state_from_expr(load_problem(text))
+
+
+def test_a_failing_closed_form_state_is_held_by_its_error():
+    # the library raises; the error holds the state and its verdict
+    text = model1_config().replace("v0 = 0", "v0 = 0\ny0 = sin(pi*x)\nE0 = 9")
+    prob = load_problem(text)
+    with pytest.raises(StateError, match="fails validation") as info:
+        state_from_expr(prob)
+    ok, res, _, _ = state_verdict(prob, info.value.state)
+    assert not ok
+    assert f"residual {res:.3e}," in str(info.value)
