@@ -157,6 +157,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.grid is not None and not args.normalize:
+        raise _InputError("argument --grid: not read without --normalize")
     series = _load_series_file(args.series)
     upto = _upto(args, series)
     powers = engine.lambda_powers(args.lam, upto)
@@ -167,7 +169,7 @@ def cmd_eval(args) -> int:
         print(f"{j:>5} {sum(terms):>24.16e}")
     if args.normalize:
         _, y = engine.sum_series(series, args.lam, upto, normalize=True)
-        xs = np.linspace(y.a, y.b, args.grid)
+        xs = np.linspace(y.a, y.b, 11 if args.grid is None else args.grid)
         _write_csv("x,y", xs, [y(xs)])
     return 0
 
@@ -206,6 +208,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.normalize and args.lam is None:
+        raise _InputError("argument --normalize: not read without --lambda")
     series = _load_series_file(args.series)
     y0 = series.wavefuns[0]
     xs = np.linspace(y0.a, y0.b, args.grid)
@@ -246,7 +250,7 @@ _SUBCOMMANDS = {
               dict(order=3)),
     "eval": (cmd_eval, "partial sums from a series file",
              ("series", "--lambda", "--order", "--normalize", "--grid"),
-             dict(lam=0.0, grid=11)),
+             dict(lam=0.0)),  # grid: 11, read only with --normalize
     "oracle": (cmd_oracle, "finite-difference eigenvalue",
                ("--problem", "--n", "--lambda", "--grid", "--guess",
                 "--series"),

@@ -45,7 +45,7 @@ from .funcspace import (SpectralError, SpectralFun, UnresolvedError, _Batch,
                         _clenshaw_curtis_weights, _coeffs_from_samples,
                         _coeffs_in, _grid_size, _integrate_rows, _rows,
                         _truncate, _values_at_extrema, _values_in,
-                        solve_linear_ivp)
+                        _values_of, solve_linear_ivp)
 from ._record import Record
 from .problem import PerturbationProblem, UnperturbedState
 
@@ -241,15 +241,28 @@ def _boundary_solution(state: UnperturbedState,
     return coeffs
 
 
+def _rhs_degree(problem: PerturbationProblem, wavefuns, j: int,
+                maxdeg: int) -> int:
+    """D, the degree bound of g_j: the largest degree ``maxdeg`` of y_0 ..
+    y_(j-1) and of every P_k y_(j-k)."""
+    return max([maxdeg] + [
+        problem._operator_degree(k, wavefuns[j - k].degree)
+        for k in range(1, min(len(problem.perturbations), j) + 1)])
+
+
 def _room(problem: PerturbationProblem, state: UnperturbedState,
           gh: GhostFunction, wavefuns, j: int, maxdeg: int) -> int:
     """The room of order j, deg u + deg y0 + D + 2, D the degree bound of
-    g_j: the largest degree ``maxdeg`` of y_0 .. y_(j-1) and of every
-    P_k y_(j-k).  y_j = V(g_j) + E_j phi_b has degree room - 1 at most, and
-    V(g_j) is exact on the N+1 extrema, N a power of two above room - 2."""
-    return gh.u.degree + state.y0.degree + 2 + max(
-        [maxdeg] + [problem._operator_degree(k, wavefuns[j - k].degree)
-                    for k in range(1, min(len(problem.perturbations), j) + 1)])
+    g_j (:func:`_rhs_degree`).  y_j = V(g_j) + E_j phi_b has degree
+    room - 1 at most, and V(g_j) is exact on the N+1 extrema, N a power of
+    two above room - 2."""
+    return (gh.u.degree + state.y0.degree + 2
+            + _rhs_degree(problem, wavefuns, j, maxdeg))
+
+
+#: what the recurrence does on a floating-point fault: an overflow turns
+#: into inf or NaN, which _truncate reports
+_QUIET = dict(over="ignore", invalid="ignore")
 
 
 class _Recurrence:
@@ -262,25 +275,32 @@ class _Recurrence:
     first j rows of ``values`` (the rest is spare room), a block (y'', y',
     y) for each of the last m orders in ``derivs``, the block (phi_b'',
     phi_b', phi_b) in ``phi`` and max|phi_b| in ``phi_sup``, v0 - E0 in
-    ``q`` and the ghost rows of :func:`_ghost_rows` in ``rows``.  Every
-    transform of an order runs in one of the grid's two transform batches
+    ``q``, the ghost rows of :func:`_ghost_rows` in ``rows`` and the rows
+    (p2, p1, p0) of each P_k in ``ops``.  Every transform of an order runs
+    in one of the grid's two transform batches
     (:class:`~pertbvp.funcspace._Batch`), ``pair`` for the 2-row VP batch
     and ``row`` for y_j: :meth:`_place` makes them with the grid and
     replaces them when the grid grows, and they die with the recurrence
-    (no two recurrences share one).  ``maxdeg`` is the largest degree of
-    the orders, and ``full`` tells whether the last step kept every
-    coefficient up to its exact degree.  (A mutable plain class, not a
-    :class:`~pertbvp._record.Record`: the steps change it in place.)
+    (no two recurrences share one).  E_(j-1) .. E_1 are the last j - 1
+    entries of the contiguous ``ereverse`` (E_k at index -k), so the
+    energy sum is one matrix-vector product.  ``base`` is deg u + deg y0
+    + 2, the part of :func:`_room` that no order changes; ``maxdeg`` is
+    the largest degree of the orders, and ``full`` tells whether the last
+    step kept every coefficient up to its exact degree.  (A mutable plain
+    class, not a :class:`~pertbvp._record.Record`: the steps change it in
+    place.)
     """
 
     __slots__ = ("problem", "state", "gh", "energies", "wavefuns", "n",
-                 "values", "derivs", "phi", "phi_sup", "q", "rows", "pair",
-                 "row", "maxdeg", "full")
+                 "values", "derivs", "phi", "phi_sup", "q", "rows", "ops",
+                 "pair", "row", "ereverse", "base", "maxdeg", "full")
 
     def __init__(self, problem: PerturbationProblem, state: UnperturbedState,
                  gh: GhostFunction):
         self.problem, self.state, self.gh = problem, state, gh
         self.energies, self.wavefuns = [state.E0], [state.y0]
+        self.ereverse = np.empty(8)
+        self.base = _room(problem, state, gh, (), 0, 0)  # the room at D = 0
         self.maxdeg = state.y0.degree
         self.n, self.full = 0, False
 
@@ -294,7 +314,7 @@ class _Recurrence:
         one batched DCT of the carried values.  phi_b'' = q phi_b - y0
         comes from the equation phi_b = V(-y0) solves.  No carried array is
         a view of the batch.  Fresh transform batches on the grid replace
-        the last ones.
+        the last ones, and the operator rows of the grid replace theirs.
         """
         problem, state, gh = self.problem, self.state, self.gh
         j = len(self.wavefuns)
@@ -321,11 +341,20 @@ class _Recurrence:
                 pairs[0::2], pairs[1::2], self.values[j - len(self.derivs):j])]
         else:
             self.derivs = [np.stack((self.q * y0, self.rows[2], y0))]
+        self.ops = [problem._operator_values(k, n)
+                    for k in range(1, len(problem.perturbations) + 1)]
         self.pair, self.row = _Batch((2,), n), _Batch((), n)
         self.n = n
 
     def step(self):
-        """Append and return (E_j, y_j), j the number of orders held.
+        """Append and return (E_j, y_j), j the number of orders held: one
+        :meth:`_step` with overflow and invalid operations ignored."""
+        with np.errstate(**_QUIET):
+            return self._step()
+
+    def _step(self):
+        """:meth:`step` for a caller that already ignores overflow and
+        invalid operations (:func:`compute_series`, around its loop).
 
         The grid is the smallest power of two above :func:`_room` - 2,
         where V(g_j) is exact.  The first step, and a step that needs a
@@ -343,24 +372,20 @@ class _Recurrence:
         order.  One such order alone does not (a spike in the last
         coefficients).
         """
-        problem, state, gh = self.problem, self.state, self.gh
+        problem = self.problem
         j = len(self.wavefuns)
         mm = min(len(problem.perturbations), j)
-        room = _room(problem, state, gh, self.wavefuns, j, self.maxdeg)
+        room = self.base + _rhs_degree(problem, self.wavefuns, j, self.maxdeg)
         n = _grid_size(room - 2)
-        # an overflow turns into inf or NaN; _truncate reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            if n > self.n:
-                self._place(n)
-            n = self.n
-            g = np.einsum("ij,ij->j", problem._operator_values(1, n),
-                          self.derivs[-1])
-            for k in range(2, mm + 1):
-                g += np.einsum("ij,ij->j", problem._operator_values(k, n),
-                               self.derivs[-k])
-            g -= (np.asarray(self.energies[j - 1:0:-1], dtype=float)
-                  @ self.values[1:j])
-            e_j, block, coeffs = self._order(g, room)
+        if n > self.n:
+            self._place(n)
+        ops, derivs = self.ops, self.derivs
+        g = np.einsum("ij,ij->j", ops[0], derivs[-1])
+        for k in range(2, mm + 1):
+            g += np.einsum("ij,ij->j", ops[k - 1], derivs[-k])
+        if j > 1:  # the energy sum of order 1 is empty
+            g -= self.ereverse[1 - j:] @ self.values[1:j]
+        e_j, block, coeffs = self._order(g, room)
         full = len(coeffs) == room
         if full and self.full:
             raise EngineError(
@@ -368,21 +393,23 @@ class _Recurrence:
                 f"their exact degree (y_{j} has degree {room - 1}); the "
                 "series is not resolved from here on")
         # carry the values of y_j as returned, cut and truncated
-        head = self.row.head
-        head[:len(coeffs)] = coeffs
-        head[len(coeffs):] = 0.0
-        block[2] = _values_in(self.row)
+        block[2] = _values_of(self.row, coeffs)
         y_j = SpectralFun._adopt(problem.a, problem.b, coeffs)
         if j == len(self.values):
-            values = np.empty((j + max(8, j // 2), n + 1))
+            values = np.empty((j + max(8, j // 2), self.n + 1))
             values[:j] = self.values
             self.values = values
         self.values[j] = block[2]
+        if j > len(self.ereverse):
+            ereverse = np.empty(2 * j)
+            ereverse[1 - j:] = self.ereverse  # E_(j-1) .. E_1
+            self.ereverse = ereverse
+        self.ereverse[-j] = e_j
         self.energies.append(e_j)
         self.wavefuns.append(y_j)
-        self.derivs.append(block)
-        del self.derivs[:-len(problem.perturbations)]
-        self.maxdeg = max(self.maxdeg, y_j.degree)
+        derivs.append(block)
+        del derivs[:-len(problem.perturbations)]
+        self.maxdeg = max(self.maxdeg, len(coeffs) - 1)
         self.full = full
         return e_j, y_j
 
@@ -410,7 +437,7 @@ class _Recurrence:
         block[0] += self.q * phi_a[0]
         block[0] += g
         noise = 1e-13 * abs(e_j) * self.phi_sup
-        if np.abs(block[2]).max() <= noise < math.inf:
+        if np.maximum.reduce(np.abs(block[2])) <= noise < math.inf:
             block[:] = 0.0  # an order that vanishes exactly
         self.row.head[...] = block[2]
         coeffs = _coeffs_in(self.row)
@@ -430,7 +457,7 @@ def solve_order(problem: PerturbationProblem, state: UnperturbedState,
     room = _room(problem, state, gh, wavefuns, j,
                  max(y.degree for y in wavefuns[:j]))
     rec = _Recurrence(problem, state, gh)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         rec._place(_grid_size(room - 2))
         e_j, _, coeffs = rec._order(_values_at_extrema(g.coeffs, rec.n),
                                     room)
@@ -457,8 +484,9 @@ def compute_series(problem: PerturbationProblem, state: UnperturbedState,
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
     rec = _Recurrence(problem, state, ghost(state, problem))
-    for _ in range(J):
-        rec.step()
+    with np.errstate(**_QUIET):
+        for _ in range(J):
+            rec._step()
     energies, wavefuns = rec.energies, rec.wavefuns
     del rec  # and the values it carries, before the normalization's grid
     norm = normalization_coeffs(state, wavefuns, J)

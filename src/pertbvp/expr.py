@@ -218,10 +218,12 @@ def evaluate(e: Expr, x):
     """
     xv = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        out = _walk(e, xv if xv.ndim else xv[()])
+        walked = _walk(e, xv if xv.ndim else xv[()])
     if xv.ndim == 0:
-        return float(out)
-    return np.array(np.broadcast_to(out, xv.shape))
+        return float(walked)
+    out = np.empty_like(xv)
+    out[...] = walked  # a constant fills every point
+    return out
 
 
 def _walk(e: Expr, x):

@@ -10,8 +10,11 @@ The grid helpers below move batches of series between coefficients and
 values at the N+1 Chebyshev extrema, one DCT-I (a real FFT) per batch.  With
 N from :func:`_grid_size` a pointwise product on that grid is the exact
 product series up to rounding.  There is one route for each operation:
-every sampling of coefficients on that grid is :func:`_values_in`, which
-:func:`_values_at_extrema` runs on any batch of series, ragged or not;
+every sampling of coefficients on that grid is the DCT-I of the
+coefficients with their interior halved, by :func:`_values_in`, which
+:func:`_values_at_extrema` runs on any batch of series, ragged or not,
+or by :func:`_values_of`, which writes one series into a 1-row batch
+already halved;
 every product
 (``SpectralFun.__mul__`` and the kernels of the order recurrence) is a
 pointwise product on that grid; and every integral
@@ -24,13 +27,19 @@ A caller that transforms on the same grid order after order (the
 recurrence of :mod:`pertbvp.engine`) keeps its batches and writes into
 their heads; :func:`_coeffs_from_samples` and :func:`_values_at_extrema`
 fill a fresh batch and call the same two, so both give the same bits.
-The spectra are filled through ``np.fft.rfft(..., out=)``, which needs
-NumPy 2.0 or later.
+The spectra are filled by the gufunc that NumPy's real FFT ends in on an
+even length, ``numpy.fft._pocketfft_umath.rfft_n_even``, called directly
+with ``out=`` (NumPy 2.0 or later): the same bits without the Python
+wrapper around it.  The first transform resolves it, so importing this
+module loads no ``numpy.fft``.  The constants of a grid (the DCT scaling,
+the divisors of the integral, the Chebyshev nodes, the Clenshaw-Curtis
+weights) are made once per grid size and kept read-only.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +87,20 @@ class _Batch:
         self.spec = np.empty(shape + (n + 1,), complex)
 
 
+def _resolve_rfft(*args, **kwargs):
+    """:data:`_rfft` until the first transform, which imports the gufunc
+    from ``numpy.fft`` and puts it in its place."""
+    global _rfft
+    from numpy.fft._pocketfft_umath import rfft_n_even as _rfft
+    return _rfft(*args, **kwargs)
+
+
+#: the real FFT of an even length along the last axis, called as NumPy's
+#: own wrapper calls it (scale factor 1, core axes)
+_rfft = _resolve_rfft
+_RFFT_AXES = [(-1,), (), (-1,)]
+
+
 def _dct1(batch: _Batch) -> np.ndarray:
     """DCT-I along the last axis of the head of ``batch``, as the real FFT
     of the even extension (the way pocketfft computes it: bit-identical
@@ -86,17 +109,57 @@ def _dct1(batch: _Batch) -> np.ndarray:
     that its next transform overwrites."""
     n = batch.n
     batch.ext[..., n + 1:] = batch.ext[..., n - 1:0:-1]
-    return np.fft.rfft(batch.ext, out=batch.spec).real
+    _rfft(batch.ext, 1, axes=_RFFT_AXES, out=(batch.spec,))
+    return batch.spec.real
+
+
+#: how many grid sizes each cache of grid constants keeps (the last used)
+_SIZES_KEPT = 32
+
+
+def _constant(values: np.ndarray) -> np.ndarray:
+    """``values`` made read-only: every caller on its grid shares it."""
+    values.setflags(write=False)
+    return values
+
+
+@lru_cache(maxsize=_SIZES_KEPT)
+def _dct_divisors(n: int) -> np.ndarray:
+    """2n, n, ..., n, 2n: the DCT-I of samples over these is the
+    Chebyshev coefficients (the same bits as dividing by n and halving
+    the ends)."""
+    d = np.full(n + 1, float(n))
+    d[::n] = 2.0 * n
+    return _constant(d)
+
+
+@lru_cache(maxsize=_SIZES_KEPT)
+def _end_factors(n: int) -> np.ndarray:
+    """1, 1/2, ..., 1/2, 1: coefficients times these are the DCT-I input
+    that gives the values at the n+1 extrema."""
+    h = np.full(n + 1, 0.5)
+    h[::n] = 1.0
+    return _constant(h)
+
+
+@lru_cache(maxsize=_SIZES_KEPT)
+def _integral_divisors(n: int) -> np.ndarray:
+    """2k, k = 1..n: the divisors of :func:`_integrate_rows`."""
+    return _constant(np.arange(2.0, 2 * n + 1, 2.0))
+
+
+@lru_cache(maxsize=_SIZES_KEPT)
+def _extrema(n: int) -> np.ndarray:
+    """The n+1 Chebyshev extrema cos(pi*j/n), j = 0..n, in [-1, 1]."""
+    return _constant(np.cos(np.pi * np.arange(n + 1) / n))
 
 
 def _coeffs_in(batch: _Batch) -> np.ndarray:
     """Chebyshev coefficients from the samples at the N+1 extrema
     cos(pi*j/N) in the head of ``batch`` (one series per row), in its
     spectra as :func:`_dct1` returns them."""
-    n = batch.n
     c = _dct1(batch)
-    c /= n
-    c[..., ::n] *= 0.5  # the columns 0 and n
+    c /= _dct_divisors(batch.n)
     return c
 
 
@@ -122,6 +185,16 @@ def _values_in(batch: _Batch) -> np.ndarray:
     of :func:`_coeffs_in`, a DCT-I with the interior of the head halved
     in place, in the spectra as :func:`_dct1` returns them."""
     batch.head[..., 1:batch.n] *= 0.5
+    return _dct1(batch)
+
+
+def _values_of(batch: _Batch, coeffs: np.ndarray) -> np.ndarray:
+    """:func:`_values_in` of the 1-row ``batch`` holding the series
+    ``coeffs`` (up to n + 1 long): the coefficients go into its head
+    already halved, in one product, and the rest of it is zeroed."""
+    k = len(coeffs)
+    np.multiply(coeffs, _end_factors(batch.n)[:k], out=batch.head[:k])
+    batch.head[k:] = 0.0
     return _dct1(batch)
 
 
@@ -159,8 +232,9 @@ def _integrate_rows(c: np.ndarray, out: np.ndarray | None = None
     out[..., 1:] = c[..., :-1]
     out[..., 1] += c[..., 0]
     out[..., 1:-1] -= c[..., 2:]
-    out[..., 1:] /= np.arange(2.0, 2 * n + 1, 2.0)  # 2k, k = 1..n
-    out[..., 0] = out[..., 1::2].sum(-1) - out[..., 2::2].sum(-1)
+    out[..., 1:] /= _integral_divisors(n)
+    np.subtract(np.add.reduce(out[..., 1::2], -1),
+                np.add.reduce(out[..., 2::2], -1), out=out[..., 0])
     return out
 
 
@@ -220,31 +294,33 @@ def _chebvander(t: np.ndarray, deg: int) -> np.ndarray:
     return v.T
 
 
+@lru_cache(maxsize=_SIZES_KEPT)
 def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     """Weights of the (n+1)-point Clenshaw-Curtis rule on [-1, 1], n even.
 
     The rule integrates the interpolant, so w = D^T m with D the map of
     :func:`_coeffs_from_samples` and m_k = int T_k (2/(1-k^2), k even).  D
     is the symmetric DCT-I scaled by 1/2 at both ends on both sides, so
-    D^T = D: the weights are the transform of the moments.
+    D^T = D: the weights are the transform of the moments.  They are made
+    once per n and shared, read-only.
     """
     moments = np.zeros(n + 1)
     k = np.arange(0, n + 1, 2)
     moments[::2] = 2.0 / (1.0 - k.astype(float) ** 2)
-    return _coeffs_from_samples(moments)
+    return _constant(_coeffs_from_samples(moments).copy())
 
 
 def _truncate(coeffs: np.ndarray) -> np.ndarray:
     """``coeffs`` without the trailing ones below ``TRUNCATION_TOL`` times
     the largest; raises :class:`SpectralError` if any is inf or NaN."""
     mag = np.abs(coeffs)
-    scale = mag.max()
+    scale = np.maximum.reduce(mag)
     if not math.isfinite(scale):  # np.isfinite costs ~40x more per call
         raise SpectralError("series coefficients not finite")
     if scale == 0.0:
         return np.zeros(1)
     # the last coefficient above the tolerance: the first one from the end
-    keep = len(mag) - int(np.argmax(mag[::-1] > TRUNCATION_TOL * scale))
+    keep = len(mag) - int((mag[::-1] > TRUNCATION_TOL * scale).argmax())
     return coeffs[:keep].copy()
 
 
@@ -297,18 +373,17 @@ class SpectralFun:
 
         def coeffs(m):
             """Coefficients from samples at the m+1 Chebyshev extrema."""
-            t = np.cos(np.pi * np.arange(m + 1) / m)
-            nodes = 0.5 * (b - a) * t + 0.5 * (a + b)
+            nodes = 0.5 * (b - a) * _extrema(m) + 0.5 * (a + b)
             values = np.empty_like(nodes)
             values[...] = f(nodes)  # one number is a constant
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 raise UnresolvedError("function not finite at sample nodes")
             return _coeffs_from_samples(values)
 
         n = MIN_DEGREE
         while n <= MAX_DEGREE:
             c = coeffs(n)
-            scale = np.max(np.abs(c))
+            scale = np.maximum.reduce(np.abs(c))
             if scale == 0.0:
                 return cls((a, b), [0.0])
             if max(abs(c[-2]), abs(c[-1])) <= DEFAULT_TOL * scale:
@@ -454,7 +529,7 @@ def solve_linear_ivp(q: SpectralFun, u_a: float) -> SpectralFun:
     half = 0.5 * (b - a)
     n = MIN_DEGREE
     while n <= IVP_MAX_DEGREE:
-        t = np.cos(np.pi * np.arange(n + 1) / n)
+        t = _extrema(n)
         qx = q(half * t + 0.5 * (a + b))
         kmat = (half * half) * _integrate_rows(
             _integrate_rows(np.eye(n + 1, n + 3))).T

@@ -406,6 +406,36 @@ def test_unread_flag_is_usage_error(capsys, model3_file, model3_series,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, flag, needed", [
+    (("eval", "S", "--grid", "5"), "--grid", "--normalize"),
+    (("eval", "S", "--lambda", "0.5", "--grid", "11"), "--grid",
+     "--normalize"),
+    (("export", "S", "--normalize"), "--normalize", "--lambda"),
+    (("export", "S", "--normalize", "--grid", "5", "--out", "O"),
+     "--normalize", "--lambda"),
+], ids=["eval-grid", "eval-default-grid", "export-normalize",
+        "export-normalize-out"])
+def test_flag_read_only_with_another_is_usage_error(
+        capsys, tmp_path, model3_series, argv, flag, needed):
+    # the flag parses, but its value would be ignored: exit 1 before the
+    # series file is read or a file is written
+    out_file = tmp_path / "y.csv"
+    argv = [{"S": model3_series, "O": str(out_file)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: argument {flag}: not read without {needed}\n"
+    assert out == "" and not out_file.exists()
+
+
+def test_eval_grid_defaults_to_eleven_points_under_normalize(
+        capsys, model3_series):
+    code, out, _ = run(capsys, "eval", model3_series, "--lambda", "0.5",
+                       "--normalize")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) - rows.index("x,y") - 1 == 11
+
+
 def test_readme_examples_parse():
     lines = [line.split()[1:]
              for line in (ROOT / "README.md").read_text().splitlines()

@@ -389,14 +389,16 @@ def test_boundary_is_solved_once_per_recurrence(m3, monkeypatch):
 @pytest.mark.parametrize("J", [0, 1, 7])
 def test_compute_series_runs_recurrence_steps_and_solve_order_none(
         J, m3, monkeypatch):
+    # compute_series holds one np.errstate around its loop and runs the
+    # step inside it, _step; Recurrence.step is _step in an errstate
     orders = []
-    step = engine._Recurrence.step
+    step = engine._Recurrence._step
 
     def counted(rec):
         orders.append(len(rec.wavefuns))
         return step(rec)
 
-    monkeypatch.setattr(engine._Recurrence, "step", counted)
+    monkeypatch.setattr(engine._Recurrence, "_step", counted)
     st = analytic_sine_state(m3, 2)
     ser = compute_series(m3, st, J)
     assert orders == list(range(1, J + 1))

@@ -119,6 +119,10 @@ def _old_values_in(batch):
     return _old_values_at_extrema(batch.head, batch.n)
 
 
+def _old_values_of(batch, coeffs):
+    return _old_values_at_extrema(coeffs, batch.n)
+
+
 def _old_vp_values(state, gh, rows, r, pair=None):
     a, b = state.y0.domain
     ints = _old_integrate_rows(_old_coeffs_from_samples(rows[:2] * r))
@@ -834,7 +838,7 @@ def _series_bytes(ser):
 @pytest.mark.parametrize("old", [
     ("_vp_values",),
     ("_vp_values", "_coeffs_from_samples", "_coeffs_in",
-     "_values_at_extrema", "_values_in")],
+     "_values_at_extrema", "_values_in", "_values_of")],
     ids=["vp-kernel", "every-engine-transform"])
 def test_series_are_bit_for_bit_the_old_route(old, m1, m3, mp, monkeypatch):
     cases = [(prob, pb.analytic_sine_state(prob, n))
@@ -847,7 +851,8 @@ def test_series_are_bit_for_bit_the_old_route(old, m1, m3, mp, monkeypatch):
                "_coeffs_from_samples": _old_coeffs_from_samples,
                "_coeffs_in": _old_coeffs_in,
                "_values_at_extrema": _old_values_at_extrema,
-               "_values_in": _old_values_in}
+               "_values_in": _old_values_in,
+               "_values_of": _old_values_of}
     for name in old:
         monkeypatch.setattr(engine, name, kernels[name])
     for (prob, st), got in zip(cases, shipped):
@@ -893,3 +898,51 @@ def test_a_warm_order_runs_in_its_workspace(make, n, monkeypatch):
                          (row.ext, other.row.ext),
                          (row.spec, other.row.spec)):
         assert not np.shares_memory(mine, theirs)
+
+
+# ----------------------------------------------------------------------
+# the FFT kernel: NumPy's real-FFT gufunc called directly
+# ----------------------------------------------------------------------
+
+#: every n up to 130, the powers of two up to 8192 and their neighbours,
+#: and a few sizes between
+_KERNEL_SIZES = sorted(
+    set(range(2, 131))
+    | {2 ** k + d for k in range(8, 14) for d in (-1, 0, 1)
+       if 2 ** k + d <= 8192}
+    | {1000, 3001, 5000})
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (5,)],
+                         ids=["0-d", "2-row", "5-row"])
+def test_dct1_is_bit_for_bit_numpy_rfft(shape):
+    # a NumPy whose private FFT gufunc changes fails here, not in the digits
+    rng = np.random.default_rng(40 + len(shape))
+    for n in _KERNEL_SIZES:
+        x = rng.standard_normal(shape + (n + 1,))
+        got = _in_batch(funcspace._dct1, x, n, shape)
+        assert got.tobytes() == _old_dct1(x).tobytes(), n
+
+
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["1-row", "2-row"])
+def test_one_scaling_division_is_the_two_step_scaling(shape):
+    # c / [2n, n, ..., n, 2n] against c / n with the ends halved, from
+    # 1e-300 to 1e300 (where c / 2n is still a normal number)
+    rng = np.random.default_rng(41 + len(shape))
+    for n in _KERNEL_SIZES:
+        for magnitude in 10.0 ** np.arange(-300, 301, 50):
+            x = magnitude * rng.standard_normal(shape + (n + 1,))
+            expected = _old_dct1(x) / n
+            expected[..., ::n] *= 0.5
+            assert _in_batch(_coeffs_in, x, n, shape).tobytes() == \
+                expected.tobytes(), (n, magnitude)
+
+
+def test_grid_constants_are_shared_and_read_only():
+    for make in (funcspace._dct_divisors, funcspace._end_factors,
+                 funcspace._integral_divisors, funcspace._extrema,
+                 funcspace._clenshaw_curtis_weights):
+        first = make(64)
+        assert make(64) is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0

@@ -16,7 +16,8 @@ import sys
 import pertbvp.cli
 from pertbvp import cli, engine, expr, problem
 names = ("numpy.random", "numpy.polynomial", "pertbvp.oracles", "json")
-loaded = {"import": [name for name in names if name in sys.modules]}
+loaded = {"import": [name for name in names if name in sys.modules],
+          "fft": "numpy.fft" in sys.modules}
 cli.main(["oracle", "--problem", "demos/model3.prob", "--lambda", "1",
           "--guess", "9.8696"])
 loaded["oracle"] = [name for name in names if name in sys.modules]
@@ -40,6 +41,8 @@ def test_a_cli_call_imports_only_what_it_uses():
     got = json.loads(done.stdout.splitlines()[-1])
     # importing the CLI loads no RNG, no numpy.polynomial, no oracles, no json
     assert got["import"] == []
+    # and no numpy.fft: the first transform resolves the FFT gufunc
+    assert got["fft"] is False
     # the FD oracle loads the oracles, and still no RNG
     assert got["oracle"] == ["pertbvp.oracles"]
     # every value class is a plain record but the series
