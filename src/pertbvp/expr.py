@@ -33,6 +33,7 @@ __all__ = [
     "DomainError",
     "parse",
     "evaluate",
+    "walk",
     "differentiate",
     "to_string",
 ]
@@ -217,13 +218,22 @@ def evaluate(e: Expr, x):
     power overflows.  Plain ``+ - * /`` overflow gives inf.
     """
     xv = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        walked = _walk(e, xv if xv.ndim else xv[()])
+    walked = walk(e, xv if xv.ndim else xv[()])
     if xv.ndim == 0:
         return float(walked)
     out = np.empty_like(xv)
     out[...] = walked  # a constant fills every point
     return out
+
+
+def walk(e: Expr, x):
+    """``e`` at ``x``, a float array or numpy float, as :func:`evaluate`
+    computes it, with the same errors, but not copied into an array of
+    ``x``'s shape: a tree without ``x`` gives a numpy scalar, which
+    broadcasts to the same bits, and a bare ``x`` gives ``x`` itself, so
+    the caller must not write into the result."""
+    with np.errstate(all="ignore"):
+        return _walk(e, x)
 
 
 def _walk(e: Expr, x):
@@ -255,10 +265,16 @@ def _walk(e: Expr, x):
             _check_domain(rv == 0.0, "division by zero")
             return lv / rv
         if e.op == "^":
-            _check_domain((lv == 0.0) & (rv < 0.0),
-                          "zero raised to a negative power")
-            _check_domain((lv < 0.0) & (rv != np.trunc(rv)),
-                          "negative base with non-integer exponent")
+            negative = rv < 0.0
+            fractional = rv != np.trunc(rv)
+            # a scalar exponent rules each check in or out for every point
+            array = isinstance(rv, np.ndarray)
+            if array or negative:
+                _check_domain((lv == 0.0) & negative,
+                              "zero raised to a negative power")
+            if array or fractional:
+                _check_domain((lv < 0.0) & fractional,
+                              "negative base with non-integer exponent")
             # libm pow on every point, as Python's ``**`` on floats; np.power
             # takes SIMD and x*x shortcuts that move the last bit
             return _check_range(np.float_power(lv, rv), "power", lv, rv)

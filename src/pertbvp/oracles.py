@@ -155,12 +155,15 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     """
     a, b = problem.domain
     h = (b - a) / (M + 1)
-    x = a + h * np.arange(1, M + 1)
-    v0 = ex.evaluate(problem.v0, x)
-
-    main = -2.0 / h ** 2 - v0
-    upper = np.full(M - 1, 1.0 / h ** 2)
-    lower = np.full(M - 1, 1.0 / h ** 2)
+    h2 = h ** 2
+    x = np.arange(1.0, M + 1)
+    x *= h
+    x += a
+    # a coefficient without x stays a scalar: it broadcasts to the same bits
+    main = np.full(M, -2.0 / h2)
+    main -= ex.walk(problem.v0, x)
+    upper = np.full(M - 1, 1.0 / h2)
+    lower = np.full(M - 1, 1.0 / h2)
 
     powers = lambda_powers(lam, len(problem.perturbations))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,12 +171,20 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
             c = powers[k]
             if c == 0.0:
                 continue
-            p2 = ex.evaluate(op.p2, x)
-            p1 = ex.evaluate(op.p1, x)
-            p0 = ex.evaluate(op.p0, x)
-            main -= c * (-2.0 * p2 / h ** 2 + p0)
-            upper -= c * (p2[:-1] / h ** 2 + p1[:-1] / (2.0 * h))
-            lower -= c * (p2[1:] / h ** 2 - p1[1:] / (2.0 * h))
+            d2 = ex.walk(op.p2, x) / h2
+            d1 = ex.walk(op.p1, x) / (2.0 * h)
+            diag = -2.0 * d2
+            diag += ex.walk(op.p0, x)
+            diag *= c
+            main -= diag
+            d2_up, d2_low = _neighbours(d2)
+            d1_up, d1_low = _neighbours(d1)
+            off = d2_up + d1_up
+            off *= c
+            upper -= off
+            off = d2_low - d1_low
+            off *= c
+            lower -= off
 
     if not all(np.all(np.isfinite(band)) for band in (main, upper, lower)):
         raise OracleError("finite-difference matrix not finite "
@@ -184,7 +195,17 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
                           "that is not positive (first-derivative coupling "
                           "too large for the grid, or the second-order "
                           "coefficient not positive)")
-    return -main, -upper, -lower
+    for band in (main, upper, lower):
+        np.negative(band, out=band)
+    return main, upper, lower
+
+
+def _neighbours(values):
+    """``values`` at the upper and at the lower neighbour of each coupled
+    pair of points: ``values[:-1]`` and ``values[1:]``, or a scalar twice."""
+    if isinstance(values, np.ndarray):
+        return values[:-1], values[1:]
+    return values, values
 
 
 #: scipy's compiled LAPACK wrappers, which hold ``dgttrf`` and ``dgttrs``
@@ -245,33 +266,40 @@ _ITERATION_MAX = 200
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-def _inverse_iteration(main, upper, lower, shift):
-    """The eigenvalue of the tridiagonal matrix nearest ``shift``, by
-    inverse iteration on A - shift I, factored once.
+def _golden_start(M: int):
+    """The fixed start vector 1 + 1e-3 sin(k g), k = 0 .. M-1, g the golden
+    angle: no RNG (and no ``numpy.random`` import), and not symmetric about
+    the midpoint, so it overlaps odd-parity eigenvectors as well as even
+    ones."""
+    v = np.sin(_GOLDEN_ANGLE * np.arange(M))
+    v *= 1e-3
+    v += 1.0
+    return v
 
-    The start vector is 1 + 1e-3 sin(k g), k = 0 .. M-1, g the golden
-    angle: fixed, so no RNG (and no ``numpy.random`` import), and not
-    symmetric about the midpoint, so it overlaps odd-parity eigenvectors
-    as well as even ones.  The iteration stops when the estimate moves by
-    at most ``_ITERATION_TOL`` relative, so the value it returns repeats
-    only to that iteration noise (~1e-12 relative, in practice far less):
-    another start vector may move its last digits.
+
+def _inverse_iteration(main, upper, lower, shift, v):
+    """The eigenvalue of the tridiagonal matrix nearest ``shift``, by
+    inverse iteration on A - shift I, factored once, from the unit start
+    vector ``v``; ``v`` is overwritten with each normalised iterate, so it
+    holds the eigenvector on return.
+
+    The iteration stops when the estimate moves by at most
+    ``_ITERATION_TOL`` relative, so another start vector may move the
+    value's last digits.
     """
     lu = _tridiagonal_lu(main - shift, upper, lower)
-    v = 1.0 + 1e-3 * np.sin(_GOLDEN_ANGLE * np.arange(len(main)))
-    v /= np.linalg.norm(v)
     est = None
     for _ in range(_ITERATION_MAX):
         w = solve_banded(lu, v)
-        mu = float(np.dot(v, w))
+        mu = float(v.dot(w))
         if mu == 0.0:
             raise OracleError("inverse iteration broke down")
         new_est = shift + 1.0 / mu
-        size = np.linalg.norm(w)
+        size = math.sqrt(w.dot(w))  # numpy.linalg.norm's own formula
         if not 0.0 < size < math.inf:
             raise OracleError("inverse iteration broke down: iterate not "
                               "representable in floating point")
-        v = w / size
+        np.divide(w, size, out=v)
         tol = _ITERATION_TOL * max(1.0, abs(new_est))
         if est is not None and abs(new_est - est) <= tol:
             return new_est
@@ -281,21 +309,74 @@ def _inverse_iteration(main, upper, lower, shift):
 
 
 def fd_eigenvalue_raw(problem: PerturbationProblem, lam: float,
-                      e_guess: float, M: int) -> float:
-    """Single-grid eigenvalue nearest ``e_guess`` (no extrapolation)."""
+                      e_guess: float, M: int, vector=None) -> float:
+    """Single-grid eigenvalue nearest ``e_guess`` (no extrapolation).
+
+    ``vector``, an array of M floats, holds the start vector on entry (any
+    nonzero scale) and the unit eigenvector on return; without it the
+    iteration starts from :func:`_golden_start`.
+    """
     if M < 16:
         raise OracleError(f"need M >= 16 interior points, got {M}")
     main, upper, lower = _fd_bands(problem, lam, M)
+    v = _golden_start(M) if vector is None else vector
+    v /= math.sqrt(v.dot(v))
     try:
-        return _inverse_iteration(main, upper, lower, e_guess)
+        return _inverse_iteration(main, upper, lower, e_guess, v)
     except np.linalg.LinAlgError:
-        # shift hit an eigenvalue exactly: nudge once and retry
-        return _inverse_iteration(main, upper, lower, e_guess + 1e-8)
+        # shift hit an eigenvalue exactly: nudge once and retry; the
+        # factorization failed before any step, so v is still the start
+        return _inverse_iteration(main, upper, lower, e_guess + 1e-8, v)
+
+
+def _fine_start(coarse):
+    """The piecewise-linear interpolant of ``coarse``, values at the M
+    interior points of a uniform grid with zero ends, at the 2M interior
+    points of the grid on the same interval: the fine grid's start vector.
+
+    In units of the coarse step, fine point 2j+1 (j = 0 .. M-1) lies at
+    j + (j + M + 1)/(2M + 1) and fine point 2j (j = 1 .. M) at
+    j + j/(2M + 1), so each lies in the j-th coarse cell.  Only the
+    result is 2M long.
+    """
+    M = len(coarse)
+    ends = np.zeros(M + 2)  # the coarse values with both zero ends
+    ends[1:-1] = coarse
+    slope = np.diff(ends)
+    offset = np.arange(M + 1) / (2 * M + 1)
+    fine = np.empty(2 * M)
+    fine[0::2] = ends[:M] + (offset[:M] + (M + 1) / (2 * M + 1)) * slope[:M]
+    fine[1::2] = ends[1:M + 1] + offset[1:] * slope[1:]
+    return fine
+
+
+def _sign_changes(v) -> int:
+    """Sign changes between neighbouring entries of ``v`` (a zero counts
+    as positive): n - 1 for the n-th state of a Sturm-Liouville problem."""
+    negative = np.signbit(v)
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def fd_eigenvalue(problem: PerturbationProblem, lam: float,
                   e_guess: float, M: int) -> float:
-    """Richardson-extrapolated (order 2) eigenvalue from grids M and 2M."""
-    e_coarse = fd_eigenvalue_raw(problem, lam, e_guess, M)
-    e_fine = fd_eigenvalue_raw(problem, lam, e_coarse, 2 * M)
+    """Richardson-extrapolated (order 2) eigenvalue from grids M and 2M.
+
+    The fine grid's inverse iteration is shifted by the coarse eigenvalue
+    and starts from the coarse eigenvector, interpolated (a nested-iteration
+    start), so it needs a few steps.  Raises :class:`OracleError` unless
+    both eigenvectors have the same number of sign changes: otherwise the
+    two grids found different states, which no extrapolation combines.
+    """
+    vector = _golden_start(M)
+    e_coarse = fd_eigenvalue_raw(problem, lam, e_guess, M, vector=vector)
+    coarse_changes = _sign_changes(vector)
+    vector = _fine_start(vector)
+    e_fine = fd_eigenvalue_raw(problem, lam, e_coarse, 2 * M, vector=vector)
+    fine_changes = _sign_changes(vector)
+    if coarse_changes != fine_changes:
+        raise OracleError(
+            f"the FD grids found different states: the eigenvector has "
+            f"{coarse_changes} sign changes on M = {M} points and "
+            f"{fine_changes} on {2 * M} (the grid is too coarse for this "
+            f"state)")
     return (4.0 * e_fine - e_coarse) / 3.0

@@ -201,6 +201,20 @@ def test_oracle_model1(capsys, model1_file):
                "--lambda", "0.5") == (code, out, "")
 
 
+def test_oracle_on_two_states_is_a_computation_failure(capsys):
+    # at M = 512 the coarse eigenvector nearest (100 pi)^2 has 101 sign
+    # changes and the fine one 100: two states, which Richardson would mix
+    demo = str(DEMOS / "model1.prob")
+    code, out, err = run(capsys, "oracle", "--problem", demo, "--lambda", "0",
+                         "--n", "100", "--grid", "512")
+    assert (code, out) == (2, "")
+    assert err.startswith("computation failed: ")
+    assert "101 sign changes on M = 512 points and 100 on 1024" in err
+    assert run(capsys, "oracle", "--problem", demo, "--lambda", "0", "--n",
+               "100", "--grid", "2048") == (
+        0, "fd_eigenvalue = 9.869597470150e+04\n", "")
+
+
 def test_oracle_default_guess_is_closed_form_e0(capsys, tmp_path):
     # (pi / L)^2 would land on the n = 1 level pi^2 + 60 of this v0 = 60 box
     prob = tmp_path / "shifted.prob"

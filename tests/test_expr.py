@@ -296,6 +296,37 @@ def test_array_with_one_bad_point_raises(text, bad):
         evaluate(parse(text), xs)
 
 
+@pytest.mark.parametrize("text, low, bad", [
+    ("x^-1", 1.0, 0.0),        # a scalar exponent: zero to a negative power
+    ("(x-2)^0.5", 3.0, 1.0),   # a scalar exponent: negative base
+    ("x^(x-1)", 1.0, 0.0),     # an array exponent, negative at x = 0
+    ("(x-2)^x", 3.0, 1.5),     # an array exponent, fractional at x = 1.5
+])
+def test_power_domain_errors_on_arrays(text, low, bad):
+    # a scalar exponent decides each check once for every point; an array
+    # exponent is checked point by point
+    e = parse(text)
+    xs = np.linspace(low, low + 1.0, 9)
+    assert np.all(np.isfinite(evaluate(e, xs)))
+    xs[4] = bad
+    with pytest.raises(DomainError):
+        evaluate(e, xs)
+    with pytest.raises(DomainError):
+        evaluate(e, bad)
+
+
+def test_power_with_a_scalar_exponent_keeps_its_values():
+    # the checks a scalar exponent rules out change no value
+    xs = np.linspace(-2.0, 2.0, 41)
+    for text in ("x^2", "x^3", "x^-2", "x^0"):
+        values = evaluate(parse(text), xs[xs != 0.0])
+        assert values.tobytes() == np.float_power(
+            xs[xs != 0.0], float(text[2:])).tobytes()
+    positive = xs[xs > 0.0]
+    assert evaluate(parse("x^0.5"), positive).tobytes() == np.float_power(
+        positive, 0.5).tobytes()
+
+
 @pytest.mark.parametrize("text, x", [("exp(x)", 800.0), ("x^400", 10.0),
                                      ("tan(x*1e308*10)", 1.0)])
 def test_function_or_power_overflow_raises(text, x):

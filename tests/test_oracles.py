@@ -213,23 +213,23 @@ def _closed_problem():
         "perturbation.1.p0 = -6/5\n")
 
 
-def _count_evaluate(monkeypatch):
+def _count_walk(monkeypatch):
     calls = []
-    real = ex.evaluate
+    real = ex.walk
 
     def counting(e, x):
         calls.append(e)
         return real(e, x)
 
-    monkeypatch.setattr(ex, "evaluate", counting)
+    monkeypatch.setattr(ex, "walk", counting)
     return calls
 
 
 @pytest.mark.parametrize("problem", [model1_problem, model3_problem,
                                      _closed_problem])
 def test_fd_bands_evaluate_each_coefficient_once(monkeypatch, problem):
-    # one whole-grid call for v0 and each of p2, p1, p0, whatever M is
-    calls = _count_evaluate(monkeypatch)
+    # one whole-grid walk for v0 and each of p2, p1, p0, whatever M is
+    calls = _count_walk(monkeypatch)
     prob = problem()
     counts = []
     for M in (16, 1024):
@@ -245,30 +245,29 @@ def test_fd_eigenvalue_matches_pointwise_reference(monkeypatch, problem,
                                                     guess):
     prob = problem()
     got = fd_eigenvalue(prob, 1.0, guess, 8192)
-    real = ex.evaluate
+    real, walk = ex.evaluate, ex.walk
 
     def pointwise(e, x):
         if np.ndim(x) == 0:
-            return real(e, x)
+            return walk(e, x)
         return np.array([real(e, float(v)) for v in x])
 
-    monkeypatch.setattr(ex, "evaluate", pointwise)
+    monkeypatch.setattr(ex, "walk", pointwise)
     reference = fd_eigenvalue(prob, 1.0, guess, 8192)
     assert got == pytest.approx(reference, rel=1e-12)
 
 
-def _solve_banded_per_step(main, upper, lower, shift):
-    """Inverse iteration with one ``scipy.linalg.solve_banded`` per step:
-    the oracle before it factored A - shift I once per grid."""
+def _solve_banded_per_step(main, upper, lower, shift, start):
+    """Inverse iteration with one ``scipy.linalg.solve_banded`` per step
+    from the unit vector ``start``, which it overwrites with the
+    eigenvector: the oracle before it factored A - shift I once per grid."""
     from scipy.linalg import solve_banded
     M = len(main)
     ab = np.zeros((3, M))
     ab[0, 1:] = upper
     ab[1, :] = main - shift
     ab[2, :-1] = lower
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    v = np.ones(M) + 1e-3 * np.sin(golden * np.arange(M))
-    v /= np.linalg.norm(v)
+    v = start.copy()
     est = None
     for _ in range(oracles._ITERATION_MAX):
         w = solve_banded((1, 1), ab, v)
@@ -276,6 +275,7 @@ def _solve_banded_per_step(main, upper, lower, shift):
         v = w / np.linalg.norm(w)
         tol = oracles._ITERATION_TOL * max(1.0, abs(new_est))
         if est is not None and abs(new_est - est) <= tol:
+            start[:] = v
             return new_est
         est = new_est
     raise OracleError("no convergence")
@@ -292,6 +292,162 @@ def test_factored_inverse_iteration_matches_per_step_solves(
     factored = fd_eigenvalue(prob, lam, guess, M)
     monkeypatch.setattr(oracles, "_inverse_iteration", _solve_banded_per_step)
     assert factored == fd_eigenvalue(prob, lam, guess, M)
+
+
+def _golden_iteration(main, upper, lower, shift):
+    """The oracle's inverse iteration before the start vector became an
+    argument, inline: the golden start, numpy's norm and a new iterate per
+    step."""
+    lu = oracles._tridiagonal_lu(main - shift, upper, lower)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    v = 1.0 + 1e-3 * np.sin(golden * np.arange(len(main)))
+    v /= np.linalg.norm(v)
+    est = None
+    for _ in range(oracles._ITERATION_MAX):
+        w = oracles.solve_banded(lu, v)
+        new_est = shift + 1.0 / float(np.dot(v, w))
+        v = w / np.linalg.norm(w)
+        tol = oracles._ITERATION_TOL * max(1.0, abs(new_est))
+        if est is not None and abs(new_est - est) <= tol:
+            return new_est
+        est = new_est
+    raise OracleError("no convergence")
+
+
+@pytest.mark.parametrize("problem, lam, guess", [
+    (model1_problem, 0.5, PI2), (model1_problem, 0.02, 2500 * PI2),
+    (model3_problem, 1.0, 9.0), (model3_problem, 0.03, 8836 * PI2),
+    (_closed_problem, 1.0, 14.0)])
+@pytest.mark.parametrize("M", [16, 255, 1024, 4099])
+def test_fd_eigenvalue_raw_without_a_start_vector_is_the_golden_iteration(
+        problem, lam, guess, M):
+    prob = problem()
+    bands = oracles._fd_bands(prob, lam, M)
+    try:
+        expected = _golden_iteration(*bands, guess)
+    except OracleError:
+        with pytest.raises(OracleError):
+            fd_eigenvalue_raw(prob, lam, guess, M)
+        return
+    assert fd_eigenvalue_raw(prob, lam, guess, M) == expected
+
+
+def _inline_bands(problem, lam, M):
+    """The FD bands as the oracle built them with whole-grid arrays for
+    every coefficient, constants included."""
+    a, b = problem.domain
+    h = (b - a) / (M + 1)
+    x = a + h * np.arange(1, M + 1)
+    main = -2.0 / h ** 2 - ex.evaluate(problem.v0, x)
+    upper = np.full(M - 1, 1.0 / h ** 2)
+    lower = np.full(M - 1, 1.0 / h ** 2)
+    for k, op in enumerate(problem.perturbations, start=1):
+        c = lam ** k
+        p2, p1, p0 = (ex.evaluate(f, x) for f in (op.p2, op.p1, op.p0))
+        main -= c * (-2.0 * p2 / h ** 2 + p0)
+        upper -= c * (p2[:-1] / h ** 2 + p1[:-1] / (2.0 * h))
+        lower -= c * (p2[1:] / h ** 2 - p1[1:] / (2.0 * h))
+    return -main, -upper, -lower
+
+
+@pytest.mark.parametrize("problem", [model1_problem, model3_problem,
+                                     _closed_problem])
+@pytest.mark.parametrize("lam", [0.0, 1e-5, 0.3, -0.7, 1.0])
+def test_fd_bands_match_the_inline_form(problem, lam):
+    # scalar constants, p2/h^2 and p1/(2h) formed once and in-place updates
+    # give the bands of whole-grid arrays, bit for bit
+    prob = problem()
+    for M in (16, 17, 1000, 2048, 3173, 8191):
+        got = oracles._fd_bands(prob, lam, M)
+        for band, expected in zip(got, _inline_bands(prob, lam, M)):
+            assert band.shape == expected.shape
+            assert band.tobytes() == expected.tobytes()
+
+
+def _count_solves(monkeypatch):
+    """The length of the right-hand side of every banded solve."""
+    sizes, solve = [], oracles.solve_banded
+    monkeypatch.setattr(oracles, "solve_banded",
+                        lambda lu, b: sizes.append(len(b)) or solve(lu, b))
+    return sizes
+
+
+@pytest.mark.parametrize("problem, v0", [(model1_problem, 0.0),
+                                         (model3_problem, 0.0),
+                                         (_closed_problem, 5.0)])
+@pytest.mark.parametrize("per_half_wave", [20, 80])
+def test_fine_grid_starts_from_the_coarse_eigenvector(monkeypatch, problem,
+                                                      v0, per_half_wave):
+    # on resolved grids the warm start moves the extrapolated value by
+    # iteration noise only, and never takes more fine-grid solves than the
+    # golden start; from 80 points per half-wave on it takes at most 3
+    prob = problem()
+    sizes = _count_solves(monkeypatch)
+    for n in (1, 5, 20, 50, 100):
+        M = per_half_wave * n
+        for lam in (0.0, 0.3 / n, 1.0 / n):
+            guess = n * n * PI2 + v0
+            sizes.clear()
+            got = fd_eigenvalue(prob, lam, guess, M)
+            warm = sizes.count(2 * M)
+            coarse = fd_eigenvalue_raw(prob, lam, guess, M)
+            sizes.clear()
+            fine = fd_eigenvalue_raw(prob, lam, coarse, 2 * M)
+            cold = sizes.count(2 * M)
+            expected = (4.0 * fine - coarse) / 3.0
+            assert got == pytest.approx(expected, rel=2e-12, abs=0.0)
+            assert 2 <= warm <= cold
+            if per_half_wave >= 80:
+                assert warm <= 3
+
+
+@pytest.mark.parametrize("M", [16, 17, 255, 1024])
+def test_fine_start_interpolates_linearly_with_zero_ends(M):
+    coarse = np.sin(np.arange(1, M + 1) * 0.37) + 0.5
+    fine = oracles._fine_start(coarse)
+    x_coarse = np.arange(M + 2) / (M + 1)
+    x_fine = np.arange(1, 2 * M + 1) / (2 * M + 1)
+    expected = np.interp(x_fine, x_coarse, np.r_[0.0, coarse, 0.0])
+    assert fine.shape == (2 * M,)
+    np.testing.assert_allclose(fine, expected, rtol=0, atol=1e-12)
+
+
+def test_fd_eigenvalue_calls_the_raw_oracle_once_per_grid(monkeypatch):
+    # a profiler may wrap fd_eigenvalue_raw and pair its last two results,
+    # coarse then fine, with each fd_eigenvalue result
+    calls, raw = [], oracles.fd_eigenvalue_raw
+
+    def recording(problem, lam, e_guess, M, **kwargs):
+        value = raw(problem, lam, e_guess, M, **kwargs)
+        calls.append((M, value))
+        return value
+
+    monkeypatch.setattr(oracles, "fd_eigenvalue_raw", recording)
+    got = fd_eigenvalue(model3_problem(), 1.0, 9.0, 512)
+    assert [M for M, _ in calls] == [512, 1024]
+    assert all(type(value) is float for _, value in calls)
+    (_, coarse), (_, fine) = calls
+    assert got == (4.0 * fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("lam, n, M, changes", [
+    (0.0, 100, 512, (101, 100)), (0.006, 50, 255, (50, 49))])
+def test_fd_eigenvalue_rejects_two_states_on_the_two_grids(lam, n, M,
+                                                           changes):
+    # on these grids the coarse and the fine eigenvector nearest the guess
+    # belong to different states, which Richardson must not combine
+    with pytest.raises(OracleError, match=f"{changes[0]} sign changes on "
+                                          f"M = {M} points and {changes[1]} "
+                                          f"on {2 * M}"):
+        fd_eigenvalue(model1_problem(), lam, (n * math.pi) ** 2, M)
+
+
+def test_sign_changes_count_nodes():
+    assert oracles._sign_changes(np.array([1.0, 2.0, 3.0])) == 0
+    assert oracles._sign_changes(np.array([1.0, -2.0, 3.0, 0.0, -1.0])) == 3
+    xs = np.arange(1, 1000) / 1000
+    for n in (1, 2, 7):
+        assert oracles._sign_changes(np.sin(n * np.pi * xs)) == n - 1
 
 
 def test_inverse_iteration_factors_once_per_grid(monkeypatch):
