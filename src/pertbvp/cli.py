@@ -163,10 +163,10 @@ def cmd_eval(args) -> int:
     upto = _upto(args, series)
     powers = engine.lambda_powers(args.lam, upto)
     print(f"{'order':>5} {'E(lambda)':>24}")
-    terms = []  # E_j lam^j; the sum() of engine.sum_series, so its bits
+    total = 0  # E_j lam^j added in turn, as sum() adds (before Python 3.12)
     for j, p in enumerate(powers):
-        terms.append(series.energies[j] * p)
-        print(f"{j:>5} {sum(terms):>24.16e}")
+        total += series.energies[j] * p
+        print(f"{j:>5} {total:>24.16e}")
     if args.normalize:
         _, y = engine.sum_series(series, args.lam, upto, normalize=True)
         xs = np.linspace(y.a, y.b, 11 if args.grid is None else args.grid)

@@ -12,11 +12,11 @@ which is affine in E_j.
 
 The recurrence needs y_j, y_j' and y_j'' only as values on the grid where
 V integrates, so it runs there (after Greengard, SIAM J. Numer. Anal. 28,
-1991).  One ``_Recurrence`` per series owns what is carried from one
-order to the next: the values of every lower order as returned (cut and
-truncated), y', y'' of the last m, and the boundary solution V(-y0),
-solved once per recurrence.  Each order forms g_j pointwise, and
-:func:`_vp_values` gives V(g_j) and its derivative
+1991).  One ``_Recurrence`` per series, sized for its order J, owns what
+is carried from one order to the next: the values of every lower order
+as returned (cut and truncated), y', y'' of the last m, and the boundary
+solution V(-y0), solved once per recurrence.  Each order forms g_j
+pointwise, and :func:`_vp_values` gives V(g_j) and its derivative
 
     V(r)'(x) = u'(x) * int_a^x y0 r  -  y0'(x) * int_a^x u r
 
@@ -41,11 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (SpectralError, SpectralFun, UnresolvedError, _Batch,
-                        _clenshaw_curtis_weights, _coeffs_from_samples,
-                        _coeffs_in, _grid_size, _integrate_rows, _rows,
-                        _truncate, _values_at_extrema, _values_in,
-                        _values_of, solve_linear_ivp)
+from .funcspace import (_QUIET, SpectralError, SpectralFun, UnresolvedError,
+                        _Batch, _clenshaw_curtis_weights,
+                        _coeffs_from_samples, _coeffs_in, _grid_size,
+                        _integrate_rows, _rows, _truncate, _values_at_extrema,
+                        _values_in, _values_of, solve_linear_ivp)
 from ._record import Record
 from .problem import PerturbationProblem, UnperturbedState
 
@@ -177,7 +177,7 @@ def _ghost_rows(state: UnperturbedState, u: SpectralFun, du: SpectralFun,
 
 
 def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
-               r: np.ndarray, pair: _Batch | None = None) -> np.ndarray:
+               r: np.ndarray, pair: _Batch) -> np.ndarray:
     """Rows (V(r), V(r)') of values at the N+1 Chebyshev extrema from the
     values ``r`` of r there and the ghost rows ``rows`` of
     :func:`_ghost_rows` on the same grid, with
@@ -191,15 +191,11 @@ def _vp_values(state: UnperturbedState, gh: GhostFunction, rows: np.ndarray,
     exact up to rounding: the products y0 r and u r go to coefficients in
     one batched DCT, are integrated from a in coefficient form and come
     back in one batched inverse DCT; the rest is pointwise.  The products
-    go straight into the head of the 2-row batch ``pair`` (a fresh one
-    when not given), and the integrals into the head its inverse DCT
-    reads.  Callers run it with overflow and invalid operations ignored:
-    an overflow turns into inf or NaN in the transforms, which
-    ``_truncate`` reports.
+    go straight into the head of the 2-row batch ``pair`` on the grid, and
+    the integrals into the head its inverse DCT reads.  Callers run it
+    under ``_QUIET``.
     """
     a, b = state.y0.domain
-    if pair is None:
-        pair = _Batch((2,), len(r) - 1)
     np.multiply(rows[:2], r, out=pair.head)
     _integrate_rows(_coeffs_in(pair), pair.head)
     int_y0, int_u = _values_in(pair)
@@ -216,9 +212,10 @@ def _vp(state: UnperturbedState, gh: GhostFunction,
     not call it: it is V as a map of series."""
     n = _grid_size(len(gh.u.coeffs) + len(state.y0.coeffs)
                    + len(r.coeffs) - 2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         values = _vp_values(state, gh, _ghost_rows(state, gh.u, gh.du, n),
-                            _values_at_extrema(r.coeffs, n))[0]
+                            _values_at_extrema(r.coeffs, n),
+                            _Batch((2,), n))[0]
         return SpectralFun._adopt(r.a, r.b,
                                   _truncate(_coeffs_from_samples(values)))
 
@@ -228,11 +225,11 @@ def _boundary_solution(state: UnperturbedState,
     """Coefficients of the rows (phi_b, phi_b') with phi_b = V(-y0), the
     E_j-part of every order, untruncated, on the smallest grid above the
     degree of phi_b.  Raises :class:`EngineError` when phi_b(b) vanishes
-    against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j.  Its
-    caller, :meth:`_Recurrence._place`, runs it under ``np.errstate``."""
+    against the sup of phi_b there: then y_j(b) = 0 cannot fix E_j.  The
+    callers of :meth:`_Recurrence._place` run it under ``_QUIET``."""
     n = _grid_size(gh.u.degree + 2 * state.y0.degree)
     rows = _ghost_rows(state, gh.u, gh.du, n)
-    values = _vp_values(state, gh, rows, -rows[0])
+    values = _vp_values(state, gh, rows, -rows[0], _Batch((2,), n))
     coeffs = _coeffs_from_samples(values)
     # phi_b(b): T_k(1) = 1
     if abs(coeffs[0].sum()) <= 1e-12 * np.max(np.abs(values[0])):
@@ -260,35 +257,30 @@ def _room(problem: PerturbationProblem, state: UnperturbedState,
             + _rhs_degree(problem, wavefuns, j, maxdeg))
 
 
-#: what the recurrence does on a floating-point fault: an overflow turns
-#: into inf or NaN, which _truncate reports
-_QUIET = dict(over="ignore", invalid="ignore")
-
-
 class _Recurrence:
-    """The recurrence of one state from its y_0: ``energies`` and
-    ``wavefuns`` start as [E_0] and [y_0], and each :meth:`step` appends
-    (E_j, y_j) to them.
+    """The recurrence of one state from its y_0 through order J:
+    ``energies`` and ``wavefuns`` start as [E_0] and [y_0], and each of the
+    at most J calls of :meth:`step` appends (E_j, y_j) to them.
 
     It carries values on the N+1 extrema of one grid (``n``, 0 before the
     first step), where :meth:`_place` puts them: y_0 .. y_(j-1) in the
-    first j rows of ``values`` (the rest is spare room), a block (y'', y',
-    y) for each of the last m orders in ``derivs``, the block (phi_b'',
-    phi_b', phi_b) in ``phi`` and max|phi_b| in ``phi_sup``, v0 - E0 in
-    ``q``, the ghost rows of :func:`_ghost_rows` in ``rows`` and the rows
+    first j of the J + 1 rows of ``values``, a block (y'', y', y) for each
+    of the last m orders in ``derivs``, the block (phi_b'', phi_b', phi_b)
+    in ``phi`` and max|phi_b| in ``phi_sup``, v0 - E0 in ``q``, the ghost
+    rows of :func:`_ghost_rows` in ``rows`` and the rows
     (p2, p1, p0) of each P_k in ``ops``.  Every transform of an order runs
     in one of the grid's two transform batches
     (:class:`~pertbvp.funcspace._Batch`), ``pair`` for the 2-row VP batch
     and ``row`` for y_j: :meth:`_place` makes them with the grid and
     replaces them when the grid grows, and they die with the recurrence
     (no two recurrences share one).  E_(j-1) .. E_1 are the last j - 1
-    entries of the contiguous ``ereverse`` (E_k at index -k), so the
-    energy sum is one matrix-vector product.  ``base`` is deg u + deg y0
-    + 2, the part of :func:`_room` that no order changes; ``maxdeg`` is
-    the largest degree of the orders, and ``full`` tells whether the last
-    step kept every coefficient up to its exact degree.  (A mutable plain
-    class, not a :class:`~pertbvp._record.Record`: the steps change it in
-    place.)
+    of the J entries of the contiguous ``ereverse`` (E_k at index -k), so
+    the energy sum is one matrix-vector product.  ``ereverse`` is
+    allocated once, ``values`` once per grid.  ``base`` is deg u + deg y0
+    + 2, the part of :func:`_room` that no order changes; ``maxdeg`` is the
+    largest degree of the orders, and ``full`` tells whether the last step
+    kept every coefficient up to its exact degree.  (A mutable plain class,
+    not a :class:`~pertbvp._record.Record`: the steps change it in place.)
     """
 
     __slots__ = ("problem", "state", "gh", "energies", "wavefuns", "n",
@@ -296,10 +288,10 @@ class _Recurrence:
                  "pair", "row", "ereverse", "base", "maxdeg", "full")
 
     def __init__(self, problem: PerturbationProblem, state: UnperturbedState,
-                 gh: GhostFunction):
+                 gh: GhostFunction, J: int):
         self.problem, self.state, self.gh = problem, state, gh
         self.energies, self.wavefuns = [state.E0], [state.y0]
-        self.ereverse = np.empty(8)
+        self.ereverse = np.empty(J)
         self.base = _room(problem, state, gh, (), 0, 0)  # the room at D = 0
         self.maxdeg = state.y0.degree
         self.n, self.full = 0, False
@@ -329,7 +321,7 @@ class _Recurrence:
                                 problem.v0_fun)] + rows, n)
         self.rows = out[:4].copy()
         self.q = out[4] - state.E0
-        self.values = np.empty((j + max(8, j // 2), n + 1))
+        self.values = np.empty((len(self.ereverse) + 1, n + 1))
         self.values[:j] = out[5:5 + j]
         y0 = self.values[0]
         phi_b, dphi_b = out[5 + j:7 + j]
@@ -347,14 +339,10 @@ class _Recurrence:
         self.n = n
 
     def step(self):
-        """Append and return (E_j, y_j), j the number of orders held: one
-        :meth:`_step` with overflow and invalid operations ignored."""
-        with np.errstate(**_QUIET):
-            return self._step()
-
-    def _step(self):
-        """:meth:`step` for a caller that already ignores overflow and
-        invalid operations (:func:`compute_series`, around its loop).
+        """Append and return (E_j, y_j), j the number of orders held; it
+        runs at most J times (past J it raises IndexError before it appends
+        anything).  It holds no ``np.errstate``: :func:`compute_series` runs
+        its steps under ``_QUIET``.
 
         The grid is the smallest power of two above :func:`_room` - 2,
         where V(g_j) is exact.  The first step, and a step that needs a
@@ -395,15 +383,7 @@ class _Recurrence:
         # carry the values of y_j as returned, cut and truncated
         block[2] = _values_of(self.row, coeffs)
         y_j = SpectralFun._adopt(problem.a, problem.b, coeffs)
-        if j == len(self.values):
-            values = np.empty((j + max(8, j // 2), self.n + 1))
-            values[:j] = self.values
-            self.values = values
         self.values[j] = block[2]
-        if j > len(self.ereverse):
-            ereverse = np.empty(2 * j)
-            ereverse[1 - j:] = self.ereverse  # E_(j-1) .. E_1
-            self.ereverse = ereverse
         self.ereverse[-j] = e_j
         self.energies.append(e_j)
         self.wavefuns.append(y_j)
@@ -456,7 +436,7 @@ def solve_order(problem: PerturbationProblem, state: UnperturbedState,
     g = order_rhs(problem, energies, wavefuns, j)
     room = _room(problem, state, gh, wavefuns, j,
                  max(y.degree for y in wavefuns[:j]))
-    rec = _Recurrence(problem, state, gh)
+    rec = _Recurrence(problem, state, gh, 0)
     with np.errstate(**_QUIET):
         rec._place(_grid_size(room - 2))
         e_j, _, coeffs = rec._order(_values_at_extrema(g.coeffs, rec.n),
@@ -483,10 +463,10 @@ def compute_series(problem: PerturbationProblem, state: UnperturbedState,
     """
     if J < 0:
         raise EngineError(f"order must be >= 0, got {J}")
-    rec = _Recurrence(problem, state, ghost(state, problem))
+    rec = _Recurrence(problem, state, ghost(state, problem), J)
     with np.errstate(**_QUIET):
         for _ in range(J):
-            rec._step()
+            rec.step()
     energies, wavefuns = rec.energies, rec.wavefuns
     del rec  # and the values it carries, before the normalization's grid
     norm = normalization_coeffs(state, wavefuns, J)

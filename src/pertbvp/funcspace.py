@@ -310,6 +310,12 @@ def _clenshaw_curtis_weights(n: int) -> np.ndarray:
     return _constant(_coeffs_from_samples(moments).copy())
 
 
+#: the kernels' one fault policy, as ``np.errstate(**_QUIET)``: an overflow
+#: or an invalid operation becomes inf or NaN, which _truncate reports (the
+#: FD oracle checks its bands itself)
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
 def _truncate(coeffs: np.ndarray) -> np.ndarray:
     """``coeffs`` without the trailing ones below ``TRUNCATION_TOL`` times
     the largest; raises :class:`SpectralError` if any is inf or NaN."""
@@ -469,8 +475,7 @@ class SpectralFun:
             self._check_domain(other)
             c1, c2 = self.coeffs, other.coeffs
             n = _grid_size(len(c1) + len(c2) - 2)
-            # an overflow turns into inf or NaN; _truncate reports it
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(**_QUIET):
                 f, g = _values_at_extrema([c1, c2], n)
                 prod = _coeffs_from_samples(f * g)
             return SpectralFun._adopt(self.a, self.b, _truncate(prod))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .engine import EngineError, lambda_powers
+from .funcspace import _QUIET
 from .problem import PerturbationProblem, load_problem
 
 __all__ = [
@@ -166,7 +167,7 @@ def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
     lower = np.full(M - 1, 1.0 / h2)
 
     powers = lambda_powers(lam, len(problem.perturbations))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         for k, op in enumerate(problem.perturbations, start=1):
             c = powers[k]
             if c == 0.0:

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import expr as ex
 from ._record import Record
-from .funcspace import (SpectralFun, _coeffs_from_samples, _derivatives,
-                        _grid_size, _truncate, _values_at_extrema)
+from .funcspace import (_QUIET, SpectralFun, _coeffs_from_samples,
+                        _derivatives, _grid_size, _truncate,
+                        _values_at_extrema)
 
 __all__ = [
     "LinearOperator",
@@ -133,8 +134,7 @@ class PerturbationProblem(Record):
         one DCT and one truncation give the series.
         """
         scl = 2.0 / (self.b - self.a)
-        # an overflow turns into inf or NaN; _truncate reports it
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET):
             series, deg = [], 0
             for k, c in terms:
                 series.extend(_derivatives(c, scl))

@@ -368,6 +368,16 @@ def test_demo_scripts_run(script):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+    # one printed claim of each: the summed model-1 energy reads as the
+    # exact one, and the oracle finds model 3's exact ground state, 6
+    if script == "run_model1.py":
+        summed, exact = re.search(r"summed energy at coupling \S+: (\S+)\n"
+                                  r"exact energy: +(\S+)\n",
+                                  done.stdout).groups()
+        assert summed == exact
+    else:
+        assert re.search(r"finite-difference oracle: +6\.000000 ",
+                         done.stdout)
 
 
 def test_unknown_subcommand(capsys):

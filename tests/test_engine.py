@@ -279,7 +279,7 @@ def test_compute_series_equals_order_by_order_solves(model, n, J, m1, m3):
     prob = m1 if model == "m1" else m3
     st = analytic_sine_state(prob, n)
     gh = ghost(st, prob)
-    rec = engine._Recurrence(prob, st, gh)
+    rec = engine._Recurrence(prob, st, gh, J)
     for _ in range(J):
         rec.step()
     ser = compute_series(prob, st, J)
@@ -358,7 +358,7 @@ def test_an_overflowing_state_fails_on_the_error_path_without_warnings():
 def test_degenerate_boundary_equation_only_when_orders_requested(
         m1, monkeypatch):
     st = analytic_sine_state(m1, 1)
-    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, rows, r:
+    monkeypatch.setattr(engine, "_vp_values", lambda state, gh, rows, r, pair:
                         np.zeros((2, len(r))))
     assert compute_series(m1, st, 0).order == 0
     with pytest.raises(EngineError, match="boundary equation degenerate"):
@@ -377,7 +377,7 @@ def test_boundary_is_solved_once_per_recurrence(m3, monkeypatch):
 
     monkeypatch.setattr(engine, "_boundary_solution", counted)
     st = analytic_sine_state(m3, 3)
-    rec = engine._Recurrence(m3, st, ghost(st, m3))
+    rec = engine._Recurrence(m3, st, ghost(st, m3), 8)
     for _ in range(8):
         rec.step()
     assert len(calls) == 1 and rec.wavefuns[8].degree > 0
@@ -390,15 +390,15 @@ def test_boundary_is_solved_once_per_recurrence(m3, monkeypatch):
 def test_compute_series_runs_recurrence_steps_and_solve_order_none(
         J, m3, monkeypatch):
     # compute_series holds one np.errstate around its loop and runs the
-    # step inside it, _step; Recurrence.step is _step in an errstate
+    # recurrence's step inside it
     orders = []
-    step = engine._Recurrence._step
+    step = engine._Recurrence.step
 
     def counted(rec):
         orders.append(len(rec.wavefuns))
         return step(rec)
 
-    monkeypatch.setattr(engine._Recurrence, "_step", counted)
+    monkeypatch.setattr(engine._Recurrence, "step", counted)
     st = analytic_sine_state(m3, 2)
     ser = compute_series(m3, st, J)
     assert orders == list(range(1, J + 1))

@@ -1,11 +1,14 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from numpy.polynomial import chebyshev as cheb
 
+from pertbvp import funcspace
 from pertbvp.funcspace import (DomainMismatchError, SpectralFun,
                                SpectralError, UnresolvedError,
                                _clenshaw_curtis_weights,
@@ -299,3 +302,15 @@ def test_non_finite_coefficients_raise_instead_of_vanishing():
     for bad in ([1.0, np.inf], [np.nan, 1.0], [-np.inf]):
         with pytest.raises(SpectralError, match="not finite"):
             _truncate(np.array(bad))
+
+
+def test_one_fault_policy():
+    # the kernels that let an overflow through as inf or NaN all take
+    # funcspace._QUIET; expr ignores every fault, since it checks its
+    # domains itself
+    assert funcspace._QUIET == dict(over="ignore", invalid="ignore")
+    spelled = [path.name
+               for path in Path(funcspace.__file__).parent.glob("*.py")
+               if path.name != "funcspace.py"
+               and re.search(r"over\s*=\s*[\"']ignore", path.read_text())]
+    assert spelled == []

@@ -581,7 +581,7 @@ def test_a_warm_order_makes_four_transforms_and_no_derivative(
     # inverse DCT of y_j as returned (cut and truncated)
     prob = make()
     st = pb.analytic_sine_state(prob, n)
-    rec = engine._Recurrence(prob, st, ghost(st, prob))
+    rec = engine._Recurrence(prob, st, ghost(st, prob), 11)
     for _ in range(10):
         rec.step()
     grid = rec.n
@@ -609,7 +609,7 @@ def test_a_growing_order_makes_one_transform_pair_more(name, m3, monkeypatch):
     gh = ghost(st, prob)
 
     def recurrence():
-        return engine._Recurrence(prob, st, gh)
+        return engine._Recurrence(prob, st, gh, 10)
 
     ref, grids = recurrence(), []
     for _ in range(10):  # fills the problem's grid caches
@@ -666,11 +666,28 @@ def test_rounding_noise_ends_the_series(m1):
     assert time.perf_counter() - start < 10.0
 
 
+def test_the_carried_arrays_are_allocated_once_per_grid(m1):
+    # values holds J + 1 rows from each placement on, and ereverse J
+    # energies from the start: no step reallocates either
+    st = pb.analytic_sine_state(m1, 3)
+    rec = engine._Recurrence(m1, st, ghost(st, m1), 40)
+    ereverse, values, grid = rec.ereverse, None, 0
+    for _ in range(40):
+        rec.step()
+        assert (rec.values is values) == (rec.n == grid)
+        assert rec.ereverse is ereverse
+        values, grid = rec.values, rec.n
+    assert values.shape == (41, grid + 1) and ereverse.shape == (40,)
+    with pytest.raises(IndexError):  # a step past J
+        rec.step()
+    assert len(rec.energies) == len(rec.wavefuns) == 41
+
+
 def test_one_order_up_to_its_exact_degree_does_not_end_the_series(m3):
     # model 3 at n = 1 keeps every coefficient of a lone order now and then
     # (a spike in the last coefficients) and runs on
     st = pb.analytic_sine_state(m3, 1)
-    rec = engine._Recurrence(m3, st, ghost(st, m3))
+    rec = engine._Recurrence(m3, st, ghost(st, m3), 200)
     full = []
     for _ in range(200):
         rec.step()
@@ -825,7 +842,8 @@ def test_vp_kernel_on_a_workspace_is_bit_for_bit_the_old_one(m3, n):
         for kind in ("random", "extreme", "zero"):
             r = _hostile(rng, (), n, kind)
             expected = _old_vp_values(st, gh, rows, r).tobytes()
-            assert engine._vp_values(st, gh, rows, r).tobytes() == expected
+            assert engine._vp_values(st, gh, rows, r,
+                                     _Batch((2,), n)).tobytes() == expected
             assert engine._vp_values(st, gh, rows, r,
                                      pair).tobytes() == expected
 
@@ -869,7 +887,7 @@ def test_a_warm_order_runs_in_its_workspace(make, n, monkeypatch):
     prob = make()
     st = pb.analytic_sine_state(prob, n)
     gh = ghost(st, prob)
-    recs = [engine._Recurrence(prob, st, gh) for _ in range(2)]
+    recs = [engine._Recurrence(prob, st, gh, 11) for _ in range(2)]
     for rec in recs:
         for _ in range(10):
             rec.step()
