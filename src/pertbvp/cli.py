@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 MAX_ORDER = 1000
 
 #: ``--grid`` (floor, ceiling): samples on ``eval``/``export``, FD interior
-#: points M on ``oracle`` (which also solves on 2M).  At the ceilings an
+#: points M on ``oracle`` (which also solves on 2M + 1).  At the ceilings an
 #: order-1000 ``export`` (1001 columns) takes ~16 s, ~194 MB peak RSS, and
 #: ``oracle`` on the model-3 demo ~1 s, ~43 MB; at M = 262144 its inverse
 #: iteration no longer converges (2-core VM)
@@ -183,10 +183,11 @@ def cmd_oracle(args) -> int:
             raise _InputError(f"argument --n: {args.n} differs from the "
                               f"series' n = {series.n}")
         summed, _ = engine.sum_series(series, args.lam, series.order)
+    n = None  # the state index, checked when the guess comes from it
     if args.guess is not None:
         guess = args.guess
     elif series is not None:
-        guess = summed
+        guess, n = summed, series.n
     elif problem.e0_value is not None:
         guess = problem.e0_value
     else:
@@ -199,7 +200,7 @@ def cmd_oracle(args) -> int:
                               "problem file's E0 when v0 is not zero")
         n = 1 if args.n is None else args.n
         guess = (n * np.pi / (problem.b - problem.a)) ** 2
-    value = oracles.fd_eigenvalue(problem, args.lam, guess, args.grid)
+    value = oracles.fd_eigenvalue(problem, args.lam, guess, args.grid, n=n)
     print(f"fd_eigenvalue = {value:.12e}")
     if series is not None:
         print(f"series_sum    = {summed:.12e}")

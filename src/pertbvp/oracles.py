@@ -1,5 +1,5 @@
 """Reference values for the two benchmark models and an independent
-finite-difference eigenvalue solver.
+finite-difference eigenvalue solver, O(h^4) by Richardson on steps h, h/2.
 
 Model 1:  y'' = lam y' - E y on [0, 1], Dirichlet; exactly solvable.
 Model 3:  (1 - 3x^2/5) y'' - (6/5)(x y' - y) + E y = 0 on [0, 1], Dirichlet;
@@ -142,62 +142,57 @@ def model3_y1_exact(n: int):
 # ----------------------------------------------------------------------
 
 def _fd_bands(problem: PerturbationProblem, lam: float, M: int):
-    """Tridiagonal bands of A with A y = E y on M interior points.
+    """Tridiagonal bands of A with A y = E y on M interior points, step h.
 
-    A = -(D2 - diag(v0) - sum_k lam^k (p2_k D2 + p1_k D1 + p0_k)), second
-    order central differences, Dirichlet rows eliminated.  Raises
-    :class:`OracleError` if an entry overflows, or unless every entry
-    coupling two neighbours in D2 - ... is positive.  Where the second-order
-    coefficient c2 = 1 - sum_k lam^k p2_k is positive this is the
-    cell-Peclet condition |c1| h / 2 < c2; where c2 <= 0 (past the
-    ellipticity radius) both entries turn negative and the node fails too.
+    A = -(D2 - C2 D2 - C1 D1 - C0), second order central differences,
+    Dirichlet rows eliminated, with the summed couplings C2 = sum_k lam^k
+    p2_k, C1 = sum_k lam^k p1_k and C0 = v0 + sum_k lam^k p0_k:
+
+        main  = 2/h^2 - (2 C2/h^2 - C0)
+        upper = -1/h^2 + (C2/h^2 + C1/(2h))
+        lower = -1/h^2 + (C2/h^2 - C1/(2h))   (each at its row's point)
+
+    The 1/h^2 part stays exact and each entry adds one rounded coupling
+    term.  Raises :class:`OracleError` if an entry overflows, or unless
+    every neighbour coupling (-upper, -lower) is positive.  Where
+    c2 = 1 - C2 is positive this is the cell-Peclet condition
+    |C1| h / 2 < c2; where c2 <= 0 (past the ellipticity radius) both fail.
     Without it central differences give an eigenvalue that jumps with the
     grid.
     """
     a, b = problem.domain
     h = (b - a) / (M + 1)
     h2 = h ** 2
-    x = np.arange(1.0, M + 1)
-    x *= h
-    x += a
+    x = a + h * np.arange(1.0, M + 1)
     # a coefficient without x stays a scalar: it broadcasts to the same bits
-    main = np.full(M, -2.0 / h2)
-    main -= ex.walk(problem.v0, x)
-    upper = np.full(M - 1, 1.0 / h2)
-    lower = np.full(M - 1, 1.0 / h2)
-
+    c2, c1, c0 = 0.0, 0.0, ex.walk(problem.v0, x)
     powers = lambda_powers(lam, len(problem.perturbations))
     with np.errstate(**_QUIET):
         for k, op in enumerate(problem.perturbations, start=1):
             c = powers[k]
-            if c == 0.0:
-                continue
-            d2 = ex.walk(op.p2, x) / h2
-            d1 = ex.walk(op.p1, x) / (2.0 * h)
-            diag = -2.0 * d2
-            diag += ex.walk(op.p0, x)
-            diag *= c
-            main -= diag
-            d2_up, d2_low = _neighbours(d2)
-            d1_up, d1_low = _neighbours(d1)
-            off = d2_up + d1_up
-            off *= c
-            upper -= off
-            off = d2_low - d1_low
-            off *= c
-            lower -= off
+            if c != 0.0:
+                c2 = c2 + c * ex.walk(op.p2, x)
+                c1 = c1 + c * ex.walk(op.p1, x)
+                c0 = c0 + c * ex.walk(op.p0, x)
+        d2 = c2 / h2
+        d1 = c1 / (2.0 * h)
+        main = np.full(M, 2.0 / h2)
+        main -= 2.0 * d2 - c0
+        d2_up, d2_low = _neighbours(d2)
+        d1_up, d1_low = _neighbours(d1)
+        upper, lower = np.full((2, M - 1), -1.0 / h2)
+        upper += d2_up + d1_up
+        lower += d2_low - d1_low
 
     if not all(np.all(np.isfinite(band)) for band in (main, upper, lower)):
         raise OracleError("finite-difference matrix not finite "
                           "(coupling too large for the grid)")
     # signs, not the product upper * lower, which can overflow
-    if not np.all((upper > 0.0) & (lower > 0.0)):
+    if not np.all((upper < 0.0) & (lower < 0.0)):
         raise OracleError("finite-difference matrix has a neighbour coupling "
                           "that is not positive (first-derivative coupling "
                           "too large for the grid, or the second-order "
                           "coefficient not positive)")
-    for band in (main, upper, lower):
-        np.negative(band, out=band)
     return main, upper, lower
 
 
@@ -331,23 +326,16 @@ def fd_eigenvalue_raw(problem: PerturbationProblem, lam: float,
 
 
 def _fine_start(coarse):
-    """The piecewise-linear interpolant of ``coarse``, values at the M
-    interior points of a uniform grid with zero ends, at the 2M interior
-    points of the grid on the same interval: the fine grid's start vector.
-
-    In units of the coarse step, fine point 2j+1 (j = 0 .. M-1) lies at
-    j + (j + M + 1)/(2M + 1) and fine point 2j (j = 1 .. M) at
-    j + j/(2M + 1), so each lies in the j-th coarse cell.  Only the
-    result is 2M long.
-    """
-    M = len(coarse)
-    ends = np.zeros(M + 2)  # the coarse values with both zero ends
-    ends[1:-1] = coarse
-    slope = np.diff(ends)
-    offset = np.arange(M + 1) / (2 * M + 1)
-    fine = np.empty(2 * M)
-    fine[0::2] = ends[:M] + (offset[:M] + (M + 1) / (2 * M + 1)) * slope[:M]
-    fine[1::2] = ends[1:M + 1] + offset[1:] * slope[1:]
+    """The fine grid's start vector from ``coarse``, values at the M
+    interior points of a uniform grid with zero ends: on the 2M + 1
+    interior points of the half-step grid, the coarse values at the shared
+    points and the means of their two neighbours between them (half the
+    end value next to each wall)."""
+    fine = np.zeros(2 * len(coarse) + 1)
+    fine[1::2] = coarse
+    fine[:-1:2] += coarse
+    fine[2::2] += coarse
+    fine[::2] *= 0.5
     return fine
 
 
@@ -359,25 +347,36 @@ def _sign_changes(v) -> int:
 
 
 def fd_eigenvalue(problem: PerturbationProblem, lam: float,
-                  e_guess: float, M: int) -> float:
-    """Richardson-extrapolated (order 2) eigenvalue from grids M and 2M.
+                  e_guess: float, M: int, n: int | None = None) -> float:
+    """Richardson-extrapolated eigenvalue from the grid of M interior
+    points, step h, and the grid of 2M + 1, step h/2.
 
+    Every coarse point is a fine point, so (4 E_fine - E_coarse)/3 removes
+    the h^2 term of the central-difference error exactly and leaves O(h^4).
     The fine grid's inverse iteration is shifted by the coarse eigenvalue
-    and starts from the coarse eigenvector, interpolated (a nested-iteration
+    and starts from the coarse eigenvector, interleaved (a nested-iteration
     start), so it needs a few steps.  Raises :class:`OracleError` unless
     both eigenvectors have the same number of sign changes: otherwise the
     two grids found different states, which no extrapolation combines.
+    With ``n``, the state index, it also raises unless that number is
+    n - 1: otherwise both grids found another state.
     """
     vector = _golden_start(M)
     e_coarse = fd_eigenvalue_raw(problem, lam, e_guess, M, vector=vector)
     coarse_changes = _sign_changes(vector)
     vector = _fine_start(vector)
-    e_fine = fd_eigenvalue_raw(problem, lam, e_coarse, 2 * M, vector=vector)
+    e_fine = fd_eigenvalue_raw(problem, lam, e_coarse, 2 * M + 1,
+                               vector=vector)
     fine_changes = _sign_changes(vector)
     if coarse_changes != fine_changes:
         raise OracleError(
             f"the FD grids found different states: the eigenvector has "
             f"{coarse_changes} sign changes on M = {M} points and "
-            f"{fine_changes} on {2 * M} (the grid is too coarse for this "
+            f"{fine_changes} on {2 * M + 1} (the grid is too coarse for this "
             f"state)")
+    if n is not None and coarse_changes != n - 1:
+        raise OracleError(
+            f"the FD grids found another state: the eigenvector has "
+            f"{coarse_changes} sign changes on M = {M} points, where state "
+            f"n = {n} has {n - 1}")
     return (4.0 * e_fine - e_coarse) / 3.0

@@ -209,10 +209,69 @@ def test_oracle_on_two_states_is_a_computation_failure(capsys):
                          "--n", "100", "--grid", "512")
     assert (code, out) == (2, "")
     assert err.startswith("computation failed: ")
-    assert "101 sign changes on M = 512 points and 100 on 1024" in err
+    assert "101 sign changes on M = 512 points and 100 on 1025" in err
     assert run(capsys, "oracle", "--problem", demo, "--lambda", "0", "--n",
                "100", "--grid", "2048") == (
-        0, "fd_eigenvalue = 9.869597470150e+04\n", "")
+        0, "fd_eigenvalue = 9.869600615435e+04\n", "")
+
+
+def test_oracle_on_another_state_than_n_is_a_computation_failure(capsys):
+    # at M = 255 both grids agree on the eigenvector nearest (50 pi)^2, but
+    # it has 50 sign changes: the n = 51 level, not the n = 50 one asked for
+    demo = str(DEMOS / "model1.prob")
+    code, out, err = run(capsys, "oracle", "--problem", demo, "--lambda", "0",
+                         "--n", "50", "--grid", "255")
+    assert (code, out) == (2, "")
+    assert err.startswith("computation failed: ")
+    assert "50 sign changes on M = 255 points, where state n = 50 has 49" \
+        in err
+    assert run(capsys, "oracle", "--problem", demo, "--lambda", "0", "--n",
+               "50", "--grid", "2048") == (
+        0, "fd_eigenvalue = 2.467401041098e+04\n", "")
+
+
+def test_oracle_checks_the_series_state(capsys, tmp_path):
+    # a sum that lands nearer another level is refused, not answered
+    demo = str(DEMOS / "model1.prob")
+    series = tmp_path / "s.json"
+    run(capsys, "solve", "--problem", demo, "--n", "3", "--order", "10",
+        "--out", str(series))
+    data = json.loads(series.read_text())
+    data["orders"][0]["E"] = (4 * math.pi) ** 2
+    series.write_text(json.dumps(data))
+    code, out, err = run(capsys, "oracle", "--problem", demo, "--lambda",
+                         "0.3", "--series", str(series), "--grid", "512")
+    assert (code, out) == (2, "")
+    assert "where state n = 3 has 2" in err
+
+
+def test_oracle_series_deviation_is_the_fourth_order_fd_error(capsys,
+                                                              tmp_path):
+    # model 1 at n = 3, lam = 0.3: the order-10 sum is the exact level to
+    # rounding, so the deviation is the FD error, ~7e-9 at M = 512 on the
+    # exact half-step pair
+    demo = str(DEMOS / "model1.prob")
+    series = tmp_path / "s.json"
+    run(capsys, "solve", "--problem", demo, "--n", "3", "--order", "10",
+        "--out", str(series))
+    code, out, _ = run(capsys, "oracle", "--problem", demo, "--lambda", "0.3",
+                       "--series", str(series), "--grid", "512")
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert last.startswith("deviation ")
+    assert abs(float(last.split("=")[1])) <= 1e-8
+
+
+def test_oracle_model3_demo_keeps_its_rounding_floor(capsys):
+    # at M = 16384 the extrapolated value is limited by rounding, which grows
+    # like eps/h^2; a band form with one more rounded term per entry is ~3x
+    # further off
+    demo = str(DEMOS / "model3.prob")
+    code, out, _ = run(capsys, "oracle", "--problem", demo, "--lambda", "1",
+                       "--guess", "9", "--grid", "16384")
+    assert code == 0
+    value = float(out.split("=")[1])
+    assert abs(value - 6.0) <= 6e-9 * 6.0
 
 
 def test_oracle_default_guess_is_closed_form_e0(capsys, tmp_path):
@@ -607,16 +666,16 @@ def test_oracle_without_guess_starts_from_the_series_sum(
     guesses = []
     fd = oracles.fd_eigenvalue
 
-    def recording(problem, lam, guess, M):
-        guesses.append(guess)
-        return fd(problem, lam, guess, M)
+    def recording(problem, lam, guess, M, n=None):
+        guesses.append((guess, n))
+        return fd(problem, lam, guess, M, n=n)
 
     monkeypatch.setattr(oracles, "fd_eigenvalue", recording)
     code, out, _ = run(capsys, "oracle", "--problem", model3_file,
                        "--lambda", "0.5", "--series", model3_series)
     assert code == 0
     summed, _ = engine.sum_series(_series(model3_series), 0.5, 3)
-    assert guesses == [summed]
+    assert guesses == [(summed, 1)]  # the series' state is checked
     assert f"series_sum    = {summed:.12e}" in out
 
 

@@ -140,6 +140,30 @@ def test_fd_second_order_convergence():
         assert 4.0 / 1.4 <= ratio <= 4.0 * 1.4
 
 
+@pytest.mark.parametrize("n, lam", [(3, 0.3), (10, 1.0)])
+def test_fd_richardson_is_fourth_order(n, lam):
+    # the fine grid halves the step exactly, so (4 E_fine - E_coarse)/3
+    # leaves no h^3 term and the error falls ~16x per doubling of M
+    prob = model1_problem()
+    exact, _ = model1_exact(n, lam)
+    errs = [abs(fd_eigenvalue(prob, lam, exact, M) - exact)
+            for M in (32, 64, 128, 256, 512)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_fd_eigenvalue_checks_the_state_index(n):
+    prob = model1_problem()
+    exact, _ = model1_exact(n, 0.5)
+    assert fd_eigenvalue(prob, 0.5, exact, 256, n=n) \
+        == fd_eigenvalue(prob, 0.5, exact, 256)
+    with pytest.raises(OracleError, match=f"{n - 1} sign changes on M = 256 "
+                                          f"points, where state n = {n + 1} "
+                                          f"has {n}$"):
+        fd_eigenvalue(prob, 0.5, exact, 256, n=n + 1)
+
+
 def test_fd_rejects_small_grid():
     with pytest.raises(OracleError):
         fd_eigenvalue_raw(model1_problem(), 0.0, PI2, 8)
@@ -333,29 +357,33 @@ def test_fd_eigenvalue_raw_without_a_start_vector_is_the_golden_iteration(
 
 
 def _inline_bands(problem, lam, M):
-    """The FD bands as the oracle built them with whole-grid arrays for
-    every coefficient, constants included."""
+    """The FD bands in their closed form, with whole-grid arrays for every
+    coefficient, constants included: the summed couplings C2, C1 and C0,
+    then main = 2/h^2 - (2 C2/h^2 - C0) and upper, lower =
+    -1/h^2 + (C2/h^2 +- C1/(2h))."""
     a, b = problem.domain
     h = (b - a) / (M + 1)
     x = a + h * np.arange(1, M + 1)
-    main = -2.0 / h ** 2 - ex.evaluate(problem.v0, x)
-    upper = np.full(M - 1, 1.0 / h ** 2)
-    lower = np.full(M - 1, 1.0 / h ** 2)
+    c2, c1 = np.zeros(M), np.zeros(M)
+    c0 = ex.evaluate(problem.v0, x)
     for k, op in enumerate(problem.perturbations, start=1):
         c = lam ** k
-        p2, p1, p0 = (ex.evaluate(f, x) for f in (op.p2, op.p1, op.p0))
-        main -= c * (-2.0 * p2 / h ** 2 + p0)
-        upper -= c * (p2[:-1] / h ** 2 + p1[:-1] / (2.0 * h))
-        lower -= c * (p2[1:] / h ** 2 - p1[1:] / (2.0 * h))
-    return -main, -upper, -lower
+        if c != 0.0:
+            c2 = c2 + c * ex.evaluate(op.p2, x)
+            c1 = c1 + c * ex.evaluate(op.p1, x)
+            c0 = c0 + c * ex.evaluate(op.p0, x)
+    main = 2.0 / h ** 2 - (2.0 * (c2 / h ** 2) - c0)
+    upper = -1.0 / h ** 2 + (c2[:-1] / h ** 2 + c1[:-1] / (2.0 * h))
+    lower = -1.0 / h ** 2 + (c2[1:] / h ** 2 - c1[1:] / (2.0 * h))
+    return main, upper, lower
 
 
 @pytest.mark.parametrize("problem", [model1_problem, model3_problem,
                                      _closed_problem])
 @pytest.mark.parametrize("lam", [0.0, 1e-5, 0.3, -0.7, 1.0])
 def test_fd_bands_match_the_inline_form(problem, lam):
-    # scalar constants, p2/h^2 and p1/(2h) formed once and in-place updates
-    # give the bands of whole-grid arrays, bit for bit
+    # scalar constants, C2/h^2 and C1/(2h) formed once and in-place updates
+    # give the closed form on whole-grid arrays, bit for bit
     prob = problem()
     for M in (16, 17, 1000, 2048, 3173, 8191):
         got = oracles._fd_bands(prob, lam, M)
@@ -389,11 +417,11 @@ def test_fine_grid_starts_from_the_coarse_eigenvector(monkeypatch, problem,
             guess = n * n * PI2 + v0
             sizes.clear()
             got = fd_eigenvalue(prob, lam, guess, M)
-            warm = sizes.count(2 * M)
+            warm = sizes.count(2 * M + 1)
             coarse = fd_eigenvalue_raw(prob, lam, guess, M)
             sizes.clear()
-            fine = fd_eigenvalue_raw(prob, lam, coarse, 2 * M)
-            cold = sizes.count(2 * M)
+            fine = fd_eigenvalue_raw(prob, lam, coarse, 2 * M + 1)
+            cold = sizes.count(2 * M + 1)
             expected = (4.0 * fine - coarse) / 3.0
             assert got == pytest.approx(expected, rel=2e-12, abs=0.0)
             assert 2 <= warm <= cold
@@ -403,13 +431,20 @@ def test_fine_grid_starts_from_the_coarse_eigenvector(monkeypatch, problem,
 
 @pytest.mark.parametrize("M", [16, 17, 255, 1024])
 def test_fine_start_interpolates_linearly_with_zero_ends(M):
+    # the half-step grid holds every coarse point; between two of them the
+    # linear interpolant is their mean, next to a wall half the end value
     coarse = np.sin(np.arange(1, M + 1) * 0.37) + 0.5
     fine = oracles._fine_start(coarse)
+    ends = np.r_[0.0, coarse, 0.0]
+    expected = np.empty(2 * M + 1)
+    expected[1::2] = coarse
+    expected[0::2] = (ends[:-1] + ends[1:]) / 2.0
+    assert fine.shape == (2 * M + 1,)
+    assert fine.tobytes() == expected.tobytes()
     x_coarse = np.arange(M + 2) / (M + 1)
-    x_fine = np.arange(1, 2 * M + 1) / (2 * M + 1)
-    expected = np.interp(x_fine, x_coarse, np.r_[0.0, coarse, 0.0])
-    assert fine.shape == (2 * M,)
-    np.testing.assert_allclose(fine, expected, rtol=0, atol=1e-12)
+    x_fine = np.arange(1, 2 * M + 2) / (2 * M + 2)
+    np.testing.assert_allclose(fine, np.interp(x_fine, x_coarse, ends),
+                               rtol=0, atol=1e-12)
 
 
 def test_fd_eigenvalue_calls_the_raw_oracle_once_per_grid(monkeypatch):
@@ -424,7 +459,7 @@ def test_fd_eigenvalue_calls_the_raw_oracle_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(oracles, "fd_eigenvalue_raw", recording)
     got = fd_eigenvalue(model3_problem(), 1.0, 9.0, 512)
-    assert [M for M, _ in calls] == [512, 1024]
+    assert [M for M, _ in calls] == [512, 1025]
     assert all(type(value) is float for _, value in calls)
     (_, coarse), (_, fine) = calls
     assert got == (4.0 * fine - coarse) / 3.0
@@ -438,7 +473,7 @@ def test_fd_eigenvalue_rejects_two_states_on_the_two_grids(lam, n, M,
     # belong to different states, which Richardson must not combine
     with pytest.raises(OracleError, match=f"{changes[0]} sign changes on "
                                           f"M = {M} points and {changes[1]} "
-                                          f"on {2 * M}"):
+                                          f"on {2 * M + 1}"):
         fd_eigenvalue(model1_problem(), lam, (n * math.pi) ** 2, M)
 
 
