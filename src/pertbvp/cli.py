@@ -90,7 +90,7 @@ _FLAGS = {
     "--guess": dict(type=_number(float),
                     help="eigenvalue guess (default: the summed --series, "
                          "else the problem file's E0, else (n pi / L)^2 "
-                         "when v0 is zero; required otherwise)"),
+                         "+ c when v0 is a constant c; required otherwise)"),
     "--series": dict(dest="series_file",
                      help="series JSON to compare against"),
 }
@@ -192,14 +192,14 @@ def cmd_oracle(args) -> int:
         guess = problem.e0_value
     else:
         try:
-            v0_zero = problem.v0_is_zero()
-        except UnresolvedError:  # a v0 with no Chebyshev fit is not zero
-            v0_zero = False
-        if not v0_zero:
+            c = problem.v0_constant()
+        except UnresolvedError:  # a v0 with no Chebyshev fit is not constant
+            c = None
+        if c is None:
             raise _InputError("oracle needs --guess, --series or the "
-                              "problem file's E0 when v0 is not zero")
+                              "problem file's E0 when v0 is not constant")
         n = 1 if args.n is None else args.n
-        guess = (n * np.pi / (problem.b - problem.a)) ** 2
+        guess = (n * np.pi / (problem.b - problem.a)) ** 2 + c
     value = oracles.fd_eigenvalue(problem, args.lam, guess, args.grid, n=n)
     print(f"fd_eigenvalue = {value:.12e}")
     if series is not None:
@@ -235,10 +235,11 @@ def cmd_validate(args) -> int:
         if exc.state is None:  # no state to report on
             raise
         state = exc.state
-    ok, res, left, right = state_verdict(problem, state)
+    ok, res, left, right, changes = state_verdict(problem, state)
     print(f"ode_residual = {res:.6e}")
     print(f"|y0(a)|      = {left:.6e}")
     print(f"|y0(b)|      = {right:.6e}")
+    print(f"sign_changes = {changes} (state n = {state.n} has {state.n - 1})")
     print("state OK" if ok else "state INVALID")
     return 0 if ok else 2
 

@@ -110,12 +110,12 @@ def _wronskian_defect(samples: np.ndarray) -> float:
 def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunction:
     """Construct u with u(a) = -1/y0'(a), u'(a) = 0, so that W(u, y0) = 1.
 
-    u solves the unperturbed equation u'' = (v0 - E0) u.  When v0 is
-    identically zero that is the closed form u = -cos(w (x - a)) / (c w)
-    with w = sqrt(E0), fitted adaptively.  Otherwise u comes from a
-    Chebyshev initial-value solve of the equation in integral form
-    (:func:`~pertbvp.funcspace.solve_linear_ivp`), with an adaptive degree
-    and the same tail rule; an unresolved solve raises
+    u solves the unperturbed equation u'' = (v0 - E0) u.  For a constant
+    v0 = c below E0 that is the closed form u = -cos(w (x - a)) / (A w),
+    with y0 = A sin(w (x - a)) and w = sqrt(E0 - c), fitted adaptively.
+    Otherwise u comes from a Chebyshev initial-value solve of the equation
+    in integral form (:func:`~pertbvp.funcspace.solve_linear_ivp`), with an
+    adaptive degree and the same tail rule; an unresolved solve raises
     :class:`EngineError`.  Either way W = u' y0 - y0' u is formed from
     the rows of :func:`_ghost_rows` on the N+1 Chebyshev extrema, N >= 64
     and above every degree: a defect above 1e-10 raises
@@ -130,11 +130,12 @@ def ghost(state: UnperturbedState, problem: PerturbationProblem) -> GhostFunctio
     if abs(d0) <= 1e-12 * sup:
         raise EngineError("degenerate state: y0'(a) vanishes")
 
-    if problem.v0_is_zero():
-        w = np.sqrt(state.E0)
-        c = d0 / w  # y0 = c sin(w (x-a))
+    c = problem.v0_constant()
+    if c is not None and state.E0 > c:
+        w = np.sqrt(state.E0 - c)
+        amp = d0 / w  # y0 = amp sin(w (x-a))
         u = SpectralFun.from_function(
-            lambda x: -np.cos(w * (x - a)) / (c * w), problem.domain)
+            lambda x: -np.cos(w * (x - a)) / (amp * w), problem.domain)
     else:
         q = problem.v0_fun - SpectralFun.constant(state.E0, problem.domain)
         try:

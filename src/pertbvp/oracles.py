@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .engine import EngineError, lambda_powers
 from .funcspace import _QUIET
-from .problem import PerturbationProblem, load_problem
+from .problem import PerturbationProblem, _sign_changes, load_problem
 
 __all__ = [
     "OracleError",
@@ -337,13 +337,6 @@ def _fine_start(coarse):
     fine[2::2] += coarse
     fine[::2] *= 0.5
     return fine
-
-
-def _sign_changes(v) -> int:
-    """Sign changes between neighbouring entries of ``v`` (a zero counts
-    as positive): n - 1 for the n-th state of a Sturm-Liouville problem."""
-    negative = np.signbit(v)
-    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def fd_eigenvalue(problem: PerturbationProblem, lam: float,

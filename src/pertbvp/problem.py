@@ -87,11 +87,16 @@ class PerturbationProblem(Record):
     def v0_fun(self) -> SpectralFun:
         return self._fit("v0", self.v0)
 
+    def v0_constant(self) -> float | None:
+        """The value c of a constant v0, whose fit :attr:`v0_fun` is one
+        coefficient (0.0 for ``0`` or ``x - x``), else None: a v0 that
+        varies at all, however little (``1e-13*x``), is not constant."""
+        c = self.v0_fun.coeffs
+        return float(c[0]) if len(c) == 1 else None
+
     def v0_is_zero(self) -> bool:
-        """Whether v0 is identically zero: its fit :attr:`v0_fun` is the
-        zero series, as for ``0`` or ``x - x``; a v0 that is not zero,
-        however small, is not."""
-        return not self.v0_fun.coeffs.any()
+        """Whether v0 is identically zero: :meth:`v0_constant` is 0.0."""
+        return self.v0_constant() == 0.0
 
     def _operator_degree(self, k: int, deg: int) -> int:
         """Degree bound of P_k f for a series f of degree ``deg``, and of
@@ -253,17 +258,19 @@ def _normalized_state(n, E0, y0_raw, norm) -> UnperturbedState:
 
 def analytic_sine_state(problem: PerturbationProblem, n: int,
                         amplitude: float = np.sqrt(2.0)) -> UnperturbedState:
-    """Sine eigenstate of the free unperturbed problem (v0 identically 0),
-    normalized by its L2 norm in closed form, |amplitude| sqrt((b - a) / 2)
-    (exactly 1 at the default amplitude on an interval of length 1)."""
+    """Sine eigenstate sin(w (x - a)), w = n pi / L, at E0 = w^2 + c for a
+    constant v0 = c, normalized by its L2 norm in closed form,
+    |amplitude| sqrt((b - a) / 2) (exactly 1 at the default amplitude on an
+    interval of length 1)."""
     if n < 1:
         raise StateError(f"quantum number must be >= 1, got {n}")
-    if not problem.v0_is_zero():
-        raise StateError("analytic sine state requires v0 identically zero")
+    c = problem.v0_constant()
+    if c is None:
+        raise StateError("analytic sine state requires a constant v0")
     a, b = problem.domain
     length = b - a
-    E0 = (n * np.pi / length) ** 2
     w = n * np.pi / length
+    E0 = w ** 2 + c
     y0_raw = SpectralFun.from_function(
         lambda x: amplitude * np.sin(w * (x - a)), problem.domain)
     norm = abs(amplitude) / math.sqrt(2.0 / length)
@@ -279,28 +286,40 @@ def state_from_expr(problem: PerturbationProblem, n: int = 1) -> UnperturbedStat
         lambda nodes: ex.evaluate(problem.y0_expr, nodes), problem.domain)
     norm = float(np.sqrt((y0_raw * y0_raw).definite_integral()))
     state = _normalized_state(n, problem.e0_value, y0_raw, norm)
-    ok, res, left, right = state_verdict(problem, state)
+    ok, res, left, right, changes = state_verdict(problem, state)
     if not ok:
         raise StateError(
             f"closed-form state fails validation: residual {res:.3e}, "
-            f"|y0(a)|={left:.3e}, |y0(b)|={right:.3e}", state)
+            f"|y0(a)|={left:.3e}, |y0(b)|={right:.3e}, {changes} sign "
+            f"changes where state n = {n} has {n - 1}", state)
     return state
+
+
+def _sign_changes(v) -> int:
+    """Sign changes between neighbouring entries of ``v`` (a zero counts
+    as positive): n - 1 for the n-th state of a Sturm-Liouville problem."""
+    negative = np.signbit(v)
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def state_verdict(problem: PerturbationProblem,
                   state: UnperturbedState) -> tuple:
-    """Return (ok, residual, |y0(a)|, |y0(b)|), the residual being
-    sup |y0'' - v0 y0 + E0 y0|: the :meth:`~SpectralFun.sup_norm` of
-    P_0 y0 + E0 y0 from one pass of the operator kernel.
+    """Return (ok, residual, |y0(a)|, |y0(b)|, sign changes): the residual
+    sup |y0'' - v0 y0 + E0 y0| is the :meth:`~SpectralFun.sup_norm` of
+    P_0 y0 + E0 y0 from one pass of the operator kernel, and the sign
+    changes are y0's on the interior N+1 extrema, N = _grid_size(2 len).
 
-    ``ok`` holds when the residual is at most ``1e-9 sup |y0''|`` and both
-    boundary values are at most ``1e-10 sup |y0|``: bounds that scale with
-    the state, whatever the length of the interval.
+    ``ok`` holds when the residual is at most ``1e-9 sup |y0''|``, both
+    boundary values are at most ``1e-10 sup |y0|`` (bounds that scale with
+    the state, whatever the length of the interval) and the state's n has
+    n - 1 sign changes.
     """
     c = state.y0.coeffs
     res = problem._operator_fun([(0, c)], -state.E0, c).sup_norm()
     left, right = abs(state.y0(problem.a)), abs(state.y0(problem.b))
     edge = 1e-10 * state.y0.sup_norm()
+    changes = _sign_changes(
+        _values_at_extrema(c, _grid_size(2 * len(c)))[1:-1])
     ok = (res <= 1e-9 * state.dy0.derivative().sup_norm()
-          and left <= edge and right <= edge)
-    return ok, res, left, right
+          and left <= edge and right <= edge and changes == state.n - 1)
+    return ok, res, left, right, changes

@@ -294,16 +294,29 @@ def _v0_file(tmp_path, v0):
     return str(prob)
 
 
-@pytest.mark.parametrize("v0", ["50", "50*sqrt((x-0.3)^2)"],
-                         ids=["constant", "no-chebyshev-fit"])
+@pytest.mark.parametrize("v0", ["50*x", "50*sqrt((x-0.3)^2)"],
+                         ids=["varying", "no-chebyshev-fit"])
 def test_oracle_without_a_guess_on_a_nonzero_v0_is_an_input_error(
         capsys, tmp_path, v0):
-    # (2 pi / L)^2 ignores v0: at v0 = 50 it converged to the n = 1 level
-    # pi^2 + 50
+    # no guess to take: (2 pi / L)^2 ignores v0 and can converge to
+    # another level
     code, out, err = run(capsys, "oracle", "--problem", _v0_file(tmp_path, v0),
                          "--n", "2")
     assert code == 1 and not out
-    assert err.startswith("error: ") and "--guess" in err
+    assert err == ("error: oracle needs --guess, --series or the problem "
+                   "file's E0 when v0 is not constant\n")
+
+
+def test_oracle_without_a_guess_on_a_constant_v0_finds_the_level(
+        capsys, tmp_path):
+    # the guess (2 pi / L)^2 + 50; (2 pi / L)^2 alone converged to the
+    # n = 1 level pi^2 + 50
+    code, out, _ = run(capsys, "oracle", "--problem",
+                       _v0_file(tmp_path, "50"), "--n", "2")
+    assert code == 0
+    assert out == "fd_eigenvalue = 8.947841760345e+01\n"
+    assert float(out.split("=")[1]) == pytest.approx(4 * PI2 + 50,
+                                                     rel=1e-10)
 
 
 def test_oracle_with_a_guess_on_a_nonzero_v0_finds_the_level(
@@ -399,16 +412,36 @@ def test_validate_accepts_the_sine_state_on_a_short_interval(capsys,
 
 
 def test_a_tiny_v0_is_not_dropped(capsys, tmp_path):
-    # v0 = 1e-13 on a long interval is far above the free E0 = 9.87e-18
+    # v0 = 1e-13 on a long interval is far above the free (pi / L)^2 =
+    # 9.87e-18, and E0 counts it
     prob = tmp_path / "tiny.prob"
     prob.write_text("domain = 0 1e9\nv0 = 1e-13\nperturbation.1.p2 = 0\n"
                     "perturbation.1.p1 = 0\nperturbation.1.p0 = 3\n")
     code, out, err = run(capsys, "solve", "--problem", str(prob),
                          "--order", "1")
-    assert code == 2
-    assert err == ("computation failed: analytic sine state requires v0 "
-                   "identically zero\n")
-    assert out == ""
+    assert code == 0 and err == ""
+    e0 = (math.pi / 1e9) ** 2 + 1e-13
+    assert out.splitlines()[1].split()[:2] == ["0", f"{e0:.16e}"]
+    assert float(out.splitlines()[2].split()[1]) == pytest.approx(3.0)
+
+
+def test_a_constant_v0_needs_no_closed_form(capsys, tmp_path, model3_file):
+    # model 3 on v0 = 5 without y0 / E0: the sine state at E0 = pi^2 + 5,
+    # and the E_j (j >= 1) of model 3 on v0 = 0
+    prob = tmp_path / "shifted.prob"
+    prob.write_text(model3_config().replace("v0 = 0", "v0 = 5"))
+    code, out, err = run(capsys, "validate", "--problem", str(prob))
+    assert code == 0 and err == "" and out.endswith("state OK\n")
+    code, out, err = run(capsys, "solve", "--problem", str(prob),
+                         "--order", "8")
+    assert code == 0 and err == ""
+    shifted = [float(row.split()[1]) for row in out.splitlines()[1:]]
+    code, out, _ = run(capsys, "solve", "--problem", model3_file,
+                       "--order", "8")
+    assert code == 0
+    free = [float(row.split()[1]) for row in out.splitlines()[1:]]
+    assert shifted[0] == PI2 + 5.0
+    assert shifted[1:] == free[1:]
 
 
 def test_shipped_sample_problems(capsys):
@@ -607,7 +640,7 @@ def test_validate_without_a_state_is_a_computation_failure(capsys,
 
 def test_validate_reports_a_wrong_closed_form_energy(capsys, tmp_path):
     # E0 = 9 against the true pi^2: solve fails on the state, validate
-    # prints its three lines and the verdict
+    # prints its four lines and the verdict
     prob = tmp_path / "wrong.prob"
     prob.write_text(_MODEL1.replace("v0 = 0", "v0 = 0\ny0 = sin(pi*x)\n"
                                               "E0 = 9"))
@@ -616,14 +649,32 @@ def test_validate_reports_a_wrong_closed_form_energy(capsys, tmp_path):
     assert out == ""
     assert err == ("computation failed: closed-form state fails validation: "
                    "residual 1.230e+00, |y0(a)|=2.665e-15, "
-                   "|y0(b)|=2.665e-15\n")
+                   "|y0(b)|=2.665e-15, 0 sign changes where state n = 1 "
+                   "has 0\n")
     code, out, err = run(capsys, "validate", "--problem", str(prob))
     assert code == 2
     assert out == ("ode_residual = 1.229806e+00\n"
                    "|y0(a)|      = 2.664535e-15\n"
                    "|y0(b)|      = 2.664535e-15\n"
+                   "sign_changes = 0 (state n = 1 has 0)\n"
                    "state INVALID\n")
     assert err == ""
+    # sin(2 pi x) at E0 = 4 pi^2 is the n = 2 state: under --n 1 solve
+    # refuses it, so no series file carries the wrong n
+    prob.write_text(_MODEL1.replace(
+        "v0 = 0", f"v0 = 0\ny0 = sin(2*pi*x)\nE0 = {4 * PI2!r}"))
+    out_file = tmp_path / "s.json"
+    code, out, err = run(capsys, "solve", "--problem", str(prob), "--n", "1",
+                         "--out", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.endswith(", 1 sign changes where state n = 1 has 0\n")
+    for n, code_n, verdict in (("1", 2, "INVALID"), ("2", 0, "OK")):
+        code, out, err = run(capsys, "validate", "--problem", str(prob),
+                             "--n", n)
+        assert code == code_n and err == ""
+        assert out.splitlines()[-2:] == [
+            f"sign_changes = 1 (state n = {n} has {int(n) - 1})",
+            f"state {verdict}"]
 
 
 # ----------------------------------------------------------------------
@@ -1052,8 +1103,8 @@ def test_guess_help_states_the_default_order(capsys):
     assert done.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert ("--guess GUESS eigenvalue guess (default: the summed --series, "
-            "else the problem file's E0, else (n pi / L)^2 when v0 is zero; "
-            "required otherwise)") in text
+            "else the problem file's E0, else (n pi / L)^2 + c when v0 is "
+            "a constant c; required otherwise)") in text
     assert "unperturbed E0" not in text
 
 

@@ -10,8 +10,9 @@ from pertbvp.engine import (EngineError, compute_series, ghost, order_rhs,
 from pertbvp.funcspace import SpectralError, SpectralFun
 from pertbvp.oracles import (model1_config, model1_problem, model3_E_coeffs,
                              model3_problem, model1_exact)
-from pertbvp.problem import (UnperturbedState, analytic_sine_state,
-                             load_problem, state_from_expr, state_verdict)
+from pertbvp.problem import (PerturbationProblem, UnperturbedState,
+                             analytic_sine_state, load_problem,
+                             state_from_expr, state_verdict)
 
 PI2 = math.pi ** 2
 XS = np.linspace(0, 1, 64)
@@ -58,13 +59,19 @@ def test_ghost_ambiguity_preserves_wronskian(m1):
     assert np.max(np.abs(w - 1.0)) <= 1e-10
 
 
-def test_ghost_numeric_path_nonzero_v0():
+@pytest.fixture
+def ivp_ghost(monkeypatch):
+    """Every v0 taken for non-constant, so that the ghost of a constant v0
+    comes from the initial-value solve, which the test checks."""
+    monkeypatch.setattr(PerturbationProblem, "v0_constant", lambda self: None)
+
+
+def test_ghost_numeric_path_nonzero_v0(ivp_ghost):
     text = ("domain = 0 1\nv0 = 5\ny0 = sin(pi*x)\nE0 = "
             + repr(PI2 + 5.0)
             + "\nperturbation.1.p2 = 0\nperturbation.1.p1 = 1\n"
               "perturbation.1.p0 = 0\n")
     prob = load_problem(text)
-    from pertbvp.problem import state_from_expr
     st = state_from_expr(prob, n=1)
     gh = ghost(st, prob)
     w = gh.du(XS) * st.y0(XS) - st.dy0(XS) * gh.u(XS)
@@ -80,10 +87,7 @@ def _closed_problem(n):
     return prob, state_from_expr(prob, n=n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_ghost_spectral_solve_matches_cosine_constant_v0(n):
-    prob, st = _closed_problem(n)
-    gh = ghost(st, prob)
+def _assert_cosine_ghost(st, gh, n):
     w = n * math.pi  # u'' = (5 - E0) u = -w^2 u
     c = st.dy0(0.0) / w
     expected = -np.cos(w * XS) / (c * w)
@@ -95,7 +99,45 @@ def test_ghost_spectral_solve_matches_cosine_constant_v0(n):
     assert engine._wronskian_defect(du * y0 - dy0 * u) <= 1e-11
 
 
-def test_ghost_spectral_solve_unresolved_is_engine_error(monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ghost_spectral_solve_matches_cosine_constant_v0(n, ivp_ghost):
+    prob, st = _closed_problem(n)
+    _assert_cosine_ghost(st, ghost(st, prob), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 50])
+def test_ghost_of_a_constant_v0_is_the_closed_form(n, monkeypatch):
+    # v0 = 5 below E0: the cosine at w = sqrt(E0 - 5), no solve
+    def spy(*args):
+        raise AssertionError("solve_linear_ivp called")
+
+    monkeypatch.setattr(engine, "solve_linear_ivp", spy)
+    prob, st = _closed_problem(n)
+    assert prob.v0_constant() == 5.0
+    _assert_cosine_ghost(st, ghost(st, prob), n)
+
+
+def test_ghost_of_any_other_v0_is_the_solve(m1, monkeypatch):
+    # a v0 that varies at all takes the solve, and so does E0 <= c, which
+    # only a state built by hand reaches: the cosine has no real w there
+    calls = []
+    solve = funcspace.solve_linear_ivp
+    monkeypatch.setattr(engine, "solve_linear_ivp",
+                        lambda *args: calls.append(args) or solve(*args))
+    st = analytic_sine_state(m1, 1)
+    varying = load_problem(model1_config().replace("v0 = 0",
+                                                   "v0 = 1e-13*x"))
+    assert varying.v0_constant() is None
+    assert ghost(st, varying).wronskian == pytest.approx(1.0, abs=1e-10)
+    assert len(calls) == 1
+    with pytest.raises(EngineError, match="Wronskian defect"):
+        ghost(UnperturbedState(n=1, E0=-1.0, y0=st.y0, dy0=st.dy0,
+                               report_scale=1.0), m1)
+    assert len(calls) == 2
+
+
+def test_ghost_spectral_solve_unresolved_is_engine_error(monkeypatch,
+                                                         ivp_ghost):
     prob, st = _closed_problem(20)
     monkeypatch.setattr(funcspace, "IVP_MAX_DEGREE", 32)
     with pytest.raises(EngineError, match="ghost solve failed"):
@@ -332,7 +374,7 @@ def test_operator_callers_multiply_no_series(m3, monkeypatch):
         order_rhs(m3, ser.energies, ser.wavefuns, j)
     m3.apply_perturbation(1, ser.wavefuns[2])
     assert residual(m3, 0.1, energy, y) <= 1e-3
-    _, res, _, _ = state_verdict(m3, st)
+    _, res, *_ = state_verdict(m3, st)
     assert res <= 1e-9 * st.dy0.derivative().sup_norm()
 
 

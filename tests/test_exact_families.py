@@ -63,18 +63,37 @@ _MODEL3 = ("perturbation.1.p2 = 3*x^2/5\nperturbation.1.p1 = 6*x/5\n"
            "perturbation.1.p0 = -6/5\n")
 
 
-@given(m=st.integers(-30 * 64, 200 * 64).filter(bool), n=st.integers(1, 8))
-def test_a_constant_v0_shifts_e0_alone(m, n):
-    # model 3's couplings on the closed-form state sin(n pi x) with
-    # E0 = (n pi)^2 + c: the ghost comes from the spectral initial-value
-    # solve, where v0 = 0 takes the closed-form cosine.  Measured over
-    # c in [-30, 200] and n <= 8: gaps up to 3.2e-16 (n pi)^2.
+def _shifted_series(c: float, n: int, route: str):
+    """Model 3's series at v0 = c from the sine state, or from the closed
+    form y0 = sin(n pi x), E0 = (n pi)^2 + c."""
+    closed = (f"y0 = sin({n}*pi*x)\nE0 = {(n * math.pi) ** 2 + c!r}\n"
+              if route == "closed" else "")
+    prob = pb.load_problem(f"domain = 0 1\nv0 = {c!r}\n{closed}" + _MODEL3)
+    state = (pb.state_from_expr(prob, n) if route == "closed"
+             else pb.analytic_sine_state(prob, n))
+    return compute_series(prob, state, 8)
+
+
+@given(m=st.integers(-30 * 64, 200 * 64).filter(bool), n=st.integers(1, 8),
+       route=st.sampled_from(("sine", "closed")))
+@example(m=5 * 64, n=20, route="sine")
+@example(m=5 * 64, n=50, route="sine")
+@example(m=5 * 64, n=20, route="closed")
+@example(m=5 * 64, n=50, route="closed")
+def test_a_constant_v0_shifts_e0_alone(m, n, route):
+    # model 3's couplings at v0 = c and at v0 = 0, both states by the same
+    # route.  The ghost of either is the cosine at w = sqrt(E0 - c), so
+    # where E0 - c gives back (n pi)^2 exactly the two series are the same
+    # bits past E_0 (the ghost from the initial-value solve was 1.2e-10
+    # and 2.1e-6 relative off at c = 5, n = 20 and 50).  Where it rounds,
+    # measured over c in [-30, 200] and n <= 8: gaps up to 1.6e-16 (n pi)^2.
     c = m / 64
-    free = pb.load_problem("domain = 0 1\nv0 = 0\n" + _MODEL3)
-    ref = compute_series(free, pb.analytic_sine_state(free, n), 8)
-    prob = pb.load_problem(
-        f"domain = 0 1\nv0 = {c!r}\ny0 = sin({n}*pi*x)\n"
-        f"E0 = {(n * math.pi) ** 2 + c!r}\n" + _MODEL3)
-    ser = compute_series(prob, pb.state_from_expr(prob, n), 8)
+    ser, ref = _shifted_series(c, n, route), _shifted_series(0.0, n, route)
+    assert ser.energies[0] == ref.energies[0] + c
+    if ser.energies[0] - c == ref.energies[0]:
+        assert ser.energies[1:] == ref.energies[1:]
+        assert ser.norm_coeffs == ref.norm_coeffs
+        assert [y.coeffs.tobytes() for y in ser.wavefuns] \
+            == [y.coeffs.tobytes() for y in ref.wavefuns]
     for got, want in zip(ser.energies[1:], ref.energies[1:]):
         assert abs(got - want) <= 1e-15 * ref.energies[0]

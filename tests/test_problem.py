@@ -154,9 +154,9 @@ def test_sine_state_requires_zero_v0():
 
 
 def test_v0_is_fitted_once_per_problem(monkeypatch):
-    # the sine state, the ghost and the recurrence all ask; v0_is_zero
-    # reads the cached fit: one grid for 0, the stopping grid and its
-    # refit for x
+    # the sine state, the ghost and the recurrence all ask; v0_constant
+    # and v0_is_zero read the cached fit: one grid for 0, the stopping grid
+    # and its refit for x
     calls = []
     evaluate = ex.evaluate
 
@@ -170,6 +170,7 @@ def test_v0_is_fitted_once_per_problem(monkeypatch):
         prob = load_problem(text)
         monkeypatch.setattr(ex, "evaluate", counted)
         assert [prob.v0_is_zero() for _ in range(3)] == [zero] * 3
+        assert prob.v0_constant() == (0.0 if zero else None)
         assert prob.v0_fun.coeffs.any() != zero
         monkeypatch.setattr(ex, "evaluate", evaluate)
         assert calls == [prob.v0] * fits
@@ -182,11 +183,26 @@ def test_v0_is_fitted_once_per_problem(monkeypatch):
 def test_v0_is_zero_exactly_when_its_fit_is(v0, zero):
     prob = load_problem(model1_config().replace("v0 = 0", f"v0 = {v0}"))
     assert prob.v0_is_zero() is zero
-    if zero:
-        assert analytic_sine_state(prob, 2).E0 == (2 * math.pi) ** 2
-    else:
-        with pytest.raises(StateError, match="requires v0 identically zero"):
+    c = prob.v0_constant()
+    if v0 == "1e-13*x":  # a v0 that varies, however little
+        assert c is None
+        with pytest.raises(StateError, match="requires a constant v0"):
             analytic_sine_state(prob, 2)
+    else:  # 1e-13 is a constant, and E0 counts it
+        assert c == (0.0 if zero else 1e-13)
+        assert analytic_sine_state(prob, 2).E0 == (2 * math.pi) ** 2 + c
+
+
+@pytest.mark.parametrize("v0,c", [
+    ("5", 5.0), ("-3.7", -3.7), ("50", 50.0), ("sin(x)^2 + cos(x)^2", 1.0),
+    ("x", None), ("400*(x-0.5)^2", None)])
+def test_v0_constant_is_a_fit_of_one_coefficient(v0, c):
+    prob = load_problem(model1_config().replace("v0 = 0", f"v0 = {v0}"))
+    assert prob.v0_constant() == c
+    if c is not None:
+        st = analytic_sine_state(prob, 3)
+        assert st.E0 == (3 * math.pi) ** 2 + c
+        assert state_verdict(prob, st)[0]
 
 
 @pytest.mark.parametrize("length", [1e-14, 1e-12, 1e-11, 1e9])
@@ -215,7 +231,8 @@ def test_state_verdict_rejects_a_wrong_energy_below_the_old_floor():
 def test_state_invariants(n):
     prob = load_problem(model1_config())
     st = analytic_sine_state(prob, n)
-    _, res, left, right = state_verdict(prob, st)
+    _, res, left, right, changes = state_verdict(prob, st)
+    assert changes == n - 1
     sup = st.y0.sup_norm()
     assert left <= 1e-11 * sup and right <= 1e-11 * sup
     ypp = st.dy0.derivative()
@@ -231,7 +248,7 @@ def test_validate_detects_perturbed_state():
     bad = type(st)(n=st.n, E0=st.E0, y0=st.y0 + bump,
                    dy0=(st.y0 + bump).derivative(),
                    report_scale=st.report_scale)
-    _, res, _, _ = state_verdict(prob, bad)
+    _, res, *_ = state_verdict(prob, bad)
     assert res > 1e-3
 
 
@@ -241,7 +258,7 @@ def test_exact_cubic_is_not_the_unperturbed_state():
     st = analytic_sine_state(prob, 1)
     fake = type(st)(n=1, E0=math.pi**2, y0=cubic, dy0=cubic.derivative(),
                     report_scale=1.0)
-    _, res, _, _ = state_verdict(prob, fake)
+    _, res, *_ = state_verdict(prob, fake)
     assert res > 1e-1
 
 
@@ -409,6 +426,6 @@ def test_a_failing_closed_form_state_is_held_by_its_error():
     prob = load_problem(text)
     with pytest.raises(StateError, match="fails validation") as info:
         state_from_expr(prob)
-    ok, res, _, _ = state_verdict(prob, info.value.state)
+    ok, res, *_ = state_verdict(prob, info.value.state)
     assert not ok
     assert f"residual {res:.3e}," in str(info.value)
